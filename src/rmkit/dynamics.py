@@ -30,7 +30,7 @@ import numpy as np
 
 from . import learners as ln
 from . import objectives as obj_mod
-from .games import GameSpec, mixed_potential, utility_vector
+from .games import GameSpec, _check_profile, fold, mixed_potential, own_axis_first, utility_vector
 from .objectives import ObjectiveHandle, br_gap
 
 
@@ -122,19 +122,11 @@ class RunResult:
 
 def _gradient_and_value(target):
     if isinstance(target, GameSpec):
-        # same contraction as utility_vector with the axis move hoisted out
-        # of the round loop; bit-identical results
-        moved = [
-            np.ascontiguousarray(np.moveaxis(target.utilities[i], i, 0))
-            for i in range(target.num_players)
-        ]
+        # the axis moves are hoisted out of the round loop and dropped with it
+        moved = [own_axis_first(u, i) for i, u in enumerate(target.utilities)]
 
         def grad(profile, i):
-            t = moved[i]
-            others = [profile[j] for j in range(target.num_players) if j != i]
-            for j in range(len(others) - 1, -1, -1):
-                t = t @ others[j] if t.ndim == 2 else np.tensordot(t, others[j], axes=([j + 1], [0]))
-            return t
+            return fold(moved[i], [*profile[:i], *profile[i + 1 :]])
 
         if target.potential is not None:
             def value(profile):
@@ -324,12 +316,14 @@ def cce_gap(game: GameSpec, history: PlayHistory, rounds: Optional[int] = None,
     if not 0 < T <= history.rounds:
         raise ValueError(f"rounds must lie in 1..{history.rounds}")
     n = game.num_players
+    moved = [own_axis_first(u, i) for i, u in enumerate(game.utilities)]
     dev = [np.zeros(m) for m in game.action_counts]
     realized = [0.0] * n
     for t in range(T):
         profile = history.strategies[t]
+        _check_profile(game.action_counts, profile)
         for i in range(n):
-            u = utility_vector(game, i, profile)
+            u = fold(moved[i], [*profile[:i], *profile[i + 1 :]])
             dev[i] += u
             realized[i] += float(profile[i] @ u)
     return max(float(dev[i].max() - realized[i]) / T for i in range(n))

@@ -2,12 +2,18 @@
 
 A game is a list of per-player tensors, one axis per player, C order.
 Potential games carry their potential tensor explicitly; the exactness of
-the potential identity is checked exhaustively, never sampled.  Expected
-utility vectors are computed by a canonical contraction: the player's axis
-is moved to the front once, then the remaining axes are contracted from the
-last one down.  Contracting in a fixed order keeps runs reproducible and
-makes equal inputs give bitwise-equal outputs on permutation-symmetric
-tensors, which the symmetric-game diagnostics rely on.
+the potential identity is checked exhaustively, never sampled.
+
+Every contraction goes through one kernel, ``fold(tensor, vectors)``: it
+contracts the trailing axes of a C-contiguous tensor against ``vectors``,
+last axis first, each step one matrix-vector product on the tensor viewed
+as a matrix.  A player's expected utility vector folds the player's tensor
+with their own axis moved to the front (``own_axis_first``) against the
+other players' mixtures; the multilinear value folds every axis.
+Contracting in a fixed order keeps runs reproducible and makes equal inputs
+give bitwise-equal outputs on permutation-symmetric tensors, which the
+symmetric-game diagnostics rely on.  Tensors are stored and folded in C
+order, so the memory layout of an input never changes the bits.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ class GameSpec:
             raise ValueError(
                 f"{len(self.utilities)} utility tensors for {self.num_players} players"
             )
-        self.utilities = [np.asarray(u, dtype=np.float64) for u in self.utilities]
+        self.utilities = [np.ascontiguousarray(u, dtype=np.float64) for u in self.utilities]
         for i, u in enumerate(self.utilities):
             if u.shape != self.action_counts:
                 raise ValueError(f"utility tensor {i} has shape {u.shape}, want {self.action_counts}")
@@ -62,20 +68,28 @@ class GameSpec:
                 self.potential = self.utilities[0]
             self.tags = self.tags | {TAG_POTENTIAL}
         if self.potential is not None:
-            self.potential = np.asarray(self.potential, dtype=np.float64)
+            self.potential = np.ascontiguousarray(self.potential, dtype=np.float64)
             if self.potential.shape != self.action_counts:
                 raise ValueError(
                     f"potential shape {self.potential.shape}, want {self.action_counts}"
                 )
 
 
-def _contract_others(tensor: np.ndarray, player: int, profile) -> Vector:
-    # canonical order: own axis first, then fold the trailing axes in
-    t = np.ascontiguousarray(np.moveaxis(tensor, player, 0))
-    others = [profile[j] for j in range(tensor.ndim) if j != player]
-    for j in range(len(others) - 1, -1, -1):
-        t = np.tensordot(t, np.asarray(others[j], dtype=np.float64), axes=([j + 1], [0]))
-    return t
+def fold(tensor: np.ndarray, vectors) -> np.ndarray:
+    """Contract the trailing axes of a C-contiguous tensor, last axis first.
+
+    Each step multiplies the tensor, viewed as a matrix whose columns run
+    along the last axis, by the next vector from the end.  Folding every
+    axis leaves a 0-d array.
+    """
+    t = tensor
+    for v in reversed(vectors):
+        t = t.reshape(-1, len(v)) @ v
+    return t.reshape(tensor.shape[: tensor.ndim - len(vectors)])
+
+
+def own_axis_first(tensor: np.ndarray, player: int) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(tensor, player, 0))
 
 
 def utility_vector(game: GameSpec, player: int, profile) -> Vector:
@@ -83,15 +97,13 @@ def utility_vector(game: GameSpec, player: int, profile) -> Vector:
     if not 0 <= player < game.num_players:
         raise IndexError(f"player {player} out of range")
     _check_profile(game.action_counts, profile)
-    return _contract_others(game.utilities[player], player, profile)
+    others = [*profile[:player], *profile[player + 1 :]]
+    return fold(own_axis_first(game.utilities[player], player), others)
 
 
 def mixed_tensor_value(tensor: np.ndarray, profile) -> float:
     """Multilinear extension of a tensor evaluated at a mixed profile."""
-    t = tensor
-    for j in range(tensor.ndim - 1, -1, -1):
-        t = np.tensordot(t, np.asarray(profile[j], dtype=np.float64), axes=([j], [0]))
-    return float(t)
+    return float(fold(np.ascontiguousarray(tensor, dtype=np.float64), profile))
 
 
 def mixed_potential(game: GameSpec, profile) -> float:

@@ -115,7 +115,9 @@ def make_multilinear(game: games_mod.GameSpec) -> ObjectiveHandle:
         return games_mod.mixed_tensor_value(pot, profile)
 
     def block_gradient(profile, i: int) -> Vector:
-        return games_mod._contract_others(pot, i, profile)
+        # moved per call: a copy kept for the handle's life would double its memory
+        moved = games_mod.own_axis_first(pot, i)
+        return games_mod.fold(moved, [*profile[:i], *profile[i + 1 :]])
 
     return ObjectiveHandle(
         domain=domain,

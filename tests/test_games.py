@@ -118,6 +118,24 @@ def test_mixed_tensor_value_matches_einsum():
     assert gm.mixed_tensor_value(t, profile) == pytest.approx(want, abs=1e-12)
 
 
+def test_memory_layout_never_changes_the_bits():
+    from rmkit import dynamics as dyn
+
+    rng = np.random.default_rng(11)
+    a = rng.random((7, 7))
+    traces = []
+    for tensor in (a, np.asfortranarray(a)):
+        game = gm.GameSpec((7, 7), [tensor, tensor.copy(order="K")],
+                           tags={gm.TAG_IDENTICAL})
+        traces.append(dyn.run(game, dyn.RunConfig(kind="rm", max_rounds=300)).traces)
+    assert traces[0] == traces[1]
+    for _ in range(40):
+        t = rng.random((int(rng.integers(2, 9)), int(rng.integers(2, 9))))
+        profile = [rng.dirichlet(np.ones(m)) for m in t.T.shape]
+        assert gm.mixed_tensor_value(t.T, profile) == \
+            gm.mixed_tensor_value(np.ascontiguousarray(t.T), profile)
+
+
 def test_mixed_potential_requires_a_potential():
     game = gm.GameSpec((2, 2), [np.eye(2), np.eye(2)])
     with pytest.raises(ValueError, match="no potential"):
