@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 
-from rmkit import dynamics as dyn
 from rmkit import hard_instances as hard
 
 
@@ -37,17 +36,11 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     ns = parse_args(argv)
-    spiral = hard.build_spiral(ns.m)
-    game = hard.build_padded(ns.m)
-    init = hard.pure_init_strategies(ns.m)
-
-    print(f"padded spiral game: m={ns.m}, actions "
-          f"{game.action_counts[0]}x{game.action_counts[1]}")
-    print(f"rm, simultaneous updates, pure start, up to {ns.max_rounds} rounds ...")
-    res = dyn.run(game, dyn.RunConfig(
-        scheme="simultaneous", kind="rm", max_rounds=ns.max_rounds,
-        init_strategies=init))
-    report = hard.analyze_phases(res.history, spiral)
+    print(f"padded spiral game: m={ns.m}, actions {ns.m + 1}x{ns.m + 1}")
+    print(f"rm, simultaneous updates, pure start, up to {ns.max_rounds} rounds; then")
+    print(f"rm+, alternating updates, same start, up to {ns.rm_plus_max_rounds} rounds ...")
+    sep = hard.run_separation(ns.m, ns.max_rounds, ns.epsilon, ns.rm_plus_max_rounds)
+    res, report, res_plus = sep.walk, sep.report, sep.contrast
 
     print(f"\nwalk violations: {len(report.violations)}")
     for msg in report.violations[:10]:
@@ -68,22 +61,12 @@ def main(argv=None) -> int:
     for msg in failures:
         print(f"  {msg}")
 
-    rm_round = next(
-        (rec.round for rec in res.traces if max(rec.br_gaps) <= ns.epsilon), None)
+    rm_round = sep.rm_rounds
     rm_label = str(rm_round) if rm_round is not None else f">{res.rounds}"
     print(f"\nrm rounds until nash_gap <= {ns.epsilon:.4g}: {rm_label}")
-
-    print(f"rm+, alternating updates, same start, up to {ns.rm_plus_max_rounds} rounds ...")
-    res_plus = dyn.run(game, dyn.RunConfig(
-        scheme="alternating", kind="rm+", epsilon=ns.epsilon,
-        max_rounds=ns.rm_plus_max_rounds, init_strategies=init))
-    plus_gap = dyn.nash_gap(game, res_plus.final_profile)
     print(f"rm+ rounds until nash_gap <= {ns.epsilon:.4g}: {res_plus.rounds} "
-          f"(final gap {plus_gap:.3g}, converged={res_plus.converged})")
-
-    rm_cost = rm_round if rm_round is not None else res.rounds
-    ratio = rm_cost / max(res_plus.rounds, 1)
-    print(f"\nseparation ratio: {rm_label} / {res_plus.rounds} >= {ratio:.0f}x")
+          f"(final gap {sep.contrast_gap:.3g}, converged={res_plus.converged})")
+    print(f"\nseparation ratio: {rm_label} / {res_plus.rounds} >= {sep.ratio:.0f}x")
 
     if ns.json:
         payload = {
@@ -93,7 +76,7 @@ def main(argv=None) -> int:
             "rm_budget": res.rounds,
             "rm_plus_rounds": res_plus.rounds,
             "rm_plus_converged": res_plus.converged,
-            "separation_ratio": ratio,
+            "separation_ratio": sep.ratio,
             "violations": list(report.violations),
             "phases": report.to_json_dict(),
         }

@@ -32,10 +32,8 @@ from .games import (
 from .objectives import (
     ObjectiveHandle,
     SimplexProduct,
-    br_action,
     br_gap,
     check_gradient,
-    estimate_smoothness,
     kkt_gap,
     load_objective,
     make_cycle_polynomial,

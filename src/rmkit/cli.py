@@ -37,17 +37,15 @@ HARD_VARIANTS = ("pure_init", "uniform_init")
 # config-file keys that mirror run flags; flags override the file
 _RUN_KEYS = (
     "game", "objective", "hard_instance", "algo", "gamma", "scheme", "epsilon",
-    "max_rounds", "init", "seed", "trace", "strategies", "report",
-    "init_regrets", "init_strategies", "lazy_regret_updates", "record_strategies",
+    "max_rounds", "init", "trace", "strategies", "report",
+    "init_regrets", "init_strategies", "lazy_regret_updates",
 )
 _RUN_DEFAULTS = {
     "algo": "rm+",
     "scheme": "simultaneous",
     "max_rounds": 10_000,
     "init": "zero",
-    "seed": 0,
     "lazy_regret_updates": False,
-    "record_strategies": False,
 }
 
 
@@ -88,8 +86,6 @@ def _merge_run_config(ns: argparse.Namespace, file_doc: Optional[dict]) -> dict:
         flag = getattr(ns, key, None)
         if flag is not None:
             cfg[key] = flag
-    if os.environ.get("RM_SEED"):
-        cfg["seed"] = int(os.environ["RM_SEED"])
     inputs = [k for k in ("game", "objective", "hard_instance") if cfg.get(k)]
     if len(inputs) != 1:
         raise CliError("exactly one of --game, --objective, --hard-instance is required")
@@ -145,8 +141,6 @@ def _execute_run(cfg: dict) -> int:
         init=cfg["init"],
         init_regrets=init_regrets,
         init_strategies=init_strategies,
-        seed=int(cfg["seed"]),
-        record_strategies=bool(cfg["record_strategies"]),
         lazy_regret_updates=bool(cfg["lazy_regret_updates"]),
     )
 
@@ -169,7 +163,6 @@ def _execute_run(cfg: dict) -> int:
         "gamma": gamma,
         "max_rounds": run_config.max_rounds,
         "init": str(run_config.init.value),
-        "seed": run_config.seed,
         "rounds": result.rounds,
         "stop_reason": result.stop_reason,
         "converged": result.converged,
@@ -284,6 +277,12 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         if ns.m is None:
             raise CliError("phase analyses need --m to rebuild the spiral")
         spiral = hard.build_spiral(ns.m)
+        fits = {((ns.m + 1,), (ns.m + 1,)), ((2 * ns.m,), (2 * ns.m,))}
+        misfits = {tuple(x.shape for x in profile) for profile in strategies} - fits
+        if misfits:
+            raise CliError(
+                f"{ns.strategies}: block shapes {sorted(misfits)[0]} do not fit --m {ns.m}; "
+                f"want two blocks of size {ns.m + 1} (padded) or {2 * ns.m} (uniform_init)")
         phase_report = hard.analyze_phases(
             history, spiral, skip_rounds=ns.skip_rounds
         )
@@ -346,7 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--epsilon", type=float, help="stopping precision / lazy threshold")
     run_p.add_argument("--max-rounds", dest="max_rounds", type=int)
     run_p.add_argument("--init", choices=("zero", "threshold", "custom"))
-    run_p.add_argument("--seed", type=int)
     run_p.add_argument("--trace", help="trace CSV output path")
     run_p.add_argument("--strategies", help="strategies JSONL output path")
     run_p.add_argument("--report", help="summary JSON output path")
@@ -393,14 +391,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (CliError, KeyError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        print(f"error: {msg}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

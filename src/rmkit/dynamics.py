@@ -56,8 +56,6 @@ class RunConfig:
     init: InitPolicy = InitPolicy.ZERO
     init_regrets: Optional[list] = None  # per-block vectors, CUSTOM only
     init_strategies: Optional[list] = None  # fallback strategies at birth
-    seed: int = 0
-    record_strategies: bool = False  # copy per-round strategies into trace records
     lazy_regret_updates: bool = False
 
     def __post_init__(self):
@@ -87,7 +85,6 @@ class TraceRecord:
     regret_l1: List[float]
     value: float
     updated: List[bool]
-    strategies: Optional[list] = None
 
 
 @dataclass
@@ -256,7 +253,6 @@ def run(
                 regret_l1=[ln.regret_l1_positive(s) for s in states],
                 value=value(profile),
                 updated=updated,
-                strategies=list(profile) if config.record_strategies else None,
             )
         )
         if progress is not None and t % PROGRESS_EVERY == 0:
@@ -389,6 +385,7 @@ def write_strategies_jsonl(history: PlayHistory, path) -> None:
 
 
 def read_strategies_jsonl(path) -> list:
+    """Per-round profiles from the writer's format; a bad line names its number."""
     rounds = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -399,5 +396,11 @@ def read_strategies_jsonl(path) -> list:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
-            rounds.append([np.asarray(b, dtype=np.float64) for b in doc["blocks"]])
+            blocks = doc.get("blocks") if isinstance(doc, dict) else None
+            if not isinstance(blocks, list):
+                raise ValueError(f"{path}:{line_no}: expected an object with a 'blocks' list")
+            try:
+                rounds.append([np.asarray(b, dtype=np.float64) for b in blocks])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: blocks are not numeric ({exc})") from exc
     return rounds

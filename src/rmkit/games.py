@@ -1,27 +1,22 @@
 """Finite normal-form games stored as dense utility tensors.
 
-A game is a list of per-player tensors, one axis per player, C order.
+A game is a list of per-player tensors, one axis per player, stored
+C-contiguous so that the memory layout of an input never changes the bits.
 Potential games carry their potential tensor explicitly; the exactness of
-the potential identity is checked exhaustively, never sampled.
-
-Every contraction goes through one kernel, ``fold(tensor, vectors)``: it
-contracts the trailing axes of a C-contiguous tensor against ``vectors``,
-last axis first, each step one matrix-vector product on the tensor viewed
-as a matrix.  A player's expected utility vector folds the player's tensor
-with their own axis moved to the front (``own_axis_first``) against the
-other players' mixtures; the multilinear value folds every axis.
-Contracting in a fixed order keeps runs reproducible and makes equal inputs
-give bitwise-equal outputs on permutation-symmetric tensors, which the
-symmetric-game diagnostics rely on.  Tensors are stored and folded in C
-order, so the memory layout of an input never changes the bits.
+the potential identity is checked exhaustively, never sampled.  Every
+contraction goes through one kernel, ``fold``, which contracts a tensor's
+trailing axes from the last one down: an expected utility vector folds the
+player's tensor with its own axis moved to the front, a multilinear value
+folds every axis.  Contracting in a fixed order keeps runs reproducible and
+makes equal inputs give bitwise-equal outputs on permutation-symmetric
+tensors, which the symmetric-game diagnostics rely on.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -78,14 +73,17 @@ class GameSpec:
 def fold(tensor: np.ndarray, vectors) -> np.ndarray:
     """Contract the trailing axes of a C-contiguous tensor, last axis first.
 
-    Each step multiplies the tensor, viewed as a matrix whose columns run
-    along the last axis, by the next vector from the end.  Folding every
-    axis leaves a 0-d array.
+    Each step is one matrix-vector product on the tensor viewed as a matrix
+    over its last axis; a stacked ``@`` over the leading axes would round
+    differently when one of them has size one.  Folding every axis
+    leaves a 0-d array; a vector comes back as the product itself, not as a
+    view, because a run keeps every gradient in its history.
     """
     t = tensor
     for v in reversed(vectors):
         t = t.reshape(-1, len(v)) @ v
-    return t.reshape(tensor.shape[: tensor.ndim - len(vectors)])
+    shape = tensor.shape[: tensor.ndim - len(vectors)]
+    return t if t.shape == shape else t.reshape(shape)
 
 
 def own_axis_first(tensor: np.ndarray, player: int) -> np.ndarray:

@@ -10,7 +10,8 @@ Two wrappers make the walk start from round one: a padded (m+1) x (m+1)
 matrix whose extra action funnels a pure initial profile onto the first
 payoff, and a 2m x 2m matrix balanced so that uniform initial play does the
 same.  The analyzer reconstructs the walk's phases from a recorded history
-and checks the structural facts the stalling argument rests on.
+and checks the structural facts the stalling argument rests on, and
+``run_separation`` sets the slow rm walk against fast alternating rm+.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import PlayHistory
+from . import dynamics as dyn
 from .games import TAG_IDENTICAL, GameSpec
 
 
@@ -163,7 +164,7 @@ def _retained(spiral: SpiralMatrix):
 
 
 def analyze_phases(
-    history: PlayHistory,
+    history: dyn.PlayHistory,
     spiral: SpiralMatrix,
     mass_threshold: float = 1e-12,
     skip_rounds: int = 0,
@@ -298,7 +299,7 @@ def check_stall_growth(report: PhaseReport):
     return (not failures), failures
 
 
-def replay_regrets(history: PlayHistory, init_regrets=None, at_rounds=None):
+def replay_regrets(history: dyn.PlayHistory, init_regrets=None, at_rounds=None):
     """Signed cumulative regret vectors after each round, per player.
 
     Plain-RM accounting: summing g = u - <x, u> * 1 over the recorded
@@ -325,3 +326,27 @@ def replay_regrets(history: PlayHistory, init_regrets=None, at_rounds=None):
         elif t + 1 in wanted:
             out[t + 1] = current
     return out
+
+
+@dataclass
+class Separation:
+    walk: dyn.RunResult  # plain rm, simultaneous, from the pure start
+    report: PhaseReport  # phases of the walk
+    rm_rounds: Optional[int]  # first walk round with every gap <= epsilon
+    contrast: dyn.RunResult  # alternating rm+ from the same start
+    contrast_gap: float  # Nash gap of the contrast's final profile
+    ratio: float  # rm rounds (the whole walk if it never got there) per rm+ round
+
+
+def run_separation(m: int, max_rounds: int, epsilon: float, rm_plus_max_rounds: int) -> Separation:
+    """The rm walk on the padded game, its phase report, and the rm+ contrast."""
+    game, init = build_padded(m), pure_init_strategies(m)
+    walk = dyn.run(game, dyn.RunConfig(
+        scheme="simultaneous", kind="rm", max_rounds=max_rounds, init_strategies=init))
+    rm_rounds = next((rec.round for rec in walk.traces if max(rec.br_gaps) <= epsilon), None)
+    contrast = dyn.run(game, dyn.RunConfig(
+        scheme="alternating", kind="rm+", epsilon=epsilon, max_rounds=rm_plus_max_rounds,
+        init_strategies=init))
+    rm_cost = rm_rounds if rm_rounds is not None else walk.rounds
+    return Separation(walk, analyze_phases(walk.history, build_spiral(m)), rm_rounds, contrast,
+                      dyn.nash_gap(game, contrast.final_profile), rm_cost / max(contrast.rounds, 1))

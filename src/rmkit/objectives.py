@@ -65,11 +65,6 @@ def br_gap(utility, strategy) -> float:
     return float(u.max() - x @ u)
 
 
-def br_action(utility) -> int:
-    """Index of the best response; ties break to the lowest index."""
-    return int(np.argmax(np.asarray(utility)))
-
-
 def kkt_gap(obj: ObjectiveHandle, profile) -> float:
     return sum(
         br_gap(obj.block_gradient(profile, i), profile[i])
@@ -230,13 +225,6 @@ def check_gradient(obj: ObjectiveHandle, profile, h: float = 1e-5) -> float:
     return worst
 
 
-def estimate_smoothness(obj: ObjectiveHandle) -> float:
-    """Tensor-based bound when available, else the stored constant."""
-    if obj.tensor is not None:
-        return multilinear_smoothness_bound(obj.tensor)
-    return obj.smoothness
-
-
 def normalize_objective(obj: ObjectiveHandle, scale: Optional[float] = None) -> ObjectiveHandle:
     """Rescale so every block gradient has range at most one.
 
@@ -275,11 +263,14 @@ def load_objective(spec, base_dir: str = ".") -> ObjectiveHandle:
         doc = spec
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("objective spec needs a 'type' field")
+    keys = {"cycle_poly": {"type"}, "multilinear": {"type", "game"}}.get(doc["type"])
+    if keys is None:
+        raise ValueError(f"unknown objective type '{doc['type']}'")
+    unknown = set(doc) - keys
+    if unknown:
+        raise ValueError(f"objective spec: unknown keys {sorted(unknown)}")
     if doc["type"] == "cycle_poly":
         return make_cycle_polynomial()
-    if doc["type"] == "multilinear":
-        if "game" not in doc:
-            raise ValueError("multilinear objective needs a 'game' file field")
-        path = os.path.join(base_dir, doc["game"])
-        return make_multilinear(games_mod.load_game(path))
-    raise ValueError(f"unknown objective type '{doc['type']}'")
+    if "game" not in doc:
+        raise ValueError("multilinear objective needs a 'game' file field")
+    return make_multilinear(games_mod.load_game(os.path.join(base_dir, doc["game"])))

@@ -420,24 +420,17 @@ def suite_hard_separation() -> SuiteResult:
     """Phase growth of rm on the padded m=6 game and the rm+ contrast."""
     t0 = time.perf_counter()
     c = _Checker()
-    m = 6
-    spiral = hard.build_spiral(m)
-    game = hard.build_padded(m)
-    init = hard.pure_init_strategies(m)
-
-    res = dyn.run(game, dyn.RunConfig(
-        scheme="simultaneous", kind="rm", max_rounds=200_000,
-        init_strategies=init))
-    report = hard.analyze_phases(res.history, spiral)
+    sep = hard.run_separation(6, max_rounds=200_000, epsilon=NASH_CUTOFF,
+                              rm_plus_max_rounds=10_000)
+    res, report = sep.walk, sep.report
     c.check(not report.violations,
             f"walk structure clean over {res.rounds} rounds "
             f"({len(report.violations)} violations)")
     completed = {p.k: p.length for p in report.completed()}
     c.note("phase lengths " + ", ".join(f"T_{k}={T}" for k, T in sorted(completed.items())))
-    if report.first_seen == _M6_FIRST_SEEN:
-        c.note("phase onsets match the frozen m=6 table")
-    else:
-        c.note(f"phase onsets differ from the frozen table: {report.first_seen}")
+    onsets_ok = report.first_seen == _M6_FIRST_SEEN
+    c.check(onsets_ok, "phase onsets " + ("match the frozen m=6 table" if onsets_ok else
+                                          f"{report.first_seen} differ from the frozen m=6 table"))
     t3 = report.phase(3).length
     t4 = report.phase(4).length
     c.check(t3 is not None and t3 >= 5, f"T_3 = {t3} >= 5")
@@ -453,22 +446,14 @@ def suite_hard_separation() -> SuiteResult:
     c.check(above >= observed_total,
             f"max br_gap > 1/14 for {above} rounds >= sum of observed T_k = {observed_total}")
 
-    rm_rounds = next(
-        (rec.round for rec in res.traces if max(rec.br_gaps) <= NASH_CUTOFF), None
-    )
-    rm_cost = rm_rounds if rm_rounds is not None else res.rounds
-    res_plus = dyn.run(game, dyn.RunConfig(
-        scheme="alternating", kind="rm+", epsilon=NASH_CUTOFF, max_rounds=10_000,
-        init_strategies=init))
-    final_gap = dyn.nash_gap(game, res_plus.final_profile)
-    c.check(res_plus.converged and final_gap <= NASH_CUTOFF,
-            f"alternating rm+ reaches nash_gap {final_gap:.3g} <= 1/14 "
+    res_plus = sep.contrast
+    c.check(res_plus.converged and sep.contrast_gap <= NASH_CUTOFF,
+            f"alternating rm+ reaches nash_gap {sep.contrast_gap:.3g} <= 1/14 "
             f"in {res_plus.rounds} rounds")
-    ratio = rm_cost / max(res_plus.rounds, 1)
-    label = f"{rm_cost}" if rm_rounds is not None else f">{res.rounds}"
-    c.check(ratio >= 100.0,
+    label = f"{sep.rm_rounds}" if sep.rm_rounds is not None else f">{res.rounds}"
+    c.check(sep.ratio >= 100.0,
             f"separation: rm needs {label} rounds vs {res_plus.rounds} for rm+ "
-            f"({ratio:.0f}x)")
+            f"({sep.ratio:.0f}x)")
     return _finish("hard_separation", c, t0)
 
 
@@ -740,7 +725,7 @@ def run_suites(names: Optional[Sequence[str]] = None, out: Callable[[str], None]
     picked = list(SUITES) if names is None else list(names)
     unknown = [n for n in picked if n not in SUITES]
     if unknown:
-        raise KeyError(f"unknown suites {unknown}; valid names: {', '.join(SUITES)}")
+        raise ValueError(f"unknown suites {unknown}; valid names: {', '.join(SUITES)}")
     results = []
     for name in picked:
         number = list(SUITES).index(name) + 1

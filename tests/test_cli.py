@@ -9,11 +9,6 @@ from rmkit import cli
 from rmkit import games as gm
 
 
-@pytest.fixture(autouse=True)
-def _clean_seed_env(monkeypatch):
-    monkeypatch.delenv("RM_SEED", raising=False)
-
-
 def _run_json(capsys, argv):
     rc = cli.main(argv)
     out = capsys.readouterr().out
@@ -39,7 +34,6 @@ def test_run_cycle_objective_converges_and_reports(capsys):
     assert summary["stop_reason"] == "converged"
     assert summary["final_kkt_gap"] <= 0.05
     assert summary["rounds"] <= 200
-    assert summary["seed"] == 0
     assert len(summary["final_br_gaps"]) == 1
     assert len(summary["regret_l2_final"]) == 1
     assert summary["regret_l2_max"][0] >= summary["regret_l2_final"][0] - 1e-12
@@ -101,21 +95,16 @@ def test_run_rejects_bad_hard_specs(spec, msg, capsys):
     assert msg in capsys.readouterr().err
 
 
-def test_run_config_file_flag_and_env_precedence(capsys, tmp_path, monkeypatch):
+def test_run_config_flags_override_the_file(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "objective": "cycle_poly", "algo": "rm", "max_rounds": 30, "seed": 7,
+        "objective": "cycle_poly", "algo": "rm", "max_rounds": 30, "scheme": "alternating",
     }))
     rc, summary = _run_json(capsys, ["run", "--config", str(cfg), "--algo", "rm+"])
     assert rc == 0
     assert summary["algo"] == "rm+"  # flag beats file
-    assert summary["seed"] == 7  # file beats default
+    assert summary["scheme"] == "alternating"  # file beats default
     assert summary["max_rounds"] == 30
-
-    monkeypatch.setenv("RM_SEED", "99")
-    rc, summary = _run_json(capsys, ["run", "--config", str(cfg)])
-    assert rc == 0
-    assert summary["seed"] == 99  # env beats both
 
 
 def test_run_config_rejects_unknown_keys(capsys, tmp_path):
@@ -324,6 +313,37 @@ def test_analyze_validation_errors(hard_run, tmp_path, capsys):
     assert "no rounds recorded" in capsys.readouterr().err
 
 
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+def test_analyze_rejects_an_m_that_does_not_fit_the_recording(hard_run, capsys):
+    strategies, game = hard_run  # recorded on the padded m=4 game
+    assert cli.main(["analyze", "--strategies", str(strategies), "--m", "8"]) == 1
+    assert "do not fit --m 8" in _one_line_error(capsys)
+    other = game.parent / "hard6.json"
+    assert cli.main(["gen-hard", "--m", "6", "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", "--strategies", str(strategies), "--analyses", "cce",
+                     "--game", str(other)]) == 1
+    assert "block 0 has shape (5,), want (7,)" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("line, msg", [
+    ("[[1.0, 0.0], [0.0, 1.0]]", "expected an object with a 'blocks' list"),
+    ('{"round": 1}', "expected an object with a 'blocks' list"),
+    ('{"round": 1, "blocks": [["x"], [1.0]]}', "blocks are not numeric"),
+    ('{"round": 1, "blocks": [{}, [1.0]]}', "blocks are not numeric"),
+])
+def test_analyze_rejects_malformed_strategy_lines(line, msg, tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n")
+    assert cli.main(["analyze", "--strategies", str(path), "--m", "4"]) == 1
+    assert f"bad.jsonl:1: {msg}" in _one_line_error(capsys)
+
+
 # ---------------------------------------------------------------------------
 # selftest
 # ---------------------------------------------------------------------------
@@ -348,4 +368,4 @@ def test_selftest_runs_a_named_suite(capsys):
 
 def test_selftest_rejects_unknown_suites(capsys):
     assert cli.main(["selftest", "wat"]) == 1
-    assert "error" in capsys.readouterr().err
+    assert "error: unknown suites ['wat']" in _one_line_error(capsys)

@@ -347,14 +347,6 @@ def test_progress_callback_fires_on_the_configured_cadence(monkeypatch):
     assert ticks == [10, 20]
 
 
-def test_record_strategies_copies_profiles_into_traces():
-    res = dyn.run(_corner_game(), RunConfig(kind="rm", max_rounds=2, record_strategies=True))
-    # traces hold the post-update profile of each round
-    np.testing.assert_array_equal(res.traces[0].strategies[0], [1.0, 0.0])
-    plain = dyn.run(_corner_game(), RunConfig(kind="rm", max_rounds=2))
-    assert plain.traces[0].strategies is None
-
-
 # ---------------------------------------------------------------------------
 # equilibrium measures
 # ---------------------------------------------------------------------------

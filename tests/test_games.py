@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rmkit import dynamics as dyn
 from rmkit import games as gm
 
 
@@ -119,8 +120,6 @@ def test_mixed_tensor_value_matches_einsum():
 
 
 def test_memory_layout_never_changes_the_bits():
-    from rmkit import dynamics as dyn
-
     rng = np.random.default_rng(11)
     a = rng.random((7, 7))
     traces = []

@@ -48,12 +48,6 @@ def test_br_gap_nonnegative_on_the_simplex(seed, m):
     assert ob.br_gap(u, x) >= -1e-12
 
 
-def test_br_action_breaks_ties_to_lowest_index():
-    assert ob.br_action([1.0, 1.0, 0.0]) == 0
-    assert ob.br_action([0.0, 2.0, 2.0]) == 1
-    assert ob.br_action([-1.0, -3.0]) == 0
-
-
 def test_kkt_gap_sums_block_gaps():
     dom = ob.SimplexProduct((2, 3))
     grads = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0, 2.0])}
@@ -143,7 +137,6 @@ def test_cycle_smoothness_is_the_second_derivative_sup():
     assert ob.cycle_smoothness() == pytest.approx(1790.0 / 3.0, rel=1e-12)
     obj = ob.make_cycle_polynomial()
     assert obj.smoothness == ob.cycle_smoothness()
-    assert ob.estimate_smoothness(obj) == obj.smoothness
 
 
 def test_cycle_value_range_matches_grid_scan():
@@ -209,7 +202,6 @@ def test_multilinear_metadata():
     assert obj.tensor is game.potential
     assert obj.value_range == float(game.potential.max() - game.potential.min())
     assert obj.smoothness == ob.multilinear_smoothness_bound(game.potential)
-    assert ob.estimate_smoothness(obj) == obj.smoothness
 
 
 def test_smoothness_bound_hand_value_and_degenerate_cases():
@@ -314,6 +306,10 @@ def test_load_objective_rejects(tmp_path):
         ob.load_objective({"type": "mystery"})
     with pytest.raises(ValueError, match="'game' file field"):
         ob.load_objective({"type": "multilinear"})
+    with pytest.raises(ValueError, match=r"unknown keys \['scale'\]"):
+        ob.load_objective({"type": "multilinear", "game": "g.json", "scale": 1000.0})
+    with pytest.raises(ValueError, match="unknown keys"):
+        ob.load_objective({"type": "cycle_poly", "game": "g.json"})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ValueError, match="not valid JSON"):
