@@ -5,7 +5,8 @@ JSONL, and compares the sha256 of both files with ``tests/golden/digests.json``.
 Traces carry every float at ``%.17g``, so a change to the round loop or to
 the contraction that moves a single bit of any gap, norm, value or strategy
 fails here.  The digests were generated before the contraction kernel was
-rewritten and must stay unchanged by refactors.
+rewritten (the last three cases before the round loop moved to plain arrays)
+and must stay unchanged by refactors.
 
 Regenerate them only for a change that is meant to alter outputs:
 
@@ -53,6 +54,28 @@ def _threshold_multilinear():
         scheme="lazy", kind="rm+", epsilon=0.01, init="threshold", max_rounds=300)
 
 
+def _constant_sum_game():
+    # no potential and no pure equilibrium: lazy rm+ keeps skipping and
+    # stepping for the whole run
+    A = np.random.default_rng(3).random((3, 4))
+    return gm.GameSpec((3, 4), [A, 1.0 - A])
+
+
+def _lazy_regret_updates():
+    return _constant_sum_game(), dyn.RunConfig(
+        scheme="lazy", kind="rm+", epsilon=0.02, max_rounds=400, lazy_regret_updates=True)
+
+
+def _hard_uniform_m4():
+    return hard.build_uniform_init(4), dyn.RunConfig(kind="rm", max_rounds=3_000)
+
+
+def _no_potential():
+    rng = np.random.default_rng(20261018)
+    game = gm.GameSpec((3, 4), [rng.random((3, 4)) for _ in range(2)])
+    return game, dyn.RunConfig(kind="rm", max_rounds=300)
+
+
 def _cycle_drm_plus():
     return ob.make_cycle_polynomial(), dyn.RunConfig(
         kind="drm+", discount=0.7, max_rounds=300)
@@ -67,6 +90,9 @@ CASES = {
     },
     "multilinear_lazy_rm+_threshold": _threshold_multilinear,
     "cycle_poly_drm+": _cycle_drm_plus,
+    "constant_sum_34_lazy_rm+_lazy_regret_updates": _lazy_regret_updates,
+    "hard_m4_rm_uniform_3000": _hard_uniform_m4,
+    "general_34_rm_no_potential": _no_potential,
 }
 
 
