@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from multiprocessing import Pool
-from typing import Optional
 
 import numpy as np
 
@@ -75,13 +74,37 @@ def _parse_hard_spec(text: str):
     return m, variant
 
 
-def _merge_run_config(ns: argparse.Namespace, file_doc: Optional[dict]) -> dict:
-    cfg = dict(_RUN_DEFAULTS)
-    if file_doc is not None:
-        unknown = [k for k in file_doc if k not in _RUN_KEYS]
-        if unknown:
-            raise CliError(f"config file: unknown keys {sorted(unknown)}")
-        cfg.update(file_doc)
+# JSON types of the config-file keys that are not lists; null leaves a key
+# without a default unset
+_RUN_KEY_TYPES = {
+    **{key: ((str,), "a string") for key in (
+        "game", "objective", "hard_instance", "algo", "scheme", "init",
+        "trace", "strategies", "report")},
+    "gamma": ((int, float), "a number"),
+    "epsilon": ((int, float), "a number"),
+    "max_rounds": ((int,), "an integer"),
+    "lazy_regret_updates": ((bool,), "true or false"),
+}
+
+
+def _check_config_doc(doc, source: str) -> None:
+    if not isinstance(doc, dict):
+        raise CliError(f"{source}: expected a JSON object of run settings, "
+                       f"got {type(doc).__name__}")
+    unknown = [k for k in doc if k not in _RUN_KEYS]
+    if unknown:
+        raise CliError(f"{source}: unknown keys {sorted(unknown)}")
+    for key, value in doc.items():
+        if key not in _RUN_KEY_TYPES or (value is None and key not in _RUN_DEFAULTS):
+            continue
+        types, what = _RUN_KEY_TYPES[key]
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise CliError(f"{source}: {key} must be {what}, got {json.dumps(value)}")
+
+
+def _merge_run_config(ns: argparse.Namespace, file_doc, source: str) -> dict:
+    _check_config_doc(file_doc, source)
+    cfg = {**_RUN_DEFAULTS, **file_doc}
     for key in _RUN_KEYS:
         flag = getattr(ns, key, None)
         if flag is not None:
@@ -141,7 +164,7 @@ def _execute_run(cfg: dict) -> int:
         init=cfg["init"],
         init_regrets=init_regrets,
         init_strategies=init_strategies,
-        lazy_regret_updates=bool(cfg["lazy_regret_updates"]),
+        lazy_regret_updates=cfg["lazy_regret_updates"],
     )
 
     def progress(t):
@@ -204,9 +227,9 @@ def cmd_run(ns: argparse.Namespace) -> int:
                     doc = json.load(fh)
                 except json.JSONDecodeError as exc:
                     raise CliError(f"{path}: not valid JSON ({exc})") from exc
-            configs.append(_merge_run_config(ns, doc))
+            configs.append(_merge_run_config(ns, doc, path))
     else:
-        configs.append(_merge_run_config(ns, None))
+        configs.append(_merge_run_config(ns, {}, "flags"))
     if len(configs) > 1:
         for key in ("trace", "strategies", "report"):
             if getattr(ns, key, None):

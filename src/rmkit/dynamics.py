@@ -17,12 +17,20 @@ expected utility vector from their own tensor) or an objective handle
 A run stops early only when one full pass measures every block's gap at or
 below ``epsilon``; that pass counts as a round.  Everything is
 deterministic: the same config produces byte-identical traces.
+
+``run`` validates its inputs once, then keeps each block's regrets and
+strategies as plain arrays.  Per round it checks only the gradients it
+observes, which come from outside for an objective, and steps each block
+with ``learners.advance``, the kernel behind the validated single-step
+reference ``learners.step``; ``RegretState`` objects are built only for
+``on_step`` and for the result.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional
 
@@ -30,7 +38,8 @@ import numpy as np
 
 from . import learners as ln
 from . import objectives as obj_mod
-from .games import GameSpec, _check_profile, fold, mixed_potential, own_axis_first, utility_vector
+from .games import GameSpec, _check_profile, fold, own_axis_first, utility_vector
+from .games import mixed_potential  # noqa: F401  (perfbench/tracing.py wraps this attribute)
 from .objectives import ObjectiveHandle, br_gap
 
 
@@ -126,8 +135,11 @@ def _gradient_and_value(target):
             return fold(moved[i], [*profile[:i], *profile[i + 1 :]])
 
         if target.potential is not None:
+            potential = target.potential
+
+            # run checks its profiles once, so the value folds without re-checking
             def value(profile):
-                return mixed_potential(target, profile)
+                return float(fold(potential, profile))
         else:
             def value(profile):
                 return float("nan")
@@ -197,48 +209,71 @@ def run(
     states = _initial_states(target, sizes, config)
     n = len(sizes)
     eps = config.epsilon
+    kind = config.kind
+    discount = states[0].discount
+    alpha = discount if kind is ln.Kind.DRM_PLUS else None
+    simultaneous = config.scheme is Scheme.SIMULTANEOUS
     lazy = config.scheme is Scheme.LAZY_ALTERNATING
+    shapes = [(m,) for m in sizes]
+
+    # Per block: the regrets, the strategy the state stores (which is also
+    # what the other blocks see), the strategy its regrets play next, and the
+    # norms of the regrets' positive part.  Stored and played are one array
+    # except after a lazy regret update, which keeps the stored strategy.
+    regrets = [s.regrets for s in states]
+    profile, l1, l2 = [], [], []
+    for s in states:
+        theta, total, x = ln.play(s.regrets, s.strategy)
+        profile.append(x)
+        l1.append(total)
+        l2.append(math.sqrt(theta.dot(theta)))
+    played = list(profile)
+
+    def observe(i):
+        # a block gradient is outside input: check it every round
+        u = np.asarray(grad(profile, i), dtype=np.float64)
+        if u.shape != shapes[i]:
+            raise ValueError(f"block {i} gradient has shape {u.shape}, want {shapes[i]}")
+        if not np.isfinite(u).all():
+            raise ValueError(f"block {i} gradient has non-finite entries")
+        return u
 
     history = PlayHistory(scheme=config.scheme)
     traces: List[TraceRecord] = []
     initial_gaps: List[float] = []
     stop_reason = "max_rounds"
-    profile = [ln.current_strategy(s) for s in states]
 
     for t in range(1, config.max_rounds + 1):
         entering = list(profile)
+        observed = [observe(i) for i in range(n)] if simultaneous else [None] * n
         gaps = [0.0] * n
-        observed = [None] * n
         updated = [False] * n
 
-        if config.scheme is Scheme.SIMULTANEOUS:
-            us = [grad(profile, i) for i in range(n)]
-            for i in range(n):
-                gaps[i] = br_gap(us[i], profile[i])
-            for i in range(n):
-                before = states[i]
-                states[i], g = ln.step(before, us[i])
+        for i in range(n):
+            u = observed[i]
+            if u is None:
+                u = observed[i] = observe(i)
+            x = profile[i]
+            xu = float(x @ u)
+            gaps[i] = float(u.max()) - xu
+            skip = lazy and gaps[i] <= eps
+            if skip and not config.lazy_regret_updates:
+                continue
+            if played[i] is not x:
+                xu = float(played[i] @ u)
+            r, theta, total, x_next, g = ln.advance(kind, regrets[i], played[i], u, xu, alpha)
+            if skip:
+                # the regrets move but the stored strategy stays, as their fallback
+                played[i] = ln.play(r, x)[2]
+            else:
                 if on_step is not None:
-                    on_step(t, i, before, g, states[i])
-                profile[i] = states[i].strategy
-                observed[i] = us[i]
+                    on_step(t, i, ln.RegretState(kind, regrets[i], x, discount), g,
+                            ln.RegretState(kind, r, x_next, discount))
+                profile[i] = played[i] = x_next
                 updated[i] = True
-        else:
-            for i in range(n):
-                u = grad(profile, i)
-                observed[i] = u
-                gaps[i] = br_gap(u, profile[i])
-                if lazy and gaps[i] <= eps:
-                    if config.lazy_regret_updates:
-                        stepped, _ = ln.step(states[i], u)
-                        states[i] = replace(stepped, strategy=states[i].strategy)
-                    continue
-                before = states[i]
-                states[i], g = ln.step(before, u)
-                if on_step is not None:
-                    on_step(t, i, before, g, states[i])
-                profile[i] = states[i].strategy
-                updated[i] = True
+            regrets[i] = r
+            l1[i] = total
+            l2[i] = math.sqrt(theta.dot(theta))
 
         if t == 1:
             initial_gaps = list(gaps)
@@ -249,8 +284,8 @@ def run(
                 round=t,
                 br_gaps=gaps,
                 kkt_gap=float(sum(gaps)),
-                regret_l2=[ln.regret_l2(s) for s in states],
-                regret_l1=[ln.regret_l1_positive(s) for s in states],
+                regret_l2=list(l2),
+                regret_l1=list(l1),
                 value=value(profile),
                 updated=updated,
             )
@@ -265,7 +300,7 @@ def run(
         config=config,
         history=history,
         traces=traces,
-        states=states,
+        states=[ln.RegretState(kind, r, x, discount) for r, x in zip(regrets, profile)],
         stop_reason=stop_reason,
         rounds=len(traces),
         initial_gaps=initial_gaps,

@@ -9,15 +9,18 @@ Three update rules share one state shape and one play rule:
 * ``DRM_PLUS``  additionally multiplies the truncated vector by a discount
                 factor ``alpha`` in (0, 1] each round.
 
-A state always carries the strategy it would play next.  When the positive
-part of the regrets vanishes there is nothing to be proportional to; the
-stored strategy is then whatever fallback is in effect (uniform at birth,
-the previously played strategy after a step), which keeps the play rule
-total without breaking any of the norm arguments.
+A state always carries the strategy it would play next; ``play`` is the
+rule.  When the positive part of the regrets vanishes there is nothing to
+be proportional to; the stored strategy is then whatever fallback is in
+effect (uniform at birth, the previously played strategy after a step),
+which keeps the play rule total without breaking any of the norm arguments.
 
 ``step`` is pure: it returns the successor state plus the instantaneous
 regret vector ``g = u - <x, u> * 1`` computed with the strategy that was
-actually played, fallback branch included.
+actually played, fallback branch included.  It is the validated single-step
+reference.  The update rule itself is ``advance``, a kernel on plain arrays
+that checks nothing; ``step`` and the round loop of ``dynamics.run`` both
+call it, so the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -62,12 +65,12 @@ def normalize_strategy(probs) -> Vector:
     return x / s
 
 
-def _play(regrets: Vector, fallback: Vector) -> Vector:
+def play(regrets: Vector, fallback: Vector):
+    """The play rule: ``(theta, total, x)`` with ``theta = max(r, 0)``, its
+    sum, and ``x = theta / total``, or ``fallback`` when ``total`` is zero."""
     theta = positive_part(regrets)
-    s = float(theta.sum())
-    if s > 0.0:
-        return theta / s
-    return fallback
+    total = float(np.add.reduce(theta))
+    return theta, total, (theta / total if total > 0.0 else fallback)
 
 
 @dataclass(frozen=True)
@@ -128,12 +131,31 @@ def new_learner(
     )
     if fallback.shape != r.shape:
         raise ValueError(f"init strategy shape {fallback.shape} != ({num_actions},)")
-    return RegretState(kind=kind, regrets=r, strategy=_play(r, fallback), discount=discount)
+    return RegretState(kind=kind, regrets=r, strategy=play(r, fallback)[2], discount=discount)
+
+
+def advance(kind: Kind, regrets: Vector, x: Vector, u: Vector, xu: float,
+            alpha: Optional[float] = None):
+    """The update rule on plain arrays, with no checks.
+
+    ``x`` is the strategy played, ``xu`` is ``float(x @ u)`` and ``alpha`` the
+    drm+ discount.  Returns ``(r, theta, total, x_next, g)``: the next
+    regrets, ``play(r, x)`` and ``g = u - xu``.
+    """
+    g = u - xu
+    if kind is Kind.RM:
+        r = regrets + g
+    elif kind is Kind.RM_PLUS:
+        r = positive_part(regrets + g)
+    else:
+        r = alpha * positive_part(regrets + g)
+    theta, total, x_next = play(r, x)
+    return r, theta, total, x_next, g
 
 
 def current_strategy(state: RegretState) -> Vector:
     """max(r,0)/||max(r,0)||_1 when that is nonzero, else the stored fallback."""
-    return _play(state.regrets, state.strategy)
+    return play(state.regrets, state.strategy)[2]
 
 
 def step(state: RegretState, utility, alpha: Optional[float] = None):
@@ -148,20 +170,13 @@ def step(state: RegretState, utility, alpha: Optional[float] = None):
         raise ValueError(f"utility shape {u.shape} != {state.regrets.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("utility has non-finite entries")
+    if state.kind is Kind.DRM_PLUS:
+        alpha = _check_discount(alpha if alpha is not None else state.discount)
+    elif alpha is not None:
+        raise ValueError("per-round discount only applies to drm+")
     x = current_strategy(state)
-    g = u - float(x @ u)
-    if state.kind is Kind.RM:
-        if alpha is not None:
-            raise ValueError("per-round discount only applies to drm+")
-        r = state.regrets + g
-    elif state.kind is Kind.RM_PLUS:
-        if alpha is not None:
-            raise ValueError("per-round discount only applies to drm+")
-        r = positive_part(state.regrets + g)
-    else:
-        a = _check_discount(alpha if alpha is not None else state.discount)
-        r = a * positive_part(state.regrets + g)
-    return replace(state, regrets=r, strategy=_play(r, x)), g
+    r, _, _, x_next, g = advance(state.kind, state.regrets, x, u, float(x @ u), alpha)
+    return replace(state, regrets=r, strategy=x_next), g
 
 
 def regret_l2(state: RegretState) -> float:

@@ -114,6 +114,30 @@ def test_run_config_rejects_unknown_keys(capsys, tmp_path):
     assert "unknown keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, msg",
+    [
+        (5, "expected a JSON object of run settings, got int"),
+        (None, "expected a JSON object of run settings, got NoneType"),
+        ({"objective": "cycle_poly", "algo": "drm+", "gamma": "0.5"},
+         'gamma must be a number, got "0.5"'),
+        ({"objective": "cycle_poly", "epsilon": "0.1"}, 'epsilon must be a number, got "0.1"'),
+        ({"objective": "cycle_poly", "scheme": "lazy", "epsilon": 0.1,
+          "lazy_regret_updates": "false"}, 'lazy_regret_updates must be true or false'),
+        ({"objective": "cycle_poly", "max_rounds": True}, "max_rounds must be an integer, got true"),
+        ({"objective": "cycle_poly", "max_rounds": 2.5}, "max_rounds must be an integer, got 2.5"),
+        ({"objective": "cycle_poly", "trace": 5}, "trace must be a string, got 5"),
+    ],
+    ids=["int_document", "null_document", "gamma_string", "epsilon_string",
+         "lazy_regret_updates_string", "max_rounds_bool", "max_rounds_float", "trace_int"],
+)
+def test_run_config_rejects_wrong_json_types(doc, msg, capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    assert f"{cfg}: {msg}" in _one_line_error(capsys)
+
+
 def test_run_config_carries_custom_inits(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     strategies = tmp_path / "s.jsonl"

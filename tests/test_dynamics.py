@@ -1,5 +1,6 @@
 """Unit tests for the multi-learner dynamics driver and its reports."""
 
+import dataclasses
 import json
 import math
 
@@ -338,6 +339,76 @@ def test_run_without_a_potential_reports_nan_values():
     game = gm.GameSpec((2, 2), [np.eye(2), 1.0 - np.eye(2)])
     res = dyn.run(game, RunConfig(kind="rm+", max_rounds=3))
     assert all(math.isnan(rec.value) for rec in res.traces)
+
+
+# ---------------------------------------------------------------------------
+# the round loop against the validated single-step reference
+# ---------------------------------------------------------------------------
+
+
+def _constant_sum_game():
+    # no pure equilibrium, so lazy runs keep both skipping and stepping
+    A = np.random.default_rng(3).random((3, 4))
+    return gm.GameSpec((3, 4), [A, 1.0 - A])
+
+
+@pytest.mark.parametrize("kind", ["rm", "rm+", "drm+"])
+@pytest.mark.parametrize(
+    "scheme, lazy_regret_updates",
+    [("simultaneous", False), ("alternating", False), ("lazy", False), ("lazy", True)],
+)
+def test_the_loop_replays_bit_for_bit_through_the_reference_step(
+        kind, scheme, lazy_regret_updates):
+    game = _constant_sum_game()
+    config = RunConfig(
+        scheme=scheme, kind=kind, max_rounds=150,
+        discount=0.9 if kind == "drm+" else None,
+        epsilon=0.02 if scheme == "lazy" else None,
+        lazy_regret_updates=lazy_regret_updates)
+    res = dyn.run(game, config)
+    states = [ln.new_learner(kind, m, discount=config.discount) for m in game.action_counts]
+    skipped = 0
+    for t, rec in enumerate(res.traces):
+        for i, state in enumerate(states):
+            assert np.array_equal(res.history.strategies[t][i], state.strategy)
+        for i, u in enumerate(res.history.utilities[t]):
+            if rec.updated[i]:
+                states[i], _ = ln.step(states[i], u)
+                continue
+            skipped += 1
+            if lazy_regret_updates:
+                stepped, _ = ln.step(states[i], u)
+                states[i] = dataclasses.replace(stepped, strategy=states[i].strategy)
+        assert rec.regret_l2 == [ln.regret_l2(s) for s in states]
+        assert rec.regret_l1 == [ln.regret_l1_positive(s) for s in states]
+    assert (skipped > 0) == (scheme == "lazy")
+    for got, want in zip(res.states, states):
+        assert np.array_equal(got.regrets, want.regrets)
+        assert np.array_equal(got.strategy, want.strategy)
+        assert np.array_equal(ln.current_strategy(got), ln.current_strategy(want))
+
+
+def _objective_with_gradient(bad):
+    inner = ob.make_multilinear(gm.normalize_game(gm.random_potential_game(2, (2, 3), seed=1)))
+
+    def block_gradient(profile, i):
+        return bad if i == 1 else inner.block_gradient(profile, i)
+
+    return dataclasses.replace(inner, block_gradient=block_gradient)
+
+
+@pytest.mark.parametrize("scheme", ["simultaneous", "alternating"])
+def test_run_rejects_a_non_finite_gradient(scheme):
+    obj = _objective_with_gradient(np.array([0.0, np.nan, 1.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        dyn.run(obj, RunConfig(scheme=scheme, kind="rm", max_rounds=3))
+
+
+@pytest.mark.parametrize("scheme", ["simultaneous", "alternating"])
+def test_run_rejects_a_gradient_of_the_wrong_shape(scheme):
+    obj = _objective_with_gradient(np.zeros(2))
+    with pytest.raises(ValueError, match="shape"):
+        dyn.run(obj, RunConfig(scheme=scheme, kind="rm", max_rounds=3))
 
 
 def test_progress_callback_fires_on_the_configured_cadence(monkeypatch):
