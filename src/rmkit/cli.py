@@ -33,12 +33,19 @@ from . import selftests as st
 BUILTIN_OBJECTIVES = ("cycle_poly",)
 HARD_VARIANTS = ("pure_init", "uniform_init")
 
-# config-file keys that mirror run flags; flags override the file
-_RUN_KEYS = (
-    "game", "objective", "hard_instance", "algo", "gamma", "scheme", "epsilon",
-    "max_rounds", "init", "trace", "strategies", "report",
-    "init_regrets", "init_strategies", "lazy_regret_updates",
-)
+# config-file keys, which mirror the run flags (flags override the file),
+# with their JSON types; null leaves a key without a default unset
+_RUN_KEY_TYPES = {
+    **{key: ((str,), "a string") for key in (
+        "game", "objective", "hard_instance", "algo", "scheme", "init",
+        "trace", "strategies", "report")},
+    "gamma": ((int, float), "a number"),
+    "epsilon": ((int, float), "a number"),
+    "max_rounds": ((int,), "an integer"),
+    "init_regrets": ((list,), "a list of per-block vectors"),
+    "init_strategies": ((list,), "a list of per-block vectors"),
+    "lazy_regret_updates": ((bool,), "true or false"),
+}
 _RUN_DEFAULTS = {
     "algo": "rm+",
     "scheme": "simultaneous",
@@ -74,28 +81,15 @@ def _parse_hard_spec(text: str):
     return m, variant
 
 
-# JSON types of the config-file keys that are not lists; null leaves a key
-# without a default unset
-_RUN_KEY_TYPES = {
-    **{key: ((str,), "a string") for key in (
-        "game", "objective", "hard_instance", "algo", "scheme", "init",
-        "trace", "strategies", "report")},
-    "gamma": ((int, float), "a number"),
-    "epsilon": ((int, float), "a number"),
-    "max_rounds": ((int,), "an integer"),
-    "lazy_regret_updates": ((bool,), "true or false"),
-}
-
-
 def _check_config_doc(doc, source: str) -> None:
     if not isinstance(doc, dict):
         raise CliError(f"{source}: expected a JSON object of run settings, "
                        f"got {type(doc).__name__}")
-    unknown = [k for k in doc if k not in _RUN_KEYS]
+    unknown = [k for k in doc if k not in _RUN_KEY_TYPES]
     if unknown:
         raise CliError(f"{source}: unknown keys {sorted(unknown)}")
     for key, value in doc.items():
-        if key not in _RUN_KEY_TYPES or (value is None and key not in _RUN_DEFAULTS):
+        if value is None and key not in _RUN_DEFAULTS:
             continue
         types, what = _RUN_KEY_TYPES[key]
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
@@ -105,7 +99,7 @@ def _check_config_doc(doc, source: str) -> None:
 def _merge_run_config(ns: argparse.Namespace, file_doc, source: str) -> dict:
     _check_config_doc(file_doc, source)
     cfg = {**_RUN_DEFAULTS, **file_doc}
-    for key in _RUN_KEYS:
+    for key in _RUN_KEY_TYPES:
         flag = getattr(ns, key, None)
         if flag is not None:
             cfg[key] = flag

@@ -127,9 +127,12 @@ def test_run_config_rejects_unknown_keys(capsys, tmp_path):
         ({"objective": "cycle_poly", "max_rounds": True}, "max_rounds must be an integer, got true"),
         ({"objective": "cycle_poly", "max_rounds": 2.5}, "max_rounds must be an integer, got 2.5"),
         ({"objective": "cycle_poly", "trace": 5}, "trace must be a string, got 5"),
+        ({"objective": "cycle_poly", "init_strategies": 5},
+         "init_strategies must be a list of per-block vectors, got 5"),
     ],
     ids=["int_document", "null_document", "gamma_string", "epsilon_string",
-         "lazy_regret_updates_string", "max_rounds_bool", "max_rounds_float", "trace_int"],
+         "lazy_regret_updates_string", "max_rounds_bool", "max_rounds_float", "trace_int",
+         "init_strategies_int"],
 )
 def test_run_config_rejects_wrong_json_types(doc, msg, capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
