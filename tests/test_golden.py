@@ -5,8 +5,9 @@ JSONL, and compares the sha256 of both files with ``tests/golden/digests.json``.
 Traces carry every float at ``%.17g``, so a change to the round loop or to
 the contraction that moves a single bit of any gap, norm, value or strategy
 fails here.  The digests were generated before the contraction kernel was
-rewritten (the last three cases before the round loop moved to plain arrays)
-and must stay unchanged by refactors.
+rewritten (the last three cases before the round loop moved to plain arrays,
+the two multilinear ``314``/``2223`` cases before the objective's gradient
+was hoisted out of the round loop) and must stay unchanged by refactors.
 
 Regenerate them only for a change that is meant to alter outputs:
 
@@ -54,6 +55,19 @@ def _threshold_multilinear():
         scheme="lazy", kind="rm+", epsilon=0.01, init="threshold", max_rounds=300)
 
 
+def _multilinear_unit_axis():
+    # a size-1 axis is where a stacked matmul would round differently
+    game = gm.normalize_game(gm.random_potential_game(3, (3, 1, 4), seed=11))
+    return ob.make_multilinear(game), dyn.RunConfig(
+        scheme="simultaneous", kind="rm+", max_rounds=300)
+
+
+def _multilinear_four_players():
+    game = gm.random_potential_game(4, (2, 2, 2, 3), seed=12)
+    return ob.make_multilinear(game), dyn.RunConfig(
+        scheme="alternating", kind="rm", max_rounds=300)
+
+
 def _constant_sum_game():
     # no potential and no pure equilibrium: lazy rm+ keeps skipping and
     # stepping for the whole run
@@ -89,6 +103,8 @@ CASES = {
         for scheme in ("simultaneous", "alternating", "lazy")
     },
     "multilinear_lazy_rm+_threshold": _threshold_multilinear,
+    "multilinear_314_simultaneous_rm+": _multilinear_unit_axis,
+    "multilinear_2223_alternating_rm": _multilinear_four_players,
     "cycle_poly_drm+": _cycle_drm_plus,
     "constant_sum_34_lazy_rm+_lazy_regret_updates": _lazy_regret_updates,
     "hard_m4_rm_uniform_3000": _hard_uniform_m4,
