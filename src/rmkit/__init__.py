@@ -49,6 +49,7 @@ from .dynamics import (
     Scheme,
     TraceRecord,
     cce_gap,
+    cce_gaps,
     external_regret,
     nash_gap,
     run,

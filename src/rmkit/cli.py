@@ -275,6 +275,21 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _cce_checkpoints(text, rounds: int) -> list:
+    if not text:
+        return [rounds]
+    try:
+        checkpoints = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise CliError(f"--cce-at: '{text}' is not a comma list of round numbers") from None
+    for T in checkpoints:
+        if T < 1:
+            raise CliError(f"--cce-at {T}: rounds are counted from 1")
+        if T > rounds:
+            raise CliError(f"--cce-at {T} exceeds the {rounds} recorded rounds")
+    return checkpoints
+
+
 def cmd_analyze(ns: argparse.Namespace) -> int:
     analyses = [a.strip() for a in ns.analyses.split(",") if a.strip()]
     unknown = [a for a in analyses if a not in ("phases", "stall_growth", "cce")]
@@ -312,16 +327,12 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         if not ns.game:
             raise CliError("cce analysis needs --game to recompute utilities")
         game = gm.load_game(ns.game)
-        checkpoints = (
-            [int(t) for t in ns.cce_at.split(",")] if ns.cce_at else [len(strategies)]
+        checkpoints = _cce_checkpoints(ns.cce_at, len(strategies))
+        gaps = dyn.cce_gaps(
+            game, history, checkpoints,
+            allow_alternating=history.scheme is not dyn.Scheme.SIMULTANEOUS,
         )
-        report["cce"] = {
-            str(T): dyn.cce_gap(
-                game, history, rounds=T,
-                allow_alternating=history.scheme is not dyn.Scheme.SIMULTANEOUS,
-            )
-            for T in checkpoints
-        }
+        report["cce"] = {str(T): gap for T, gap in zip(checkpoints, gaps)}
     if ns.out:
         with open(ns.out, "w") as fh:
             json.dump(report, fh, indent=2)

@@ -24,6 +24,12 @@ observes, which come from outside for an objective, and steps each block
 with ``learners.advance``, the kernel behind the validated single-step
 reference ``learners.step``; ``RegretState`` objects are built only for
 ``on_step`` and for the result.
+
+Block gradients fold axis-moved tensor copies made once per run and dropped
+with it: a game's utilities, and a multilinear objective's potential when
+its ``block_gradient`` is the ``games.BlockGradients`` kernel.  Any other
+gradient callable, a wrapped or rescaled one included, is called per call.
+``cce_gaps`` replays a recording once for any number of checkpoints.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 
 from . import learners as ln
 from . import objectives as obj_mod
-from .games import GameSpec, _check_profile, fold, own_axis_first, utility_vector
+from .games import BlockGradients, GameSpec, _check_profile, fold, utility_vector
 from .games import mixed_potential  # noqa: F401  (perfbench/tracing.py wraps this attribute)
 from .objectives import ObjectiveHandle, br_gap
 
@@ -127,13 +133,9 @@ class RunResult:
 
 
 def _gradient_and_value(target):
+    # a gradient kernel moves its axes once, here, and the copies end with the run
     if isinstance(target, GameSpec):
-        # the axis moves are hoisted out of the round loop and dropped with it
-        moved = [own_axis_first(u, i) for i, u in enumerate(target.utilities)]
-
-        def grad(profile, i):
-            return fold(moved[i], [*profile[:i], *profile[i + 1 :]])
-
+        grad = BlockGradients(target.utilities).hoisted()
         if target.potential is not None:
             potential = target.potential
 
@@ -146,11 +148,10 @@ def _gradient_and_value(target):
 
         return tuple(target.action_counts), grad, value
     if isinstance(target, ObjectiveHandle):
-        return (
-            tuple(target.domain.block_sizes),
-            lambda profile, i: target.block_gradient(profile, i),
-            target.value,
-        )
+        grad = target.block_gradient
+        if isinstance(grad, BlockGradients):
+            grad = grad.hoisted()
+        return tuple(target.domain.block_sizes), grad, target.value
     raise TypeError(f"cannot run on {type(target).__name__}")
 
 
@@ -338,26 +339,45 @@ def cce_gap(game: GameSpec, history: PlayHistory, rounds: Optional[int] = None,
     Alternating histories average time-skewed profiles, so they are only
     accepted with ``allow_alternating`` and should be labelled as such.
     """
+    T = history.rounds if rounds is None else rounds
+    return cce_gaps(game, history, [T], allow_alternating)[0]
+
+
+def cce_gaps(game: GameSpec, history: PlayHistory, checkpoints,
+             allow_alternating: bool = False) -> List[float]:
+    """``cce_gap`` at each checkpoint, in the order given, from one replay.
+
+    Each recorded profile is checked and folded once, up to the largest
+    checkpoint; the running sums are read off at every checkpoint, so
+    unsorted and repeated checkpoints cost nothing extra and each value has
+    the bits of a separate ``cce_gap`` call.
+    """
     if history.scheme is not Scheme.SIMULTANEOUS and not allow_alternating:
         raise ValueError(
             "history was not generated by simultaneous play; "
             "pass allow_alternating=True to average it anyway"
         )
-    T = history.rounds if rounds is None else rounds
-    if not 0 < T <= history.rounds:
-        raise ValueError(f"rounds must lie in 1..{history.rounds}")
+    checkpoints = list(checkpoints)
+    for T in checkpoints:
+        if not 0 < T <= history.rounds:
+            raise ValueError(f"rounds must lie in 1..{history.rounds}")
+    wanted = set(checkpoints)
     n = game.num_players
-    moved = [own_axis_first(u, i) for i, u in enumerate(game.utilities)]
+    grad = BlockGradients(game.utilities).hoisted()
     dev = [np.zeros(m) for m in game.action_counts]
     realized = [0.0] * n
-    for t in range(T):
+    gaps = {}
+    for t in range(max(checkpoints, default=0)):
         profile = history.strategies[t]
         _check_profile(game.action_counts, profile)
         for i in range(n):
-            u = fold(moved[i], [*profile[:i], *profile[i + 1 :]])
+            u = grad(profile, i)
             dev[i] += u
             realized[i] += float(profile[i] @ u)
-    return max(float(dev[i].max() - realized[i]) / T for i in range(n))
+        T = t + 1
+        if T in wanted:
+            gaps[T] = max(float(dev[i].max() - realized[i]) / T for i in range(n))
+    return [gaps[T] for T in checkpoints]
 
 
 def _fmt(x) -> str:

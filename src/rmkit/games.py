@@ -7,9 +7,11 @@ the potential identity is checked exhaustively, never sampled.  Every
 contraction goes through one kernel, ``fold``, which contracts a tensor's
 trailing axes from the last one down: an expected utility vector folds the
 player's tensor with its own axis moved to the front, a multilinear value
-folds every axis.  Contracting in a fixed order keeps runs reproducible and
-makes equal inputs give bitwise-equal outputs on permutation-symmetric
-tensors, which the symmetric-game diagnostics rely on.
+folds every axis.  ``BlockGradients`` moves the axes for block gradients:
+per call for one-off callers, once per run for a round loop.  Contracting
+in a fixed order keeps runs reproducible and makes equal inputs give
+bitwise-equal outputs on permutation-symmetric tensors, which the
+symmetric-game diagnostics rely on.
 """
 
 from __future__ import annotations
@@ -90,13 +92,42 @@ def own_axis_first(tensor: np.ndarray, player: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(tensor, player, 0))
 
 
+class BlockGradients:
+    """The block gradients of one tensor per block, through one kernel.
+
+    Block ``i``'s gradient folds tensor ``i``, with axis ``i`` moved to the
+    front, against every other block's strategy.  A call moves the axis
+    itself and keeps nothing, so a handle holding the kernel holds no copy;
+    a round loop takes ``hoisted()``, whose closure moves every axis once
+    and keeps the copies only as long as the closure lives.  Both read the
+    same C-contiguous moved tensor, so they give the same bits.
+    """
+
+    def __init__(self, tensors):
+        self.tensors = list(tensors)
+
+    def __call__(self, profile, i: int) -> Vector:
+        return _fold_block(own_axis_first(self.tensors[i], i), profile, i)
+
+    def hoisted(self):
+        moved = [own_axis_first(t, i) for i, t in enumerate(self.tensors)]
+
+        def grad(profile, i: int) -> Vector:
+            return _fold_block(moved[i], profile, i)
+
+        return grad
+
+
+def _fold_block(moved: np.ndarray, profile, i: int) -> Vector:
+    return fold(moved, [*profile[:i], *profile[i + 1 :]])
+
+
 def utility_vector(game: GameSpec, player: int, profile) -> Vector:
     """Expected utility of each own action against the opponents' mixtures."""
     if not 0 <= player < game.num_players:
         raise IndexError(f"player {player} out of range")
     _check_profile(game.action_counts, profile)
-    others = [*profile[:player], *profile[player + 1 :]]
-    return fold(own_axis_first(game.utilities[player], player), others)
+    return _fold_block(own_axis_first(game.utilities[player], player), profile, player)
 
 
 def mixed_tensor_value(tensor: np.ndarray, profile) -> float:

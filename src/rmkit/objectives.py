@@ -109,15 +109,13 @@ def make_multilinear(game: games_mod.GameSpec) -> ObjectiveHandle:
     def value(profile) -> float:
         return games_mod.mixed_tensor_value(pot, profile)
 
-    def block_gradient(profile, i: int) -> Vector:
-        # moved per call: a copy kept for the handle's life would double its memory
-        moved = games_mod.own_axis_first(pot, i)
-        return games_mod.fold(moved, [*profile[:i], *profile[i + 1 :]])
-
     return ObjectiveHandle(
         domain=domain,
         value=value,
-        block_gradient=block_gradient,
+        # a one-off call moves its axis and keeps nothing; ``dynamics.run``
+        # moves every axis once per run, and the copies end with the run, so
+        # the handle never keeps a second potential for its whole life
+        block_gradient=games_mod.BlockGradients([pot] * game.num_players),
         smoothness=multilinear_smoothness_bound(pot),
         value_range=float(pot.max() - pot.min()),
         tensor=pot,

@@ -558,8 +558,8 @@ def suite_cce() -> SuiteResult:
         for kind in ("rm", "rm+"):
             res = dyn.run(game, dyn.RunConfig(
                 scheme="simultaneous", kind=kind, max_rounds=checkpoints[-1]))
-            for T in checkpoints:
-                gap = dyn.cce_gap(game, res.history, rounds=T)
+            gaps = dyn.cce_gaps(game, res.history, checkpoints)
+            for T, gap in zip(checkpoints, gaps):
                 reg = max(
                     dyn.external_regret(res.history, i, rounds=T)
                     for i in range(game.num_players)
@@ -578,8 +578,8 @@ def suite_cce() -> SuiteResult:
         init_strategies=hard.pure_init_strategies(m)))
     scale = gm.utility_range(game)
     decay_ok = nash_ok = True
-    for T in checkpoints:
-        norm_gap = dyn.cce_gap(game, res.history, rounds=T) / scale
+    for T, gap in zip(checkpoints, dyn.cce_gaps(game, res.history, checkpoints)):
+        norm_gap = gap / scale
         envelope = math.sqrt((m + 1) / T)
         nash_here = max(res.traces[T - 1].br_gaps)
         c.note(f"T={T}: normalized cce_gap {norm_gap:.5f} <= sqrt(7/T) {envelope:.5f}, "

@@ -358,6 +358,18 @@ def test_analyze_rejects_an_m_that_does_not_fit_the_recording(hard_run, capsys):
     assert "block 0 has shape (5,), want (7,)" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("cce_at, msg", [
+    ("10,", "--cce-at: '10,' is not a comma list of round numbers"),
+    ("100,301", "--cce-at 301 exceeds the 300 recorded rounds"),
+    ("0,100", "--cce-at 0: rounds are counted from 1"),
+])
+def test_analyze_rejects_bad_cce_checkpoints(cce_at, msg, hard_run, capsys):
+    strategies, game = hard_run
+    assert cli.main(["analyze", "--strategies", str(strategies), "--analyses", "cce",
+                     "--game", str(game), "--cce-at", cce_at]) == 1
+    assert _one_line_error(capsys).strip() == f"error: {msg}"
+
+
 @pytest.mark.parametrize("line, msg", [
     ("[[1.0, 0.0], [0.0, 1.0]]", "expected an object with a 'blocks' list"),
     ('{"round": 1}', "expected an object with a 'blocks' list"),

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,77 @@ def test_the_loop_replays_bit_for_bit_through_the_reference_step(
         assert np.array_equal(ln.current_strategy(got), ln.current_strategy(want))
 
 
+# ---------------------------------------------------------------------------
+# the gradient kernel, hoisted once per run
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_run(a, b):
+    assert a.rounds == b.rounds and a.stop_reason == b.stop_reason
+    assert a.traces == b.traces
+    for got, want in ((a.history.strategies, b.history.strategies),
+                      (a.history.utilities, b.history.utilities)):
+        assert len(got) == len(want)
+        for row_a, row_b in zip(got, want):
+            assert all(np.array_equal(x, y) for x, y in zip(row_a, row_b))
+    for x, y in zip(a.states, b.states):
+        assert np.array_equal(x.regrets, y.regrets) and np.array_equal(x.strategy, y.strategy)
+
+
+@pytest.mark.parametrize("scheme", ["simultaneous", "alternating", "lazy"])
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (3, 1, 4), (2, 2, 2, 3)])
+def test_a_hoisted_objective_gradient_gives_the_bits_of_per_call_folds(shape, scheme):
+    game = gm.normalize_game(gm.random_potential_game(len(shape), shape, seed=sum(shape)))
+    obj = ob.make_multilinear(game)
+    assert isinstance(obj.block_gradient, gm.BlockGradients)
+    # a plain function is not the kernel, so run calls it per call
+    per_call = dataclasses.replace(obj, block_gradient=lambda p, i: obj.block_gradient(p, i))
+    config = RunConfig(scheme=scheme, kind="rm+", max_rounds=200,
+                       epsilon=0.005 if scheme == "lazy" else None)
+    _assert_same_run(dyn.run(obj, config), dyn.run(per_call, config))
+
+
+def test_run_folds_a_multilinear_objective_through_the_hoisted_kernel(monkeypatch):
+    obj = ob.make_multilinear(gm.random_potential_game(3, (2, 3, 4), seed=3))
+
+    def per_call(self, profile, i):
+        raise AssertionError("run moved an axis per call")
+
+    monkeypatch.setattr(gm.BlockGradients, "__call__", per_call)
+    assert dyn.run(obj, RunConfig(kind="rm+", max_rounds=5)).rounds == 5
+
+
+def test_a_run_on_an_objective_keeps_no_copy_of_its_potential():
+    game = gm.normalize_game(gm.random_potential_game(3, (16, 16, 16), seed=5))
+    config = RunConfig(kind="rm+", max_rounds=50)
+    nbytes = game.potential.nbytes
+    for target in (ob.make_multilinear(game), game):  # first-call allocations
+        dyn.run(target, config)
+
+    def run_peak(target):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = dyn.run(target, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        del result
+        return peak
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        obj = ob.make_multilinear(game)
+        objective_peak = run_peak(obj)
+        kept = tracemalloc.get_traced_memory()[0] - start
+        game_peak = run_peak(game)
+    finally:
+        tracemalloc.stop()
+    # the handle keeps none of the run's moved copies (two of 32 KiB)
+    assert kept <= nbytes
+    # both runs hold the same two moved copies; the slack covers a few
+    # hundred bytes of allocator noise, an eighth of one copy
+    assert objective_peak <= game_peak + nbytes // 8
+
+
 def _objective_with_gradient(bad):
     inner = ob.make_multilinear(gm.normalize_game(gm.random_potential_game(2, (2, 3), seed=1)))
 
@@ -487,6 +559,26 @@ def test_cce_gap_equals_max_average_regret_under_simultaneous_play():
     assert dyn.cce_gap(game, res.history) == want
     with pytest.raises(ValueError, match="rounds must lie"):
         dyn.cce_gap(game, res.history, rounds=51)
+
+
+def test_one_cce_replay_gives_the_bits_of_separate_cce_gap_calls():
+    game = gm.random_potential_game(3, (2, 3, 2), seed=31)
+    history = dyn.run(game, RunConfig(kind="rm", max_rounds=120)).history
+    checkpoints = [120, 7, 50, 7, 1, 99]  # unsorted, with a repeat
+    gaps = dyn.cce_gaps(game, history, checkpoints)
+    assert gaps == [dyn.cce_gap(game, history, rounds=T) for T in checkpoints]
+    for T, gap in zip(checkpoints, gaps):  # a replay per checkpoint, summed by hand
+        dev = [np.zeros(m) for m in game.action_counts]
+        realized = [0.0] * 3
+        for profile in history.strategies[:T]:
+            for i in range(3):
+                u = gm.utility_vector(game, i, profile)
+                dev[i] += u
+                realized[i] += float(profile[i] @ u)
+        assert gap == max(float(dev[i].max() - realized[i]) / T for i in range(3))
+    for bad in ([0], [121], [5, 121]):
+        with pytest.raises(ValueError, match="rounds must lie"):
+            dyn.cce_gaps(game, history, bad)
 
 
 def test_cce_gap_refuses_alternating_histories_unless_asked():
