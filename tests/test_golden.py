@@ -4,17 +4,23 @@ Each case runs one fixed configuration, writes its trace CSV and strategies
 JSONL, and compares the sha256 of both files with ``tests/golden/digests.json``.
 Traces carry every float at ``%.17g``, so a change to the round loop or to
 the contraction that moves a single bit of any gap, norm, value or strategy
-fails here.  The digests were generated before the contraction kernel was
+fails here.  The ``analyze_*`` cases run ``rmkit analyze`` on such a recording
+and digest its report (the alternating case digests only its ``cce``
+member, the numbers, so that a label the report gains beside them does not
+count as a change of output).  The digests were generated before the contraction kernel was
 rewritten (the last three cases before the round loop moved to plain arrays,
 the two multilinear ``314``/``2223`` cases before the objective's gradient
-was hoisted out of the round loop) and must stay unchanged by refactors.
+was hoisted out of the round loop, the ``analyze_*`` cases before run records
+became columns) and must stay unchanged by refactors.
 
 Regenerate them only for a change that is meant to alter outputs:
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/digests.json
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -23,6 +29,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from rmkit import cli
 from rmkit import dynamics as dyn
 from rmkit import games as gm
 from rmkit import hard_instances as hard
@@ -112,9 +119,44 @@ CASES = {
 }
 
 
+# (recording case, analyze flags, report member to digest or None for the file)
+ANALYZE_CASES = {
+    "analyze_hard_m6_rm_pure_20000": (
+        "hard_m6_rm_pure_20000",
+        ["--analyses", "phases,stall_growth,cce", "--m", "6", "--cce-at", "1000,5000,20000"],
+        None),
+    "analyze_hard_m4_rm_uniform_3000_skip1": (
+        "hard_m4_rm_uniform_3000",
+        ["--analyses", "phases,stall_growth", "--m", "4", "--skip-rounds", "1"],
+        None),
+    "analyze_potential_334_rm_alternating_cce": (
+        "potential_334_rm_alternating",
+        ["--analyses", "cce", "--scheme", "alternating", "--cce-at", "1,17,150,300"],
+        "cce"),
+}
+
+
 def _sha256(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def analyze_digest(name, workdir):
+    source, flags, member = ANALYZE_CASES[name]
+    target, config = CASES[source]()
+    strategies = os.path.join(workdir, f"{name}.jsonl")
+    game = os.path.join(workdir, f"{name}.game.json")
+    report = os.path.join(workdir, f"{name}.report.json")
+    dyn.write_strategies_jsonl(dyn.run(target, config).history, strategies)
+    gm.save_game(target, game)
+    argv = ["analyze", "--strategies", strategies, "--game", game, "--out", report, *flags]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    if member is None:
+        return {"report": _sha256(report)}
+    with open(report) as fh:
+        doc = json.load(fh)[member]
+    return {member: hashlib.sha256(json.dumps(doc).encode()).hexdigest()}
 
 
 def case_digests(name, workdir):
@@ -135,9 +177,16 @@ def test_outputs_match_the_golden_digests(name, tmp_path):
     assert case_digests(name, str(tmp_path)) == golden[name]
 
 
+@pytest.mark.parametrize("name", list(ANALYZE_CASES))
+def test_analyze_reports_match_the_golden_digests(name, tmp_path):
+    with open(DIGESTS_PATH) as fh:
+        golden = json.load(fh)
+    assert analyze_digest(name, str(tmp_path)) == golden[name]
+
+
 def test_every_golden_case_is_still_run():
     with open(DIGESTS_PATH) as fh:
-        assert sorted(json.load(fh)) == sorted(CASES)
+        assert sorted(json.load(fh)) == sorted([*CASES, *ANALYZE_CASES])
 
 
 # ---------------------------------------------------------------------------
@@ -179,5 +228,6 @@ def test_contraction_is_bit_identical_to_the_tensordot_reference(shape):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
         doc = {name: case_digests(name, workdir) for name in CASES}
+        doc.update({name: analyze_digest(name, workdir) for name in ANALYZE_CASES})
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")

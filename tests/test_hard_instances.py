@@ -199,6 +199,25 @@ def test_analyzer_flags_regained_actions():
     assert any("player 1 regained abandoned actions [0]" in v for v in report.violations)
 
 
+def test_analyzer_repeats_a_violation_once_per_round_in_round_order():
+    e = _E[4]
+    legal_pair = [0.5, 0.0, 0.0, 0.5]  # rows {0, 3} and cols {0, 3}
+    history = _fake_history(4, [
+        (e[0], e[0]),
+        *[(legal_pair, legal_pair)] * 3,  # both mixed, rounds 2-4
+        (e[3], e[0]),  # payoff 2: player 1 abandons action 0
+        *[(e[0], e[0])] * 2,  # ... and takes it back for rounds 6-7
+    ])
+    report = hard.analyze_phases(history, hard.build_spiral(4))
+    assert report.violations == [
+        "round 2: both players mixed",
+        "round 3: both players mixed",
+        "round 4: both players mixed",
+        "round 6: player 1 regained abandoned actions [0]",
+        "round 7: player 1 regained abandoned actions [0]",
+    ]
+
+
 def test_analyzer_flags_off_spiral_pure_profiles():
     e = _E[2]
     history = _fake_history(2, [(e[0], e[0]), (e[0], e[1])])
