@@ -187,11 +187,8 @@ def _execute_run(cfg: dict) -> int:
         "final_nash_gap": max(gaps),
         "final_kkt_gap": sum(gaps),
         "final_value": final_value,
-        "regret_l2_final": [float(rl) for rl in result.traces[-1].regret_l2],
-        "regret_l2_max": [
-            max(rec.regret_l2[i] for rec in result.traces)
-            for i in range(len(gaps))
-        ],
+        "regret_l2_final": result.traces.regret_l2[-1].tolist(),
+        "regret_l2_max": result.traces.regret_l2.max(axis=0).tolist(),
     }
     if cfg.get("report"):
         with open(cfg["report"], "w") as fh:
@@ -298,11 +295,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     strategies = dyn.read_strategies_jsonl(ns.strategies)
     if not strategies:
         raise CliError(f"{ns.strategies}: no rounds recorded")
-    history = dyn.PlayHistory(
-        scheme=dyn.Scheme(ns.scheme),
-        strategies=strategies,
-        utilities=[None] * len(strategies),
-    )
+    history = dyn.PlayHistory(scheme=dyn.Scheme(ns.scheme), strategies=strategies,
+                              utilities=None)
     report = {"rounds": len(strategies)}
     phase_report = None
     if "phases" in analyses or "stall_growth" in analyses:
@@ -310,10 +304,10 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
             raise CliError("phase analyses need --m to rebuild the spiral")
         spiral = hard.build_spiral(ns.m)
         fits = {((ns.m + 1,), (ns.m + 1,)), ((2 * ns.m,), (2 * ns.m,))}
-        misfits = {tuple(x.shape for x in profile) for profile in strategies} - fits
-        if misfits:
+        shapes = tuple(x.shape for x in strategies[0])
+        if shapes not in fits:
             raise CliError(
-                f"{ns.strategies}: block shapes {sorted(misfits)[0]} do not fit --m {ns.m}; "
+                f"{ns.strategies}: block shapes {shapes} do not fit --m {ns.m}; "
                 f"want two blocks of size {ns.m + 1} (padded) or {2 * ns.m} (uniform_init)")
         phase_report = hard.analyze_phases(
             history, spiral, skip_rounds=ns.skip_rounds
@@ -333,6 +327,9 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
             allow_alternating=history.scheme is not dyn.Scheme.SIMULTANEOUS,
         )
         report["cce"] = {str(T): gap for T, gap in zip(checkpoints, gaps)}
+        if history.scheme is not dyn.Scheme.SIMULTANEOUS:
+            # a recording not played simultaneously averages time-skewed profiles
+            report["cce_scheme"] = history.scheme.value
     if ns.out:
         with open(ns.out, "w") as fh:
             json.dump(report, fh, indent=2)

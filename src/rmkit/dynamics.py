@@ -30,12 +30,25 @@ with it: a game's utilities, and a multilinear objective's potential when
 its ``block_gradient`` is the ``games.BlockGradients`` kernel.  Any other
 gradient callable, a wrapped or rescaled one included, is called per call.
 ``cce_gaps`` replays a recording once for any number of checkpoints.
+
+The record a run returns is float64 columns, not per-round objects: per
+block the entering strategies and the observed gradients (``Rounds``), and
+one block of trace columns plus one of updated flags (``Traces``).  The
+run appends each round's bytes to ``array.array`` buffers, which grow
+geometrically by reallocation, and views them as read-only
+columns when it ends.  Per-round indexing and iteration build lists
+of block rows and ``TraceRecord``s on access; the writers, the reader and
+the analyses work on the columns, a few thousand rows at a time where they
+need Python objects.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional
@@ -102,11 +115,126 @@ class TraceRecord:
     updated: List[bool]
 
 
+def _column(buffer: array, width: int, dtype=np.float64) -> np.ndarray:
+    """The rows appended to ``buffer`` as a read-only (rows, width) array over
+    its memory.  The buffer cannot grow any more while the array lives."""
+    rows = np.frombuffer(buffer, dtype=dtype).reshape(-1, width)
+    rows.flags.writeable = False
+    return rows
+
+
+class Rounds(Sequence):
+    """Per-round profiles over per-block columns.
+
+    ``blocks[i]`` is a read-only (rounds, m_i) float64 array; indexing a
+    round gives the list of its block rows (views), a slice gives another
+    ``Rounds`` over the same memory.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+
+    @classmethod
+    def stack(cls, rows) -> "Rounds":
+        """Columns from per-round lists of block vectors of fixed sizes."""
+        rows = list(rows)
+        if not rows:
+            return cls([])
+        sizes = [len(x) for x in rows[0]]
+        for t, row in enumerate(rows):
+            if [len(x) for x in row] != sizes:
+                raise ValueError(f"round {t + 1} has block sizes {[len(x) for x in row]}, "
+                                 f"round 1 has {sizes}")
+        blocks = [np.array([row[i] for row in rows], dtype=np.float64).reshape(len(rows), m)
+                  for i, m in enumerate(sizes)]
+        for b in blocks:
+            b.flags.writeable = False
+        return cls(blocks)
+
+    def __len__(self) -> int:
+        return len(self.blocks[0]) if self.blocks else 0
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return Rounds([b[t] for b in self.blocks])
+        return [b[t] for b in self.blocks]
+
+    def __iter__(self):
+        for t in range(len(self)):
+            yield [b[t] for b in self.blocks]
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+            for a, b in zip(self, other))
+
+
+def _trace_fields(row, n: int):
+    """(gaps, kkt gap, l2 norms, l1 norms, value) of one trace row as a list."""
+    return row[:n], row[n], row[n + 1 : 2 * n + 1], row[2 * n + 1 : 3 * n + 1], row[3 * n + 1]
+
+
+class Traces(Sequence):
+    """Per-round trace over one float64 column block and one bool block.
+
+    The float block holds, per round, the n gaps, the kkt gap, the n regret
+    l2 norms, the n l1 norms and the value; the bool block the n updated
+    flags.  Indexing builds a ``TraceRecord``; the attributes of the same
+    names are the columns, read whole.
+    """
+
+    def __init__(self, columns, updated, rounds=None):
+        self.columns = columns
+        self.updated = updated
+        self.rounds = range(1, len(columns) + 1) if rounds is None else rounds
+        self._n = updated.shape[1]
+        gaps, kkt, l2, l1, value = _trace_fields(columns.T, self._n)
+        self.br_gaps, self.kkt_gap, self.value = gaps.T, kkt, value
+        self.regret_l2, self.regret_l1 = l2.T, l1.T
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return Traces(self.columns[t], self.updated[t], self.rounds[t])
+        gaps, kkt, l2, l1, value = _trace_fields(self.columns[t].tolist(), self._n)
+        return TraceRecord(self.rounds[t], gaps, kkt, l2, l1, value, self.updated[t].tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, Traces):
+            # whole columns, so that the nan values of a game without a
+            # potential compare equal when the runs are
+            return (self.rounds == other.rounds
+                    and np.array_equal(self.updated, other.updated)
+                    and np.array_equal(self.columns, other.columns, equal_nan=True))
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass
 class PlayHistory:
+    """Strategies entering each round and the utilities each block observed.
+
+    Both are ``Rounds`` columns; per-round lists are stacked on the way in.
+    ``utilities`` is ``None`` for a recording that kept none (any ``None``
+    in the given lists means none were kept).
+    """
+
     scheme: Scheme
-    strategies: list = field(default_factory=list)  # [round][block], entering the round
-    utilities: list = field(default_factory=list)  # [round][block], as observed
+    strategies: Rounds = field(default_factory=list)  # [round][block], entering the round
+    utilities: Optional[Rounds] = field(default_factory=list)  # [round][block], as observed
+
+    def __post_init__(self):
+        if not isinstance(self.strategies, Rounds):
+            self.strategies = Rounds.stack(self.strategies)
+        if self.utilities is not None and not isinstance(self.utilities, Rounds):
+            rows = list(self.utilities)
+            kept = all(row is not None and all(u is not None for u in row) for row in rows)
+            self.utilities = Rounds.stack(rows) if kept else None
 
     @property
     def rounds(self) -> int:
@@ -117,7 +245,7 @@ class PlayHistory:
 class RunResult:
     config: RunConfig
     history: PlayHistory
-    traces: List[TraceRecord]
+    traces: Traces
     states: list  # final learner states
     stop_reason: str  # "converged" | "max_rounds"
     rounds: int
@@ -239,13 +367,22 @@ def run(
             raise ValueError(f"block {i} gradient has non-finite entries")
         return u
 
-    history = PlayHistory(scheme=config.scheme)
-    traces: List[TraceRecord] = []
+    # The record: per block the entering strategies and the observed
+    # gradients, the trace rows and the updated flags, appended as raw bytes
+    # to arrays that grow geometrically by reallocation and are viewed as
+    # columns once the run ends.
+    strategies = [array("d") for _ in sizes]
+    utilities = [array("d") for _ in sizes]
+    trace = array("d")
+    flags = array("b")
+    trace_row = struct.Struct(f"{3 * n + 2}d").pack
     initial_gaps: List[float] = []
     stop_reason = "max_rounds"
+    t = 0
 
     for t in range(1, config.max_rounds + 1):
-        entering = list(profile)
+        for i in range(n):
+            strategies[i].frombytes(profile[i].tobytes())
         observed = [observe(i) for i in range(n)] if simultaneous else [None] * n
         gaps = [0.0] * n
         updated = [False] * n
@@ -254,6 +391,7 @@ def run(
             u = observed[i]
             if u is None:
                 u = observed[i] = observe(i)
+            utilities[i].frombytes(u.tobytes())
             x = profile[i]
             xu = float(x @ u)
             gaps[i] = float(u.max()) - xu
@@ -278,19 +416,8 @@ def run(
 
         if t == 1:
             initial_gaps = list(gaps)
-        history.strategies.append(entering)
-        history.utilities.append(observed)
-        traces.append(
-            TraceRecord(
-                round=t,
-                br_gaps=gaps,
-                kkt_gap=float(sum(gaps)),
-                regret_l2=list(l2),
-                regret_l1=list(l1),
-                value=value(profile),
-                updated=updated,
-            )
-        )
+        trace.frombytes(trace_row(*gaps, float(sum(gaps)), *l2, *l1, value(profile)))
+        flags.frombytes(bytes(updated))
         if progress is not None and t % PROGRESS_EVERY == 0:
             progress(t)
         if eps is not None and all(gap <= eps for gap in gaps):
@@ -299,11 +426,13 @@ def run(
 
     return RunResult(
         config=config,
-        history=history,
-        traces=traces,
+        history=PlayHistory(config.scheme,
+                            Rounds(_column(b, m) for b, m in zip(strategies, sizes)),
+                            Rounds(_column(b, m) for b, m in zip(utilities, sizes))),
+        traces=Traces(_column(trace, 3 * n + 2), _column(flags, n, np.bool_)),
         states=[ln.RegretState(kind, r, x, discount) for r, x in zip(regrets, profile)],
         stop_reason=stop_reason,
-        rounds=len(traces),
+        rounds=t,
         initial_gaps=initial_gaps,
     )
 
@@ -321,14 +450,20 @@ def external_regret(history: PlayHistory, block: int, rounds: Optional[int] = No
     T = history.rounds if rounds is None else rounds
     if not 0 < T <= history.rounds:
         raise ValueError(f"rounds must lie in 1..{history.rounds}")
-    total = None
-    realized = 0.0
-    for t in range(T):
-        u = history.utilities[t][block]
-        x = history.strategies[t][block]
-        total = u.copy() if total is None else total + u
-        realized += float(x @ u)
-    return float(total.max() - realized)
+    X = history.strategies.blocks[block][:T]
+    U = history.utilities.blocks[block][:T]
+    realized = np.array([x @ u for x, u in zip(X, U)])
+    return float(_accumulate(U.copy())[-1].max() - _accumulate(realized)[-1])
+
+
+def _accumulate(rows):
+    """Turn ``rows`` in place into its running sums over the leading axis,
+    each equal bit for bit to a running ``total += row`` started from +0.0:
+    ``cumsum`` adds in round order, and the +0.0 turns a leading -0.0 into
+    +0.0 as that start does."""
+    np.cumsum(rows, axis=0, out=rows)
+    rows[0] += 0.0
+    return rows
 
 
 def cce_gap(game: GameSpec, history: PlayHistory, rounds: Optional[int] = None,
@@ -361,23 +496,25 @@ def cce_gaps(game: GameSpec, history: PlayHistory, checkpoints,
     for T in checkpoints:
         if not 0 < T <= history.rounds:
             raise ValueError(f"rounds must lie in 1..{history.rounds}")
-    wanted = set(checkpoints)
+    last = max(checkpoints, default=0)
+    if not last:
+        return []
+    # every round has the block sizes of the first, so one check covers them
+    _check_profile(game.action_counts, history.strategies[0])
     n = game.num_players
     grad = BlockGradients(game.utilities).hoisted()
-    dev = [np.zeros(m) for m in game.action_counts]
-    realized = [0.0] * n
-    gaps = {}
-    for t in range(max(checkpoints, default=0)):
-        profile = history.strategies[t]
-        _check_profile(game.action_counts, profile)
+    blocks = [b[:last] for b in history.strategies.blocks]
+    dev = [np.empty((last, m)) for m in game.action_counts]
+    realized = np.empty((last, n))
+    for t in range(last):
+        profile = [b[t] for b in blocks]
         for i in range(n):
-            u = grad(profile, i)
-            dev[i] += u
-            realized[i] += float(profile[i] @ u)
-        T = t + 1
-        if T in wanted:
-            gaps[T] = max(float(dev[i].max() - realized[i]) / T for i in range(n))
-    return [gaps[T] for T in checkpoints]
+            u = dev[i][t] = grad(profile, i)
+            realized[t, i] = profile[i] @ u
+    for d in (*dev, realized):
+        _accumulate(d)
+    return [max(float(dev[i][T - 1].max() - realized[T - 1, i]) / T for i in range(n))
+            for T in checkpoints]
 
 
 def _fmt(x) -> str:
@@ -387,61 +524,84 @@ def _fmt(x) -> str:
 TRACE_HEADER = "round,player,br_gap,kkt_gap,regret_l2,regret_l1,value,updated"
 
 
-def write_trace_csv(traces, path) -> None:
+# rows the writers format from one ``tolist`` chunk: a whole-record ``tolist``
+# would hold every round as Python objects at once
+_CHUNK_ROWS = 4096
+
+
+def _chunks(rows: int):
+    for start in range(0, rows, _CHUNK_ROWS):
+        yield start, min(start + _CHUNK_ROWS, rows)
+
+
+def write_trace_csv(traces: Traces, path) -> None:
     """One row per (round, player) plus a summary row with player -1.
 
     The summary aggregates: max gap, the round's kkt gap, max norms, the
     round's value, and the number of updated players.
     """
+    n = traces.updated.shape[1]
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for rec in traces:
-            for i, gap in enumerate(rec.br_gaps):
+        for start, stop in _chunks(len(traces)):
+            rows = traces.columns[start:stop].tolist()
+            flags = traces.updated[start:stop].tolist()
+            for t, row, updated in zip(traces.rounds[start:stop], rows, flags):
+                gaps, kkt, l2, l1, value = _trace_fields(row, n)
+                kkt, value = _fmt(kkt), _fmt(value)
+                for i, gap in enumerate(gaps):
+                    fh.write(
+                        ",".join(
+                            (
+                                str(t),
+                                str(i),
+                                _fmt(gap),
+                                kkt,
+                                _fmt(l2[i]),
+                                _fmt(l1[i]),
+                                value,
+                                "1" if updated[i] else "0",
+                            )
+                        )
+                        + "\n"
+                    )
                 fh.write(
                     ",".join(
                         (
-                            str(rec.round),
-                            str(i),
-                            _fmt(gap),
-                            _fmt(rec.kkt_gap),
-                            _fmt(rec.regret_l2[i]),
-                            _fmt(rec.regret_l1[i]),
-                            _fmt(rec.value),
-                            "1" if rec.updated[i] else "0",
+                            str(t),
+                            "-1",
+                            _fmt(max(gaps)),
+                            kkt,
+                            _fmt(max(l2)),
+                            _fmt(max(l1)),
+                            value,
+                            str(sum(updated)),
                         )
                     )
                     + "\n"
                 )
-            fh.write(
-                ",".join(
-                    (
-                        str(rec.round),
-                        "-1",
-                        _fmt(max(rec.br_gaps)),
-                        _fmt(rec.kkt_gap),
-                        _fmt(max(rec.regret_l2)),
-                        _fmt(max(rec.regret_l1)),
-                        _fmt(rec.value),
-                        str(sum(rec.updated)),
-                    )
-                )
-                + "\n"
-            )
 
 
 def write_strategies_jsonl(history: PlayHistory, path) -> None:
     """One line per round: the strategies entering that round, all blocks."""
+    columns = history.strategies.blocks
     with open(path, "w") as fh:
-        for t, profile in enumerate(history.strategies, start=1):
-            fh.write(
-                json.dumps({"round": t, "blocks": [x.tolist() for x in profile]})
-                + "\n"
-            )
+        for start, stop in _chunks(history.rounds):
+            chunk = [b[start:stop].tolist() for b in columns]
+            for k in range(stop - start):
+                fh.write(
+                    json.dumps({"round": start + k + 1, "blocks": [b[k] for b in chunk]})
+                    + "\n"
+                )
 
 
-def read_strategies_jsonl(path) -> list:
-    """Per-round profiles from the writer's format; a bad line names its number."""
-    rounds = []
+def read_strategies_jsonl(path) -> Rounds:
+    """Per-round profiles from the writer's format, stacked into per-block columns.
+
+    Every line must carry the block count and sizes of the first; a bad line
+    names its number.
+    """
+    buffers = None
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -454,8 +614,24 @@ def read_strategies_jsonl(path) -> list:
             blocks = doc.get("blocks") if isinstance(doc, dict) else None
             if not isinstance(blocks, list):
                 raise ValueError(f"{path}:{line_no}: expected an object with a 'blocks' list")
+            if not all(isinstance(b, list) for b in blocks):
+                raise ValueError(f"{path}:{line_no}: blocks are not numeric (each must be a list)")
             try:
-                rounds.append([np.asarray(b, dtype=np.float64) for b in blocks])
-            except (TypeError, ValueError) as exc:
+                profile = [array("d", b) for b in blocks]
+            except (TypeError, OverflowError) as exc:
                 raise ValueError(f"{path}:{line_no}: blocks are not numeric ({exc})") from exc
-    return rounds
+            sizes = [len(x) for x in profile]
+            if buffers is None:
+                if not sizes or not all(sizes):
+                    raise ValueError(
+                        f"{path}:{line_no}: expected non-empty blocks, got sizes {sizes}")
+                buffers = [array("d") for _ in profile]
+                first = (line_no, sizes)
+            elif sizes != first[1]:
+                raise ValueError(f"{path}:{line_no}: block sizes {sizes} differ from "
+                                 f"line {first[0]}'s {first[1]}")
+            for b, x in zip(buffers, profile):
+                b += x
+    if buffers is None:
+        return Rounds([])
+    return Rounds(_column(b, m) for b, m in zip(buffers, first[1]))

@@ -12,6 +12,12 @@ payoff, and a 2m x 2m matrix balanced so that uniform initial play does the
 same.  The analyzer reconstructs the walk's phases from a recorded history
 and checks the structural facts the stalling argument rests on, and
 ``run_separation`` sets the slow rm walk against fast alternating rm+.
+
+The analyzer reads the history's strategy columns whole: each payoff's
+first round comes from one column product, and the walk checks run once
+per stretch of rounds with unchanged supports (the supports change 17
+times in the first 62,000 rounds of the padded m=6 walk), repeating that
+stretch's messages for each of its rounds.
 """
 
 from __future__ import annotations
@@ -180,19 +186,21 @@ def analyze_phases(
     ``skip_rounds`` ignores that many leading rounds; the uniform-start
     game needs its everything-mixed first round excluded from the walk.
     """
+    if skip_rounds < 0:
+        raise ValueError(f"skip_rounds must be nonnegative, got {skip_rounds}")
     n_pay = spiral.num_payoffs
     rounds = history.rounds
-    first_seen = {}
-    for t in range(skip_rounds, rounds):
-        if len(first_seen) == n_pay:
-            break
-        p1, p2 = history.strategies[t][0], history.strategies[t][1]
+    # a payoff's first round from its whole joint-mass column, recorded in the
+    # order a round-by-round scan meets them
+    onsets = []
+    if rounds:
+        p1, p2 = (b[skip_rounds:] for b in history.strategies.blocks[:2])
         for k in range(1, n_pay + 1):
-            if k in first_seen:
-                continue
             row, col = spiral.positions[k]
-            if float(p1[row]) * float(p2[col]) > mass_threshold:
-                first_seen[k] = t + 1
+            hits = np.flatnonzero(p1[:, row] * p2[:, col] > mass_threshold)
+            if len(hits):
+                onsets.append((int(hits[0]) + skip_rounds + 1, k))
+    first_seen = {k: t for t, k in sorted(onsets)}
     phases = []
     for k in range(2, n_pay + 1):
         t_low = first_seen.get(k)
@@ -224,49 +232,22 @@ def analyze_phases(
             legal2[frozenset((c0, c1))] = (k, r0)
     pure_profiles = {spiral.positions[k] for k in range(1, n_pay + 1)}
 
+    # The checks read only the two supports and the sets of actions each
+    # player ever had and then dropped, and those sets stop changing after the
+    # first round of a run of equal supports.  So each run is checked once and
+    # its messages repeat for every round of it.
+    start = max(first_seen[1] - 1, skip_rounds)
+    supports = [b[start:] > mass_threshold for b in history.strategies.blocks[:2]]
+    steps = np.flatnonzero((supports[0][1:] != supports[0][:-1]).any(axis=1)
+                           | (supports[1][1:] != supports[1][:-1]).any(axis=1)) + 1
+    bounds = [0, *steps.tolist(), rounds - start]
     ever = [set(), set()]
     gone = [set(), set()]
-    for t in range(max(first_seen[1] - 1, skip_rounds), rounds):
-        p = [history.strategies[t][0], history.strategies[t][1]]
-        supp = [
-            tuple(int(a) for a in np.flatnonzero(p[j] > mass_threshold))
-            for j in range(2)
-        ]
-        for j in range(2):
-            back = gone[j].intersection(supp[j])
-            if back:
-                violations.append(
-                    f"round {t + 1}: player {j + 1} regained abandoned actions {sorted(back)}"
-                )
-            gone[j].update(ever[j].difference(supp[j]))
-            ever[j].update(supp[j])
-        mixed = [j for j in range(2) if len(supp[j]) > 1]
-        if len(mixed) > 1:
-            violations.append(f"round {t + 1}: both players mixed")
-            continue
-        if not mixed:
-            if (supp[0][0], supp[1][0]) not in pure_profiles:
-                violations.append(
-                    f"round {t + 1}: pure profile {(supp[0][0], supp[1][0])} is not on the spiral"
-                )
-            continue
-        j = mixed[0]
-        if len(supp[j]) > 2:
-            violations.append(f"round {t + 1}: player {j + 1} mixes {len(supp[j])} actions")
-            continue
-        legal = legal1 if j == 0 else legal2
-        key = frozenset(supp[j])
-        if key not in legal:
-            violations.append(
-                f"round {t + 1}: player {j + 1} mixes non-consecutive pair {sorted(supp[j])}"
-            )
-            continue
-        _, other_action = legal[key]
-        if supp[1 - j][0] != other_action:
-            violations.append(
-                f"round {t + 1}: player {2 - j} should sit on action {other_action}, "
-                f"plays {supp[1 - j][0]}"
-            )
+    for a, b in zip(bounds, bounds[1:]):
+        supp = [tuple(np.flatnonzero(s[a]).tolist()) for s in supports]
+        found = _support_violations(supp, ever, gone, legal1, legal2, pure_profiles)
+        violations.extend(f"round {t}: {msg}" for t in range(start + a + 1, start + b + 1)
+                          for msg in found)
 
     return PhaseReport(
         m=spiral.m,
@@ -276,6 +257,40 @@ def analyze_phases(
         retained_actions=_retained(spiral),
         violations=violations,
     )
+
+
+def _support_violations(supp, ever, gone, legal1, legal2, pure_profiles):
+    """The walk checks of one round with supports ``supp``, without the round
+    prefix; updates the ``ever`` played and ``gone`` (abandoned) action sets."""
+    found = []
+    for j in range(2):
+        back = gone[j].intersection(supp[j])
+        if back:
+            found.append(f"player {j + 1} regained abandoned actions {sorted(back)}")
+        gone[j].update(ever[j].difference(supp[j]))
+        ever[j].update(supp[j])
+    mixed = [j for j in range(2) if len(supp[j]) > 1]
+    if len(mixed) > 1:
+        found.append("both players mixed")
+        return found
+    if not mixed:
+        if (supp[0][0], supp[1][0]) not in pure_profiles:
+            found.append(f"pure profile {(supp[0][0], supp[1][0])} is not on the spiral")
+        return found
+    j = mixed[0]
+    if len(supp[j]) > 2:
+        found.append(f"player {j + 1} mixes {len(supp[j])} actions")
+        return found
+    legal = legal1 if j == 0 else legal2
+    key = frozenset(supp[j])
+    if key not in legal:
+        found.append(f"player {j + 1} mixes non-consecutive pair {sorted(supp[j])}")
+        return found
+    _, other_action = legal[key]
+    if supp[1 - j][0] != other_action:
+        found.append(f"player {2 - j} should sit on action {other_action}, "
+                     f"plays {supp[1 - j][0]}")
+    return found
 
 
 def check_stall_growth(report: PhaseReport):
@@ -343,7 +358,8 @@ def run_separation(m: int, max_rounds: int, epsilon: float, rm_plus_max_rounds: 
     game, init = build_padded(m), pure_init_strategies(m)
     walk = dyn.run(game, dyn.RunConfig(
         scheme="simultaneous", kind="rm", max_rounds=max_rounds, init_strategies=init))
-    rm_rounds = next((rec.round for rec in walk.traces if max(rec.br_gaps) <= epsilon), None)
+    reached = np.flatnonzero(walk.traces.br_gaps.max(axis=1) <= epsilon)
+    rm_rounds = int(reached[0]) + 1 if len(reached) else None
     contrast = dyn.run(game, dyn.RunConfig(
         scheme="alternating", kind="rm+", epsilon=epsilon, max_rounds=rm_plus_max_rounds,
         init_strategies=init))

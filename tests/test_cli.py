@@ -326,6 +326,21 @@ def test_analyze_cce_checkpoints(hard_run, capsys):
         assert isinstance(value, float)
 
 
+@pytest.mark.parametrize("scheme", ["alternating", "lazy"])
+def test_analyze_labels_the_cce_of_a_recording_not_played_simultaneously(
+        scheme, hard_run, capsys):
+    strategies, game = hard_run
+    argv = ["analyze", "--strategies", str(strategies), "--analyses", "cce",
+            "--game", str(game), "--cce-at", "100,300"]
+    assert cli.main(argv) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert "cce_scheme" not in plain
+    assert cli.main([*argv, "--scheme", scheme]) == 0
+    labelled = json.loads(capsys.readouterr().out)
+    assert list(labelled) == ["rounds", "cce", "cce_scheme"]
+    assert labelled["cce_scheme"] == scheme and labelled["cce"] == plain["cce"]
+
+
 def test_analyze_validation_errors(hard_run, tmp_path, capsys):
     strategies, _ = hard_run
     assert cli.main(["analyze", "--strategies", str(strategies), "--analyses", "wat"]) == 1
@@ -334,6 +349,9 @@ def test_analyze_validation_errors(hard_run, tmp_path, capsys):
     assert "need --m" in capsys.readouterr().err
     assert cli.main(["analyze", "--strategies", str(strategies), "--analyses", "cce"]) == 1
     assert "needs --game" in capsys.readouterr().err
+    assert cli.main(["analyze", "--strategies", str(strategies), "--m", "4",
+                     "--skip-rounds", "-3"]) == 1
+    assert "skip_rounds must be nonnegative, got -3" in capsys.readouterr().err
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     assert cli.main(["analyze", "--strategies", str(empty), "--analyses", "phases", "--m", "4"]) == 1
@@ -381,6 +399,24 @@ def test_analyze_rejects_malformed_strategy_lines(line, msg, tmp_path, capsys):
     path.write_text(line + "\n")
     assert cli.main(["analyze", "--strategies", str(path), "--m", "4"]) == 1
     assert f"bad.jsonl:1: {msg}" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("analyses", ["cce", "phases"])
+@pytest.mark.parametrize("blocks, msg", [
+    ([[0.0, 1.0, 0.0, 0.0, 0.0]], "block sizes [5] differ from line 1's [5, 5]"),
+    ([[0.0, 1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+     "block sizes [5, 3] differ from line 1's [5, 5]"),
+])
+def test_analyze_rejects_a_recording_whose_blocks_change_between_lines(
+        analyses, blocks, msg, hard_run, capsys):
+    strategies, game = hard_run
+    lines = strategies.read_text().splitlines()
+    lines[1] = json.dumps({"round": 2, "blocks": blocks})
+    bad = strategies.parent / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["analyze", "--strategies", str(bad), "--analyses", analyses,
+                     "--m", "4", "--game", str(game)]) == 1
+    assert f"bad.jsonl:2: {msg}" in _one_line_error(capsys)
 
 
 # ---------------------------------------------------------------------------

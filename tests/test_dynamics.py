@@ -10,6 +10,7 @@ import pytest
 
 from rmkit import dynamics as dyn
 from rmkit import games as gm
+from rmkit import hard_instances as hard
 from rmkit import learners as ln
 from rmkit import objectives as ob
 from rmkit.dynamics import InitPolicy, RunConfig, Scheme
@@ -280,6 +281,94 @@ def test_read_strategies_jsonl_rejects_bad_lines(tmp_path):
         dyn.read_strategies_jsonl(path)
 
 
+def test_read_strategies_jsonl_rejects_blocks_that_change_between_lines(tmp_path):
+    path = tmp_path / "ragged.jsonl"
+    first = '{"round": 1, "blocks": [[1.0, 0.0], [0.0, 1.0]]}'
+    for second, sizes in (('[[1.0, 0.0]]', "[2]"), ('[[1.0, 0.0], [1.0]]', "[2, 1]")):
+        path.write_text(first + '\n{"round": 2, "blocks": ' + second + "}\n")
+        with pytest.raises(ValueError) as info:
+            dyn.read_strategies_jsonl(path)
+        assert str(info.value) == f"{path}:2: block sizes {sizes} differ from line 1's [2, 2]"
+
+
+# ---------------------------------------------------------------------------
+# the run record: columns behind per-round views
+# ---------------------------------------------------------------------------
+
+
+def test_the_record_is_read_only_columns_behind_per_round_views():
+    game = gm.random_potential_game(3, (2, 3, 4), seed=41)
+    res = dyn.run(game, RunConfig(kind="rm+", max_rounds=150))
+    strategies, utilities, traces = res.history.strategies, res.history.utilities, res.traces
+    for rounds in (strategies, utilities):
+        assert len(rounds) == 150
+        assert [b.shape for b in rounds.blocks] == [(150, 2), (150, 3), (150, 4)]
+        assert all(b.dtype == np.float64 and not b.flags.writeable for b in rounds.blocks)
+        assert [len(row) for row in rounds] == [3] * 150
+        last = rounds[-1]  # a list of block rows
+        assert isinstance(last, list)
+        assert all(np.array_equal(x, b[149]) for x, b in zip(last, rounds.blocks))
+        part = rounds[10:20:3]
+        assert len(part) == 4 and part == [rounds[t] for t in (10, 13, 16, 19)]
+    with pytest.raises(ValueError):
+        strategies[0][0][0] = 1.0
+    assert isinstance(traces[0], dyn.TraceRecord) and traces[-1].round == 150
+    assert [rec.round for rec in traces[7:10]] == [8, 9, 10]
+    assert traces[7:10] == [traces[t] for t in (7, 8, 9)]
+    records = list(traces)
+    for name in ("br_gaps", "kkt_gap", "regret_l2", "regret_l1", "value", "updated"):
+        assert getattr(traces, name).tolist() == [getattr(rec, name) for rec in records]
+    again = dyn.run(game, RunConfig(kind="rm+", max_rounds=150))
+    assert again.traces == traces and again.history == res.history
+    assert again.traces[:149] != traces
+
+
+def test_play_history_stacks_per_round_lists():
+    a, b = np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0])
+    history = dyn.PlayHistory(scheme=Scheme.SIMULTANEOUS, strategies=[[a, b], [b[:2], b]],
+                              utilities=[[a, b], [a, b]])
+    assert history.rounds == 2
+    assert [blk.shape for blk in history.strategies.blocks] == [(2, 2), (2, 3)]
+    assert history.utilities == [[a, b], [a, b]]
+    for missing in ([None, None], [[None, None], [None, None]]):
+        unrecorded = dyn.PlayHistory(Scheme.SIMULTANEOUS, [[a, b], [a, b]], missing)
+        assert unrecorded.utilities is None and unrecorded.rounds == 2
+    assert dyn.PlayHistory(Scheme.SIMULTANEOUS).rounds == 0
+    ragged = r"round 2 has block sizes \[3, 3\], round 1 has \[2, 3\]"
+    with pytest.raises(ValueError, match=ragged):
+        dyn.PlayHistory(Scheme.SIMULTANEOUS, [[a, b], [b, b]])
+
+
+def test_a_long_walk_keeps_under_400_bytes_per_round():
+    config = RunConfig(kind="rm", max_rounds=10_000, init_strategies=hard.pure_init_strategies(6))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = dyn.run(hard.build_padded(6), config)
+        kept, peak = (b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # per round: strategies and gradients of two 7-action blocks (224 B), a
+    # trace row (64 B) and the updated flags (2 B), plus the buffers' slack
+    assert result.rounds == 10_000
+    assert kept / result.rounds <= 400 and peak / result.rounds <= 400
+
+
+def test_a_run_reserves_no_rows_for_its_round_limit():
+    game = gm.random_potential_game(2, (3, 3), seed=5)
+    config = RunConfig(scheme="lazy", kind="rm+", epsilon=0.05, max_rounds=10**7)
+    dyn.run(game, RunConfig(scheme="lazy", kind="rm+", epsilon=0.05))  # first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = dyn.run(game, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result.converged and result.rounds <= 100
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # init policies
 # ---------------------------------------------------------------------------
@@ -340,6 +429,7 @@ def test_run_without_a_potential_reports_nan_values():
     game = gm.GameSpec((2, 2), [np.eye(2), 1.0 - np.eye(2)])
     res = dyn.run(game, RunConfig(kind="rm+", max_rounds=3))
     assert all(math.isnan(rec.value) for rec in res.traces)
+    assert res.traces == dyn.run(game, RunConfig(kind="rm+", max_rounds=3)).traces
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +627,18 @@ def test_external_regret_hand_example_and_validation():
     for bad in (0, 3):
         with pytest.raises(ValueError, match="rounds must lie"):
             dyn.external_regret(history, 0, rounds=bad)
+
+
+def test_external_regret_gives_the_bits_of_a_running_sum():
+    game = gm.random_potential_game(3, (2, 3, 2), seed=31)
+    history = dyn.run(game, RunConfig(kind="rm", max_rounds=120)).history
+    for i in range(3):
+        for T in (1, 2, 57, 120):
+            total, realized = np.zeros(game.action_counts[i]), 0.0
+            for x, u in zip(history.strategies[:T], history.utilities[:T]):
+                total += u[i]
+                realized += float(x[i] @ u[i])
+            assert dyn.external_regret(history, i, rounds=T) == float(total.max() - realized)
 
 
 def test_cce_gap_zero_at_a_pure_equilibrium_history():
