@@ -45,6 +45,7 @@ _RUN_KEY_TYPES = {
     "init_regrets": ((list,), "a list of per-block vectors"),
     "init_strategies": ((list,), "a list of per-block vectors"),
     "lazy_regret_updates": ((bool,), "true or false"),
+    "fast_forward": ((bool,), "true or false"),
 }
 _RUN_DEFAULTS = {
     "algo": "rm+",
@@ -52,6 +53,7 @@ _RUN_DEFAULTS = {
     "max_rounds": 10_000,
     "init": "zero",
     "lazy_regret_updates": False,
+    "fast_forward": False,
 }
 
 
@@ -128,7 +130,7 @@ def _load_target(cfg: dict):
 
 
 def _final_gaps(target, profile):
-    _, grad, value = dyn._gradient_and_value(target)
+    _, grad, value, _ = dyn._gradient_and_value(target)
     gaps = [
         ob.br_gap(grad(profile, i), profile[i]) for i in range(len(profile))
     ]
@@ -159,6 +161,7 @@ def _execute_run(cfg: dict) -> int:
         init_regrets=init_regrets,
         init_strategies=init_strategies,
         lazy_regret_updates=cfg["lazy_regret_updates"],
+        fast_forward=cfg["fast_forward"],
     )
 
     def progress(t):
@@ -373,6 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--trace", help="trace CSV output path")
     run_p.add_argument("--strategies", help="strategies JSONL output path")
     run_p.add_argument("--report", help="summary JSON output path")
+    run_p.add_argument("--fast-forward", dest="fast_forward", action="store_true",
+                       default=None,
+                       help="jump rounds that repeat the profile (rm and rm+); "
+                            "progress lines then arrive in bursts")
     run_p.add_argument("--jobs", type=int, default=1,
                        help="parallel workers for batch configs")
     run_p.set_defaults(func=cmd_run)

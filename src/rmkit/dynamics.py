@@ -29,7 +29,29 @@ Block gradients fold axis-moved tensor copies made once per run and dropped
 with it: a game's utilities, and a multilinear objective's potential when
 its ``block_gradient`` is the ``games.BlockGradients`` kernel.  Any other
 gradient callable, a wrapped or rescaled one included, is called per call.
-``cce_gaps`` replays a recording once for any number of checkpoints.
+``cce_gaps`` replays a recording once for any number of checkpoints, and
+folds a recorded profile only where its bits differ from the round before;
+the writers and the reader likewise reuse the text of a repeated round.
+
+With ``RunConfig.fast_forward``, rounds that repeat the profile are jumped,
+not stepped, for rm and rm+ under the simultaneous and alternating schemes,
+when ``on_step`` is ``None`` and the gradient is that kernel, a function of
+the profile alone.
+Once a round leaves every block's strategy with its bits, the next round
+folds the same inputs, so its strategies, gradients, gaps, kkt gap and value
+repeat those bits.  A round that also leaves the regrets with their bits is
+a fixed point: the rest of the run repeats it.  Otherwise, for rm, the
+regrets move by the same g each round, and ``cumsum`` over ``[r, g, g, ...]``
+adds in round order, giving the bits of the loop's ``r + g``.  Play stays
+while no regret other than the played action's turns positive, so the
+positive part has at most one nonzero entry and its l1 and l2 norms are
+exact in any order.  The round that would move play is stepped by the loop.
+The jumped rounds are appended chunk by chunk to the same record, with
+``progress`` called at every multiple of ``PROGRESS_EVERY`` they cross; drm+
+and the lazy scheme always step.  It is off by default: the calls to
+``progress`` across a stretch come in a burst, not at the pace of the
+rounds, and how much a run saves depends on whether and when its profile
+settles, so seeded runs of one size no longer take one time.
 
 The record a run returns is float64 columns, not per-round objects: per
 block the entering strategies and the observed gradients (``Rounds``), and
@@ -46,6 +68,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from array import array
 from collections.abc import Sequence
@@ -85,6 +108,7 @@ class RunConfig:
     init_regrets: Optional[list] = None  # per-block vectors, CUSTOM only
     init_strategies: Optional[list] = None  # fallback strategies at birth
     lazy_regret_updates: bool = False
+    fast_forward: bool = False  # jump rounds that repeat the profile (see the module docstring)
 
     def __post_init__(self):
         self.scheme = Scheme(self.scheme)
@@ -261,6 +285,8 @@ class RunResult:
 
 
 def _gradient_and_value(target):
+    """``(block sizes, gradient, value, folded)``: ``folded`` says the gradient
+    is the hoisted kernel, a function of the profile alone."""
     # a gradient kernel moves its axes once, here, and the copies end with the run
     if isinstance(target, GameSpec):
         grad = BlockGradients(target.utilities).hoisted()
@@ -274,12 +300,13 @@ def _gradient_and_value(target):
             def value(profile):
                 return float("nan")
 
-        return tuple(target.action_counts), grad, value
+        return tuple(target.action_counts), grad, value, True
     if isinstance(target, ObjectiveHandle):
         grad = target.block_gradient
-        if isinstance(grad, BlockGradients):
+        folded = isinstance(grad, BlockGradients)
+        if folded:
             grad = grad.hoisted()
-        return tuple(target.domain.block_sizes), grad, target.value
+        return tuple(target.domain.block_sizes), grad, target.value, folded
     raise TypeError(f"cannot run on {type(target).__name__}")
 
 
@@ -321,6 +348,49 @@ def _initial_states(target, sizes, config: RunConfig):
 
 PROGRESS_EVERY = 10_000
 
+# a stretch is covered in look-ahead chunks of 16, 32, ... rows up to the cap,
+# so that a short stretch wastes little and a long one holds few rows at once
+_FIRST_CHUNK, _CHUNK_CAP = 16, 1024
+
+
+def _free_entries(x: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose positive regret would move play off ``x``:
+    all of them, except entry j when ``x`` has the bits of e_j."""
+    free = np.ones(len(x), dtype=bool)
+    support = np.flatnonzero(x.view(np.int64))
+    if len(support) == 1 and x[support[0]] == 1.0:
+        free[support[0]] = False
+    return free
+
+
+def _rm_look_ahead(regrets, steps, free, k: int):
+    """The next ``k`` rm rounds of a stretch, cut before the first one whose
+    regrets move the profile.
+
+    A block's regrets after each round are the running sums of ``[r, g, g,
+    ...]``; ``cumsum`` adds in round order, so they have the bits of the round
+    loop's ``r + g``.  Play stays while every ``free`` entry of the positive
+    part is +0.0 and the played entry is finite: ``play`` then returns e_j
+    or its fallback, the strategy itself.  Such a positive part has at most
+    one nonzero entry, so its sum and ``theta.dot(theta)`` are exact in any
+    order.  Returns per block the regrets after each covered round, and the
+    (rounds, blocks) l1 and l2 norms of their positive parts.
+    """
+    rows, l1 = [], []
+    for r, g, f in zip(regrets, steps, free):
+        sums = np.empty((k + 1, len(r)))
+        sums[0] = r
+        sums[1:] = g
+        np.cumsum(sums, axis=0, out=sums)
+        theta = np.maximum(sums[1:], 0.0)
+        moved = theta[:, f].view(np.int64).any(axis=1) | np.isinf(theta).any(axis=1)
+        if moved.any():
+            k = min(k, int(moved.argmax()))
+        rows.append(sums[1:])
+        l1.append(np.add.reduce(theta, axis=1))
+    l1 = np.stack([total[:k] for total in l1], axis=1)
+    return [sums[:k] for sums in rows], l1, np.sqrt(l1 * l1)
+
 
 def run(
     target,
@@ -332,9 +402,10 @@ def run(
 
     ``on_step`` is called as ``on_step(round, block, state_before, g,
     state_after)`` for every realized learner update.  ``progress`` is
-    called with the round number every ``PROGRESS_EVERY`` rounds.
+    called with the round number every ``PROGRESS_EVERY`` rounds; under
+    ``config.fast_forward`` the calls for a jumped stretch come together.
     """
-    sizes, grad, value = _gradient_and_value(target)
+    sizes, grad, value, folded = _gradient_and_value(target)
     states = _initial_states(target, sizes, config)
     n = len(sizes)
     eps = config.epsilon
@@ -344,6 +415,11 @@ def run(
     simultaneous = config.scheme is Scheme.SIMULTANEOUS
     lazy = config.scheme is Scheme.LAZY_ALTERNATING
     shapes = [(m,) for m in sizes]
+    # rounds that repeat the profile are covered in chunks, not stepped, when
+    # asked for, no caller watches each update and the gradient is known to be
+    # a function of the profile alone (see the module docstring)
+    jump = (config.fast_forward and folded and on_step is None and not lazy
+            and kind in (ln.Kind.RM, ln.Kind.RM_PLUS))
 
     # Per block: the regrets, the strategy the state stores (which is also
     # what the other blocks see), the strategy its regrets play next, and the
@@ -378,14 +454,65 @@ def run(
     trace_row = struct.Struct(f"{3 * n + 2}d").pack
     initial_gaps: List[float] = []
     stop_reason = "max_rounds"
-    t = 0
 
-    for t in range(1, config.max_rounds + 1):
+    def cover(t, before, entering, observed, steps):
+        """Append the rounds after round ``t`` for as long as they repeat it,
+        and return the last round appended.
+
+        Round ``t`` left every block's strategy with its bits, so the next
+        round folds the same inputs and repeats its strategies, gradients,
+        gaps and value.  If it left the regrets too, the state is a fixed
+        point and every later round repeats it whole; otherwise rm's regrets
+        move by the same g each round (``_rm_look_ahead``).
+        """
+        fixed = all(r.tobytes() == b.tobytes() for r, b in zip(regrets, before))
+        if not fixed and kind is not ln.Kind.RM:
+            return t
+        free = [_free_entries(x) for x in profile]
+        entering = [x.tobytes() for x in entering]
+        gradients = [u.tobytes() for u in observed]
+        row = trace[-(3 * n + 2):]
+        size = _FIRST_CHUNK
+        while t < config.max_rounds:
+            k = wanted = min(size, config.max_rounds - t)
+            if fixed:
+                rows = row.tobytes() * k
+            else:
+                regret_rows, l1_rows, l2_rows = _rm_look_ahead(regrets, steps, free, k)
+                k = len(l1_rows)
+                if not k:
+                    break
+                regrets[:] = [r[-1].copy() for r in regret_rows]
+                rows = np.empty((k, 3 * n + 2))
+                rows[:] = row
+                rows[:, n + 1 : 2 * n + 1] = l2_rows
+                rows[:, 2 * n + 1 : 3 * n + 1] = l1_rows
+                rows = rows.tobytes()
+            for i in range(n):
+                strategies[i].frombytes(entering[i] * k)
+                utilities[i].frombytes(gradients[i] * k)
+            trace.frombytes(rows)
+            flags.frombytes(b"\x01" * (n * k))
+            if progress is not None:
+                for p in range(t - t % PROGRESS_EVERY + PROGRESS_EVERY, t + k + 1,
+                               PROGRESS_EVERY):
+                    progress(p)
+            t += k
+            if k < wanted:
+                break
+            size = min(2 * size, _CHUNK_CAP)
+        return t
+
+    t = 0
+    while t < config.max_rounds:
+        t += 1
+        before, entering = list(regrets), list(profile)
         for i in range(n):
             strategies[i].frombytes(profile[i].tobytes())
         observed = [observe(i) for i in range(n)] if simultaneous else [None] * n
         gaps = [0.0] * n
         updated = [False] * n
+        steps = [None] * n
 
         for i in range(n):
             u = observed[i]
@@ -411,6 +538,7 @@ def run(
                 profile[i] = played[i] = x_next
                 updated[i] = True
             regrets[i] = r
+            steps[i] = g
             l1[i] = total
             l2[i] = math.sqrt(theta.dot(theta))
 
@@ -423,6 +551,8 @@ def run(
         if eps is not None and all(gap <= eps for gap in gaps):
             stop_reason = "converged"
             break
+        if jump and all(x.tobytes() == e.tobytes() for x, e in zip(profile, entering)):
+            t = cover(t, before, entering, observed, steps)
 
     return RunResult(
         config=config,
@@ -504,13 +634,26 @@ def cce_gaps(game: GameSpec, history: PlayHistory, checkpoints,
     n = game.num_players
     grad = BlockGradients(game.utilities).hoisted()
     blocks = [b[:last] for b in history.strategies.blocks]
-    dev = [np.empty((last, m)) for m in game.action_counts]
-    realized = np.empty((last, n))
-    for t in range(last):
+    # a profile with the bits of the one before folds to the same rows, so only
+    # changed profiles fold; int64 views compare bits, unlike ``==``, which
+    # equates -0.0 with 0.0 and never a nan with itself
+    changed = np.zeros(last, dtype=bool)
+    changed[0] = True
+    for b in blocks:
+        bits = b.view(np.int64)
+        changed[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
+    folds = np.flatnonzero(changed)
+    dev = [np.empty((len(folds), m)) for m in game.action_counts]
+    realized = np.empty((len(folds), n))
+    for row, t in enumerate(folds):
         profile = [b[t] for b in blocks]
         for i in range(n):
-            u = dev[i][t] = grad(profile, i)
-            realized[t, i] = profile[i] @ u
+            u = dev[i][row] = grad(profile, i)
+            realized[row, i] = profile[i] @ u
+    # each round takes the rows of its latest fold
+    source = np.cumsum(changed) - 1
+    dev = [d[source] for d in dev]
+    realized = realized[source]
     for d in (*dev, realized):
         _accumulate(d)
     return [max(float(dev[i][T - 1].max() - realized[T - 1, i]) / T for i in range(n))
@@ -534,11 +677,38 @@ def _chunks(rows: int):
         yield start, min(start + _CHUNK_ROWS, rows)
 
 
+def _repeats(columns, start: int, stop: int) -> List[bool]:
+    """Per row in ``start:stop``, whether every column has the bits of the
+    row before it; float columns compare as int64, so -0.0 is not 0.0."""
+    same = np.zeros(stop - start, dtype=bool)
+    lo = max(start, 1)
+    same[lo - start :] = True
+    for column in columns:
+        rows = column[lo - 1 : stop]
+        if rows.dtype == np.float64:
+            rows = rows.view(np.int64)
+        same[lo - start :] &= (rows[1:] == rows[:-1]).all(axis=1)
+    return same.tolist()
+
+
+def _trace_lines(row, updated, n: int) -> List[str]:
+    """One round's CSV lines without their leading round number."""
+    gaps, kkt, l2, l1, value = _trace_fields(row, n)
+    kkt, value = _fmt(kkt), _fmt(value)
+    lines = [",".join((str(i), _fmt(gap), kkt, _fmt(l2[i]), _fmt(l1[i]), value,
+                       "1" if updated[i] else "0"))
+             for i, gap in enumerate(gaps)]
+    lines.append(",".join(("-1", _fmt(max(gaps)), kkt, _fmt(max(l2)), _fmt(max(l1)), value,
+                           str(sum(updated)))))
+    return lines
+
+
 def write_trace_csv(traces: Traces, path) -> None:
     """One row per (round, player) plus a summary row with player -1.
 
     The summary aggregates: max gap, the round's kkt gap, max norms, the
-    round's value, and the number of updated players.
+    round's value, and the number of updated players.  A round with the bits
+    of the round before reuses its text under its own round number.
     """
     n = traces.updated.shape[1]
     with open(path, "w") as fh:
@@ -546,67 +716,54 @@ def write_trace_csv(traces: Traces, path) -> None:
         for start, stop in _chunks(len(traces)):
             rows = traces.columns[start:stop].tolist()
             flags = traces.updated[start:stop].tolist()
-            for t, row, updated in zip(traces.rounds[start:stop], rows, flags):
-                gaps, kkt, l2, l1, value = _trace_fields(row, n)
-                kkt, value = _fmt(kkt), _fmt(value)
-                for i, gap in enumerate(gaps):
-                    fh.write(
-                        ",".join(
-                            (
-                                str(t),
-                                str(i),
-                                _fmt(gap),
-                                kkt,
-                                _fmt(l2[i]),
-                                _fmt(l1[i]),
-                                value,
-                                "1" if updated[i] else "0",
-                            )
-                        )
-                        + "\n"
-                    )
-                fh.write(
-                    ",".join(
-                        (
-                            str(t),
-                            "-1",
-                            _fmt(max(gaps)),
-                            kkt,
-                            _fmt(max(l2)),
-                            _fmt(max(l1)),
-                            value,
-                            str(sum(updated)),
-                        )
-                    )
-                    + "\n"
-                )
+            repeats = _repeats((traces.columns, traces.updated), start, stop)
+            for t, row, updated, repeat in zip(traces.rounds[start:stop], rows, flags, repeats):
+                if not repeat:
+                    lines = _trace_lines(row, updated, n)
+                head = f"{t},"
+                fh.write(head + ("\n" + head).join(lines) + "\n")
 
 
 def write_strategies_jsonl(history: PlayHistory, path) -> None:
-    """One line per round: the strategies entering that round, all blocks."""
+    """One line per round: the strategies entering that round, all blocks.
+
+    A round with the bits of the round before reuses its blocks' text."""
     columns = history.strategies.blocks
     with open(path, "w") as fh:
         for start, stop in _chunks(history.rounds):
             chunk = [b[start:stop].tolist() for b in columns]
+            repeats = _repeats(columns, start, stop)
             for k in range(stop - start):
-                fh.write(
-                    json.dumps({"round": start + k + 1, "blocks": [b[k] for b in chunk]})
-                    + "\n"
-                )
+                if not repeats[k]:
+                    blocks = json.dumps([b[k] for b in chunk])
+                # the bytes of json.dumps({"round": ..., "blocks": ...})
+                fh.write('{"round": %d, "blocks": %s}\n' % (start + k + 1, blocks))
+
+
+# the writer's line opens with the round, a JSON integer, before the blocks
+_ROUND_HEAD = re.compile(r'\{"round": (?:0|[1-9][0-9]*), ')
 
 
 def read_strategies_jsonl(path) -> Rounds:
     """Per-round profiles from the writer's format, stacked into per-block columns.
 
     Every line must carry the block count and sizes of the first; a bad line
-    names its number.
+    names its number.  A line that differs from the line before only in its
+    leading round number parses to the same blocks, which are reused.
     """
     buffers = None
+    rest = None
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            head = _ROUND_HEAD.match(line)
+            if head is not None and rest is not None and line[head.end():] == rest:
+                for b, x in zip(buffers, profile):
+                    b += x
+                continue
+            rest = None if head is None else line[head.end():]
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:

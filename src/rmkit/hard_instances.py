@@ -322,25 +322,23 @@ def replay_regrets(history: dyn.PlayHistory, init_regrets=None, at_rounds=None):
     bit.  Returns [round][player] arrays, or a {round: [arrays]} dict for
     just the requested 1-based rounds when ``at_rounds`` is given.
     """
-    n = len(history.strategies[0]) if history.rounds else 0
+    T = history.rounds
+    blocks = history.strategies.blocks
     if init_regrets is None:
-        current = [np.zeros(len(history.strategies[0][i])) for i in range(n)]
-    else:
-        current = [np.asarray(r, dtype=np.float64).copy() for r in init_regrets]
-    wanted = None if at_rounds is None else set(at_rounds)
-    out = [] if wanted is None else {}
-    for t in range(history.rounds):
-        nxt = []
-        for i in range(n):
-            x = history.strategies[t][i]
-            u = history.utilities[t][i]
-            nxt.append(current[i] + (u - float(x @ u)))
-        current = nxt
-        if wanted is None:
-            out.append(current)
-        elif t + 1 in wanted:
-            out[t + 1] = current
-    return out
+        init_regrets = [np.zeros(b.shape[1]) for b in blocks]
+    sums = []
+    for X, U, r in zip(blocks, history.utilities.blocks, init_regrets):
+        # rows [r, g_1, g_2, ...]: cumsum adds them in round order, as the
+        # online r + g does; x @ u stays per row, where a batched product
+        # could round differently
+        rows = np.empty((T + 1, X.shape[1]))
+        rows[0] = r
+        rows[1:] = U - np.array([float(x @ u) for x, u in zip(X, U)])[:, None]
+        sums.append(np.cumsum(rows, axis=0, out=rows))
+    if at_rounds is None:
+        return [[s[t] for s in sums] for t in range(1, T + 1)]
+    wanted = set(at_rounds)
+    return {t: [s[t] for s in sums] for t in range(1, T + 1) if t in wanted}
 
 
 @dataclass
@@ -357,7 +355,8 @@ def run_separation(m: int, max_rounds: int, epsilon: float, rm_plus_max_rounds: 
     """The rm walk on the padded game, its phase report, and the rm+ contrast."""
     game, init = build_padded(m), pure_init_strategies(m)
     walk = dyn.run(game, dyn.RunConfig(
-        scheme="simultaneous", kind="rm", max_rounds=max_rounds, init_strategies=init))
+        scheme="simultaneous", kind="rm", max_rounds=max_rounds, init_strategies=init,
+        fast_forward=True))
     reached = np.flatnonzero(walk.traces.br_gaps.max(axis=1) <= epsilon)
     rm_rounds = int(reached[0]) + 1 if len(reached) else None
     contrast = dyn.run(game, dyn.RunConfig(

@@ -141,13 +141,12 @@ def suite_regret_bounds() -> SuiteResult:
             if slack > TOL:
                 final_ok = False
         if gamma is not None:
-            cap = [math.sqrt(m / gamma) for m in game.action_counts]
-            for rec in res.traces:
-                for i, norm in enumerate(rec.regret_l2):
-                    worst_drm = max(worst_drm, norm - cap[i])
-                    if norm - cap[i] > TOL:
-                        drm_ok = False
-                    drm_round_checks += 1
+            cap = np.array([math.sqrt(m / gamma) for m in game.action_counts])
+            slack = res.traces.regret_l2 - cap
+            worst_drm = max(worst_drm, float(slack.max()))
+            if (slack > TOL).any():
+                drm_ok = False
+            drm_round_checks += slack.size
     c.check(final_ok, f"||[r]+||_2 <= sqrt(mT) on 200 runs (worst slack {worst_final:.3e})")
     c.check(
         drm_ok,
@@ -333,7 +332,7 @@ def suite_potential_convergence() -> SuiteResult:
         worst_rmp_rounds = max(worst_rmp_rounds, res.rounds)
         if not (res.converged and res.rounds <= bound_rmp):
             rmp_ok = False
-        values = np.array([rec.value for rec in res.traces])
+        values = res.traces.value
         if values.size > 1:
             step_min = float(np.diff(values).min())
             mono_worst = min(mono_worst, step_min)
@@ -441,7 +440,7 @@ def suite_hard_separation() -> SuiteResult:
             f"T_k >= ((k-2)/2) T_(k-1) and factorial floor for completed k <= {kmax}"
             + ("" if growth_ok else ": " + "; ".join(failures)))
 
-    above = sum(1 for rec in res.traces if max(rec.br_gaps) > NASH_CUTOFF)
+    above = int((res.traces.br_gaps.max(axis=1) > NASH_CUTOFF).sum())
     observed_total = sum(T for T in completed.values())
     c.check(above >= observed_total,
             f"max br_gap > 1/14 for {above} rounds >= sum of observed T_k = {observed_total}")
@@ -470,7 +469,7 @@ def suite_uniform_init() -> SuiteResult:
     game = hard.build_uniform_init(m)  # construction asserts its own row sums
     c.note("construction invariants (zero sum, round-1 regret pattern) hold at build time")
     res = dyn.run(game, dyn.RunConfig(
-        scheme="simultaneous", kind="rm", max_rounds=120_000))
+        scheme="simultaneous", kind="rm", max_rounds=120_000, fast_forward=True))
     second = res.history.strategies[1]
     purity = min(float(second[i][0]) for i in range(2))
     stray = max(float(np.abs(second[i][1:]).max()) for i in range(2))
@@ -557,7 +556,7 @@ def suite_cce() -> SuiteResult:
     for game in games:
         for kind in ("rm", "rm+"):
             res = dyn.run(game, dyn.RunConfig(
-                scheme="simultaneous", kind=kind, max_rounds=checkpoints[-1]))
+                scheme="simultaneous", kind=kind, max_rounds=checkpoints[-1], fast_forward=True))
             gaps = dyn.cce_gaps(game, res.history, checkpoints)
             for T, gap in zip(checkpoints, gaps):
                 reg = max(
@@ -575,13 +574,13 @@ def suite_cce() -> SuiteResult:
     game = hard.build_padded(m)
     res = dyn.run(game, dyn.RunConfig(
         scheme="simultaneous", kind="rm", max_rounds=checkpoints[-1],
-        init_strategies=hard.pure_init_strategies(m)))
+        init_strategies=hard.pure_init_strategies(m), fast_forward=True))
     scale = gm.utility_range(game)
     decay_ok = nash_ok = True
     for T, gap in zip(checkpoints, dyn.cce_gaps(game, res.history, checkpoints)):
         norm_gap = gap / scale
         envelope = math.sqrt((m + 1) / T)
-        nash_here = max(res.traces[T - 1].br_gaps)
+        nash_here = float(res.traces.br_gaps[T - 1].max())
         c.note(f"T={T}: normalized cce_gap {norm_gap:.5f} <= sqrt(7/T) {envelope:.5f}, "
                f"nash gap {nash_here:.3f}")
         if norm_gap > envelope + TOL:

@@ -182,6 +182,21 @@ def test_run_traces_are_byte_identical_across_reruns(tmp_path, capsys):
     assert header == "round,player,br_gap,kkt_gap,regret_l2,regret_l1,value,updated"
 
 
+def test_run_fast_forward_writes_the_bytes_of_the_stepped_run(tmp_path, capsys):
+    outputs = []
+    for flags in ([], ["--fast-forward"]):
+        paths = [tmp_path / f"{name}{len(outputs)}" for name in ("trace", "strategies", "report")]
+        rc = cli.main(
+            ["run", "--hard-instance", "m=4", "--algo", "rm", "--max-rounds", "3000",
+             "--trace", str(paths[0]), "--strategies", str(paths[1]),
+             "--report", str(paths[2]), *flags]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        outputs.append([p.read_bytes() for p in paths])
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # batches
 # ---------------------------------------------------------------------------

@@ -274,6 +274,33 @@ def test_strategies_jsonl_round_trip_is_bit_exact(tmp_path):
             np.testing.assert_array_equal(np.asarray(a), b)
 
 
+def test_writers_reuse_a_round_only_when_its_bits_repeat(tmp_path):
+    # gaps (2), kkt gap, l2 norms (2), l1 norms (2), value; the signed row
+    # differs from the others only in the sign of a zero gap
+    row = [0.5, 0.0, 0.5, 1.0, 0.0, 2.0, 0.0, float("nan")]
+    signed = [0.5, -0.0] + row[2:]
+    traces = dyn.Traces(np.array([row, row, signed, signed, row]),
+                        np.array([[True, False]] * 5))
+    whole = tmp_path / "whole.csv"
+    dyn.write_trace_csv(traces, whole)
+    lines = [dyn.TRACE_HEADER]
+    for t in range(len(traces)):  # each round written alone, with no round before it
+        part = tmp_path / f"round{t}.csv"
+        dyn.write_trace_csv(traces[t : t + 1], part)
+        lines += part.read_text().splitlines()[1:]
+    assert whole.read_text().splitlines() == lines
+    assert "3,1,-0," in whole.read_text() and "5,1,0," in whole.read_text()
+
+    pure, signed = [[1.0, 0.0], [0.25, 0.75]], [[1.0, -0.0], [0.25, 0.75]]
+    profiles = [pure, pure, signed, signed, pure]
+    history = dyn.PlayHistory(Scheme.SIMULTANEOUS,
+                              [[np.array(x) for x in blocks] for blocks in profiles])
+    path = tmp_path / "strategies.jsonl"
+    dyn.write_strategies_jsonl(history, path)
+    assert path.read_text().splitlines() == [
+        json.dumps({"round": t, "blocks": blocks}) for t, blocks in enumerate(profiles, 1)]
+
+
 def test_read_strategies_jsonl_rejects_bad_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"round": 1, "blocks": [[1.0, 0.0]]}\n{oops\n')
@@ -289,6 +316,25 @@ def test_read_strategies_jsonl_rejects_blocks_that_change_between_lines(tmp_path
         with pytest.raises(ValueError) as info:
             dyn.read_strategies_jsonl(path)
         assert str(info.value) == f"{path}:2: block sizes {sizes} differ from line 1's [2, 2]"
+
+
+def test_read_strategies_jsonl_reuses_only_lines_that_repeat_after_the_round(tmp_path):
+    pure = '"blocks": [[1.0, 0.0], [0.0, 1.0]]}'
+    signed = '"blocks": [[1.0, -0.0], [0.0, 1.0]]}'
+    lines = ['{"round": 1, ' + pure, '{"round": 2, ' + pure, '{"round": 3, ' + signed,
+             '{"round": 4,  ' + signed, '{"blocks": [[1.0, -0.0], [0.0, 1.0]], "round": 5}',
+             '{"round": 6, ' + pure]
+    path = tmp_path / "s.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    got = dyn.read_strategies_jsonl(path)
+    for i, block in enumerate(got.blocks):
+        want = np.array([json.loads(line)["blocks"][i] for line in lines])
+        assert block.tobytes() == want.tobytes()
+    # a round that is not a JSON integer is parsed, and refused, even before
+    # a repeated remainder
+    path.write_text('{"round": 1, ' + pure + '\n{"round": 02, ' + pure + "\n")
+    with pytest.raises(ValueError, match="s.jsonl:2: not valid JSON"):
+        dyn.read_strategies_jsonl(path)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +627,112 @@ def test_progress_callback_fires_on_the_configured_cadence(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# rounds that repeat the profile: jumped, with the bits of single steps
+# ---------------------------------------------------------------------------
+
+
+def _walk(build, m, rounds):
+    def case(kind, scheme):
+        init = hard.pure_init_strategies(m) if build is hard.build_padded else None
+        return build(m), RunConfig(scheme=scheme, kind=kind, max_rounds=rounds,
+                                   init_strategies=init)
+    return case
+
+
+def _fixed_point_game(kind, scheme):
+    # rm+ settles on a profile and regrets that every later round repeats
+    return gm.random_potential_game(3, (16, 16, 16), seed=3), RunConfig(
+        scheme=scheme, kind=kind, max_rounds=300)
+
+
+def _drifting_regrets(kind, scheme):
+    # uniform play on three equal payoffs, where x @ u rounds one ulp below
+    # the payoff: play repeats every round while every regret grows
+    return gm.GameSpec((3,), [np.full(3, 0.8574042765875693)]), RunConfig(
+        scheme=scheme, kind=kind, max_rounds=300)
+
+
+def _assert_same_bits(a, b):
+    _assert_same_run(a, b)
+    assert a.history == b.history
+    # == equates -0.0 with 0.0; the bytes do not
+    for got, want in ((a.history.strategies, b.history.strategies),
+                      (a.history.utilities, b.history.utilities)):
+        assert [x.tobytes() for x in got.blocks] == [y.tobytes() for y in want.blocks]
+    assert a.traces.columns.tobytes() == b.traces.columns.tobytes()
+    for x, y in zip(a.states, b.states):
+        assert x.regrets.tobytes() == y.regrets.tobytes()
+        assert x.strategy.tobytes() == y.strategy.tobytes()
+
+
+def _both_paths(target, config, monkeypatch):
+    """The run fast-forwarded, and stepped one round at a time, each with the
+    rounds its progress callback saw."""
+    monkeypatch.setattr(dyn, "PROGRESS_EVERY", 100)
+    runs = []
+    for fast_forward in (True, False):
+        ticks = []
+        run_config = dataclasses.replace(config, fast_forward=fast_forward)
+        runs.append((dyn.run(target, run_config, progress=ticks.append), ticks))
+    return runs
+
+
+@pytest.mark.parametrize("scheme", ["simultaneous", "alternating"])
+@pytest.mark.parametrize("kind", ["rm", "rm+"])
+@pytest.mark.parametrize("case", [
+    _walk(hard.build_padded, 4, 3_000),
+    _walk(hard.build_padded, 6, 3_000),
+    _walk(hard.build_uniform_init, 6, 3_000),
+    _fixed_point_game,
+    _drifting_regrets,
+], ids=["padded_m4", "padded_m6", "uniform_init_m6", "potential_3x16", "drifting_regrets"])
+def test_repeated_profiles_are_jumped_with_the_bits_of_single_steps(
+        case, kind, scheme, monkeypatch):
+    target, config = case(kind, scheme)
+    (fast, fast_ticks), (stepped, stepped_ticks) = _both_paths(target, config, monkeypatch)
+    _assert_same_bits(fast, stepped)
+    assert fast_ticks == stepped_ticks == list(range(100, config.max_rounds + 1, 100))
+    # every case spends most of its rounds on a repeated profile
+    blocks = fast.history.strategies.blocks
+    repeats = sum(all(b[t].tobytes() == b[t - 1].tobytes() for b in blocks)
+                  for t in range(1, fast.rounds))
+    assert repeats > fast.rounds // 3
+
+
+def test_the_potential_game_reaches_a_fixed_point_under_rm_plus():
+    target, config = _fixed_point_game("rm+", "simultaneous")
+    res = dyn.run(target, config)
+    last = res.traces.columns[-1].tobytes()
+    assert res.traces.columns[-100].tobytes() == last
+    assert all(b[-100].tobytes() == b[-1].tobytes() for b in res.history.strategies.blocks)
+
+
+def test_a_stretch_cut_off_by_the_round_limit_keeps_the_bits(monkeypatch):
+    # rounds 1,155 to 7,826 of the padded m=6 walk sit in phase 7; 4,321 ends
+    # inside one of its stretches, between two look-ahead chunks' ends
+    target, config = _walk(hard.build_padded, 6, 4_321)("rm", "simultaneous")
+    look_aheads = []
+    look_ahead = dyn._rm_look_ahead
+    monkeypatch.setattr(dyn, "_rm_look_ahead", lambda *a: look_aheads.append(a) or look_ahead(*a))
+    (fast, fast_ticks), (stepped, stepped_ticks) = _both_paths(target, config, monkeypatch)
+    _assert_same_bits(fast, stepped)
+    assert look_aheads  # the fast run jumped; the stepped one did not
+    look_aheads.clear()
+    dyn.run(target, config)
+    dyn.run(target, dataclasses.replace(config, fast_forward=True), on_step=lambda *u: None)
+    assert not look_aheads
+    assert fast_ticks == stepped_ticks
+    assert fast.rounds == 4_321
+    # the walk goes on repeating the profile past the limit, and the cut
+    # run is a prefix of the longer one
+    longer = dyn.run(target, dataclasses.replace(config, max_rounds=4_400))
+    for cut, b in zip(fast.history.strategies.blocks, longer.history.strategies.blocks):
+        assert b[4_319:4_323].tobytes() == b[4_320].tobytes() * 4
+        assert b[:4_321].tobytes() == cut.tobytes()
+    assert longer.traces.columns[:4_321].tobytes() == fast.traces.columns.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # equilibrium measures
 # ---------------------------------------------------------------------------
 
@@ -663,24 +815,42 @@ def test_cce_gap_equals_max_average_regret_under_simultaneous_play():
         dyn.cce_gap(game, res.history, rounds=51)
 
 
+def _cce_gap_by_hand(game, history, T):
+    """A replay of the first ``T`` rounds, every profile folded and summed in turn."""
+    n = game.num_players
+    dev = [np.zeros(m) for m in game.action_counts]
+    realized = [0.0] * n
+    for profile in history.strategies[:T]:
+        for i in range(n):
+            u = gm.utility_vector(game, i, profile)
+            dev[i] += u
+            realized[i] += float(profile[i] @ u)
+    return max(float(dev[i].max() - realized[i]) / T for i in range(n))
+
+
 def test_one_cce_replay_gives_the_bits_of_separate_cce_gap_calls():
     game = gm.random_potential_game(3, (2, 3, 2), seed=31)
     history = dyn.run(game, RunConfig(kind="rm", max_rounds=120)).history
     checkpoints = [120, 7, 50, 7, 1, 99]  # unsorted, with a repeat
     gaps = dyn.cce_gaps(game, history, checkpoints)
     assert gaps == [dyn.cce_gap(game, history, rounds=T) for T in checkpoints]
-    for T, gap in zip(checkpoints, gaps):  # a replay per checkpoint, summed by hand
-        dev = [np.zeros(m) for m in game.action_counts]
-        realized = [0.0] * 3
-        for profile in history.strategies[:T]:
-            for i in range(3):
-                u = gm.utility_vector(game, i, profile)
-                dev[i] += u
-                realized[i] += float(profile[i] @ u)
-        assert gap == max(float(dev[i].max() - realized[i]) / T for i in range(3))
+    assert gaps == [_cce_gap_by_hand(game, history, T) for T in checkpoints]
     for bad in ([0], [121], [5, 121]):
         with pytest.raises(ValueError, match="rounds must lie"):
             dyn.cce_gaps(game, history, bad)
+
+
+def test_cce_gaps_over_repeated_profiles_give_the_bits_of_a_full_replay():
+    game = gm.random_potential_game(2, (3, 3), seed=31)
+    pure, signed, mixed = [1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [0.25, 0.5, 0.25]
+    # repeated rows, and rows that differ from the row before only in the
+    # sign of a zero
+    rows = ([[pure, mixed]] * 3 + [[signed, mixed]] * 2
+            + [[pure, mixed], [mixed, pure], [mixed, pure]])
+    history = dyn.PlayHistory(Scheme.SIMULTANEOUS, [[np.array(x) for x in row] for row in rows])
+    checkpoints = list(range(1, len(rows) + 1))
+    assert dyn.cce_gaps(game, history, checkpoints) == [
+        _cce_gap_by_hand(game, history, T) for T in checkpoints]
 
 
 def test_cce_gap_refuses_alternating_histories_unless_asked():
