@@ -47,6 +47,8 @@ from .dynamics import (
     RunConfig,
     RunResult,
     Scheme,
+    StrategiesJsonlWriter,
+    TraceCsvWriter,
     TraceRecord,
     cce_gap,
     cce_gaps,

@@ -16,10 +16,12 @@ stderr; stdout carries only the summary JSON or requested documents.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+import tempfile
 from multiprocessing import Pool
 
 import numpy as np
@@ -33,12 +35,13 @@ from . import selftests as st
 BUILTIN_OBJECTIVES = ("cycle_poly",)
 HARD_VARIANTS = ("pure_init", "uniform_init")
 
+_OUTPUTS = ("trace", "strategies", "report")
+
 # config-file keys, which mirror the run flags (flags override the file),
 # with their JSON types; null leaves a key without a default unset
 _RUN_KEY_TYPES = {
     **{key: ((str,), "a string") for key in (
-        "game", "objective", "hard_instance", "algo", "scheme", "init",
-        "trace", "strategies", "report")},
+        "game", "objective", "hard_instance", "algo", "scheme", "init", *_OUTPUTS)},
     "gamma": ((int, float), "a number"),
     "epsilon": ((int, float), "a number"),
     "max_rounds": ((int,), "an integer"),
@@ -138,6 +141,78 @@ def _final_gaps(target, profile):
     return gaps, (None if math.isnan(val) else val)
 
 
+class _Streams:
+    """The sink ``_execute_run`` hands to ``dyn.run``: each chunk of the
+    record goes to the open writers, and only the regret l2 norms that the
+    summary reports are kept, for the last round and as a running max."""
+
+    def __init__(self, files):
+        self.trace = dyn.TraceCsvWriter(files["trace"]) if "trace" in files else None
+        self.strategies = (dyn.StrategiesJsonlWriter(files["strategies"])
+                           if "strategies" in files else None)
+        self.l2_final = self.l2_max = None
+
+    def __call__(self, history, traces):
+        if self.trace is not None:
+            self.trace.write(traces)
+        if self.strategies is not None:
+            self.strategies.write(history)
+        l2 = traces.regret_l2
+        self.l2_final = l2[-1]
+        top = l2.max(axis=0)
+        self.l2_max = top if self.l2_max is None else np.maximum(self.l2_max, top)
+
+
+@contextlib.contextmanager
+def _open_outputs(cfg: dict):
+    """The output files the config names, opened for writing before any round
+    runs, so that a path that cannot be written fails at once.  A regular
+    file is written as a temporary file beside it, which replaces it only
+    when the block succeeds; when the block fails (an error or Ctrl-C) the
+    temporary files are removed, so no partial file is left and earlier
+    outputs at those paths keep their bytes.  A path that exists but is not a
+    regular file, such as /dev/null, is opened directly (a directory then
+    fails at once)."""
+    paths = {key: cfg[key] for key in _OUTPUTS if cfg.get(key)}
+    seen = {}
+    for key, path in paths.items():
+        if os.path.exists(path) and not os.path.isfile(path):
+            continue  # a device such as /dev/null takes any number of writers
+        other = seen.setdefault(os.path.realpath(path), key)
+        if other != key:
+            raise CliError(f"--{other} and --{key} name the same file '{path}'")
+    mode = os.umask(0)
+    os.umask(mode)
+    files, temps = {}, {}
+    try:
+        for key, path in paths.items():
+            if os.path.exists(path) and not os.path.isfile(path):
+                files[key] = open(path, "w")
+                continue
+            target = os.path.realpath(path)
+            try:
+                fh = tempfile.NamedTemporaryFile(
+                    "w", dir=os.path.dirname(target),
+                    prefix=f".{os.path.basename(target)}.", suffix=".part", delete=False)
+            except OSError as exc:
+                raise CliError(f"cannot write --{key} '{path}': {exc.strerror}") from exc
+            temps[key] = (fh.name, target)
+            files[key] = fh
+            os.chmod(fh.name, 0o666 & ~mode)  # the mode open(path, "w") gives
+        yield files
+        for fh in files.values():
+            fh.close()
+        for temp, target in temps.values():
+            os.replace(temp, target)
+    except BaseException:
+        for fh in files.values():
+            fh.close()
+        for temp, _ in temps.values():
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise
+
+
 def _execute_run(cfg: dict) -> int:
     target, default_init, label = _load_target(cfg)
     init_strategies = cfg.get("init_strategies", None)
@@ -167,36 +242,33 @@ def _execute_run(cfg: dict) -> int:
     def progress(t):
         print(f"[{label}] round {t}", file=sys.stderr)
 
-    result = dyn.run(target, run_config, progress=progress)
-
-    if cfg.get("trace"):
-        dyn.write_trace_csv(result.traces, cfg["trace"])
-    if cfg.get("strategies"):
-        dyn.write_strategies_jsonl(result.history, cfg["strategies"])
-
-    gaps, final_value = _final_gaps(target, result.final_profile)
-    summary = {
-        "input": label,
-        "algo": str(run_config.kind.value),
-        "scheme": str(run_config.scheme.value),
-        "epsilon": run_config.epsilon,
-        "gamma": gamma,
-        "max_rounds": run_config.max_rounds,
-        "init": str(run_config.init.value),
-        "rounds": result.rounds,
-        "stop_reason": result.stop_reason,
-        "converged": result.converged,
-        "final_br_gaps": gaps,
-        "final_nash_gap": max(gaps),
-        "final_kkt_gap": sum(gaps),
-        "final_value": final_value,
-        "regret_l2_final": result.traces.regret_l2[-1].tolist(),
-        "regret_l2_max": result.traces.regret_l2.max(axis=0).tolist(),
-    }
-    if cfg.get("report"):
-        with open(cfg["report"], "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+    with _open_outputs(cfg) as files:
+        # the record streams to the outputs chunk by chunk, so memory stays
+        # bounded however many rounds run
+        streams = _Streams(files)
+        result = dyn.run(target, run_config, progress=progress, sink=streams)
+        gaps, final_value = _final_gaps(target, result.final_profile)
+        summary = {
+            "input": label,
+            "algo": str(run_config.kind.value),
+            "scheme": str(run_config.scheme.value),
+            "epsilon": run_config.epsilon,
+            "gamma": gamma,
+            "max_rounds": run_config.max_rounds,
+            "init": str(run_config.init.value),
+            "rounds": result.rounds,
+            "stop_reason": result.stop_reason,
+            "converged": result.converged,
+            "final_br_gaps": gaps,
+            "final_nash_gap": max(gaps),
+            "final_kkt_gap": sum(gaps),
+            "final_value": final_value,
+            "regret_l2_final": streams.l2_final.tolist(),
+            "regret_l2_max": streams.l2_max.tolist(),
+        }
+        if "report" in files:
+            json.dump(summary, files["report"], indent=2)
+            files["report"].write("\n")
     print(json.dumps(summary, indent=2))
     if run_config.epsilon is not None and not result.converged:
         return 2
@@ -225,7 +297,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     else:
         configs.append(_merge_run_config(ns, {}, "flags"))
     if len(configs) > 1:
-        for key in ("trace", "strategies", "report"):
+        for key in _OUTPUTS:
             if getattr(ns, key, None):
                 raise CliError(
                     f"--{key} cannot be shared across a batch; set per-config paths"

@@ -62,6 +62,20 @@ columns when it ends.  Per-round indexing and iteration build lists
 of block rows and ``TraceRecord``s on access; the writers, the reader and
 the analyses work on the columns, a few thousand rows at a time where they
 need Python objects.
+
+A kept record grows with the rounds, so ``run`` can stream it instead.
+Given a ``sink``, it calls ``sink(history, traces)`` each time the buffers
+reach ``_CHUNK_ROWS`` rounds, jumped rounds included (a look-ahead chunk
+ends there), and once more with the rounds left when the run ends; each
+call gets a ``PlayHistory`` (scheme, strategies, utilities) and a
+``Traces`` whose ``rounds`` number the chunk's rounds, as read-only columns
+over buffers that the run then replaces with empty ones, so the sink may
+keep them.  The result's record is then empty; its round count, stop
+reason, initial gaps and final states are those of the same run without a
+sink.  ``TraceCsvWriter`` and ``StrategiesJsonlWriter`` write such chunks
+with the bytes of one whole write, carrying the last round written for the
+repeat check; ``write_trace_csv`` and ``write_strategies_jsonl`` are those
+writers fed one whole record.
 """
 
 from __future__ import annotations
@@ -348,6 +362,11 @@ def _initial_states(target, sizes, config: RunConfig):
 
 PROGRESS_EVERY = 10_000
 
+# rows per chunk: what ``run`` hands a sink at once, and what the writers and
+# the cce replay turn into Python objects or running sums at once, so that
+# nothing holds every round of a long run
+_CHUNK_ROWS = 4096
+
 # a stretch is covered in look-ahead chunks of 16, 32, ... rows up to the cap,
 # so that a short stretch wastes little and a long one holds few rows at once
 _FIRST_CHUNK, _CHUNK_CAP = 16, 1024
@@ -397,6 +416,7 @@ def run(
     config: RunConfig,
     on_step: Optional[Callable] = None,
     progress: Optional[Callable] = None,
+    sink: Optional[Callable] = None,
 ) -> RunResult:
     """Drive the configured learners on a game or objective.
 
@@ -404,6 +424,10 @@ def run(
     state_after)`` for every realized learner update.  ``progress`` is
     called with the round number every ``PROGRESS_EVERY`` rounds; under
     ``config.fast_forward`` the calls for a jumped stretch come together.
+    ``sink``, when given, is called as ``sink(history, traces)`` with the
+    record of every ``_CHUNK_ROWS`` rounds, in round order, and with the
+    rounds left over when the run ends; the result then keeps an empty
+    record (see the module docstring).
     """
     sizes, grad, value, folded = _gradient_and_value(target)
     states = _initial_states(target, sizes, config)
@@ -445,25 +469,43 @@ def run(
 
     # The record: per block the entering strategies and the observed
     # gradients, the trace rows and the updated flags, appended as raw bytes
-    # to arrays that grow geometrically by reallocation and are viewed as
-    # columns once the run ends.
-    strategies = [array("d") for _ in sizes]
-    utilities = [array("d") for _ in sizes]
-    trace = array("d")
-    flags = array("b")
+    # to arrays that grow geometrically by reallocation.  They are viewed as
+    # columns when the run ends, or, with a sink, handed over and replaced by
+    # empty ones whenever the round count reaches ``flush_at``.
+    def empty():
+        return [array("d") for _ in sizes], [array("d") for _ in sizes], array("d"), array("b")
+
+    strategies, utilities, trace, flags = empty()
     trace_row = struct.Struct(f"{3 * n + 2}d").pack
+    flush_at = _CHUNK_ROWS if sink is not None else config.max_rounds + 1
     initial_gaps: List[float] = []
     stop_reason = "max_rounds"
 
-    def cover(t, before, entering, observed, steps):
+    def record(t):
+        """The buffered rounds, which end with round ``t``, as (history, traces)."""
+        return (PlayHistory(config.scheme,
+                            Rounds(_column(b, m) for b, m in zip(strategies, sizes)),
+                            Rounds(_column(b, m) for b, m in zip(utilities, sizes))),
+                Traces(_column(trace, 3 * n + 2), _column(flags, n, np.bool_),
+                       range(t + 1 - len(flags) // n, t + 1)))
+
+    def flush(t):
+        nonlocal strategies, utilities, trace, flags, flush_at
+        sink(*record(t))
+        strategies, utilities, trace, flags = empty()
+        flush_at = t + _CHUNK_ROWS
+
+    def cover(t, row, before, entering, observed, steps):
         """Append the rounds after round ``t`` for as long as they repeat it,
         and return the last round appended.
 
-        Round ``t`` left every block's strategy with its bits, so the next
-        round folds the same inputs and repeats its strategies, gradients,
-        gaps and value.  If it left the regrets too, the state is a fixed
-        point and every later round repeats it whole; otherwise rm's regrets
-        move by the same g each round (``_rm_look_ahead``).
+        Round ``t`` (its trace ``row`` packed) left every block's strategy
+        with its bits, so the next round folds the same inputs and repeats its
+        strategies, gradients, gaps and value.  If it left the regrets too,
+        the state is a fixed point and every later round repeats it whole;
+        otherwise rm's regrets move by the same g each round
+        (``_rm_look_ahead``).  A look-ahead chunk ends at ``flush_at``, where
+        the buffers go to the sink.
         """
         fixed = all(r.tobytes() == b.tobytes() for r, b in zip(regrets, before))
         if not fixed and kind is not ln.Kind.RM:
@@ -471,12 +513,11 @@ def run(
         free = [_free_entries(x) for x in profile]
         entering = [x.tobytes() for x in entering]
         gradients = [u.tobytes() for u in observed]
-        row = trace[-(3 * n + 2):]
         size = _FIRST_CHUNK
         while t < config.max_rounds:
-            k = wanted = min(size, config.max_rounds - t)
+            k = wanted = min(size, config.max_rounds - t, flush_at - t)
             if fixed:
-                rows = row.tobytes() * k
+                rows = row * k
             else:
                 regret_rows, l1_rows, l2_rows = _rm_look_ahead(regrets, steps, free, k)
                 k = len(l1_rows)
@@ -484,7 +525,7 @@ def run(
                     break
                 regrets[:] = [r[-1].copy() for r in regret_rows]
                 rows = np.empty((k, 3 * n + 2))
-                rows[:] = row
+                rows[:] = np.frombuffer(row)
                 rows[:, n + 1 : 2 * n + 1] = l2_rows
                 rows[:, 2 * n + 1 : 3 * n + 1] = l1_rows
                 rows = rows.tobytes()
@@ -498,6 +539,8 @@ def run(
                                PROGRESS_EVERY):
                     progress(p)
             t += k
+            if t == flush_at:
+                flush(t)
             if k < wanted:
                 break
             size = min(2 * size, _CHUNK_CAP)
@@ -544,22 +587,26 @@ def run(
 
         if t == 1:
             initial_gaps = list(gaps)
-        trace.frombytes(trace_row(*gaps, float(sum(gaps)), *l2, *l1, value(profile)))
+        row = trace_row(*gaps, float(sum(gaps)), *l2, *l1, value(profile))
+        trace.frombytes(row)
         flags.frombytes(bytes(updated))
+        if t == flush_at:
+            flush(t)
         if progress is not None and t % PROGRESS_EVERY == 0:
             progress(t)
         if eps is not None and all(gap <= eps for gap in gaps):
             stop_reason = "converged"
             break
         if jump and all(x.tobytes() == e.tobytes() for x, e in zip(profile, entering)):
-            t = cover(t, before, entering, observed, steps)
+            t = cover(t, row, before, entering, observed, steps)
 
+    if sink is not None and len(flags):
+        flush(t)
+    history, traces = record(t)
     return RunResult(
         config=config,
-        history=PlayHistory(config.scheme,
-                            Rounds(_column(b, m) for b, m in zip(strategies, sizes)),
-                            Rounds(_column(b, m) for b, m in zip(utilities, sizes))),
-        traces=Traces(_column(trace, 3 * n + 2), _column(flags, n, np.bool_)),
+        history=history,
+        traces=traces,
         states=[ln.RegretState(kind, r, x, discount) for r, x in zip(regrets, profile)],
         stop_reason=stop_reason,
         rounds=t,
@@ -583,17 +630,24 @@ def external_regret(history: PlayHistory, block: int, rounds: Optional[int] = No
     X = history.strategies.blocks[block][:T]
     U = history.utilities.blocks[block][:T]
     realized = np.array([x @ u for x, u in zip(X, U)])
-    return float(_accumulate(U.copy())[-1].max() - _accumulate(realized)[-1])
+    return float(_running_sums(U, 0.0)[-1].max() - _running_sums(realized, 0.0)[-1])
 
 
-def _accumulate(rows):
-    """Turn ``rows`` in place into its running sums over the leading axis,
-    each equal bit for bit to a running ``total += row`` started from +0.0:
-    ``cumsum`` adds in round order, and the +0.0 turns a leading -0.0 into
-    +0.0 as that start does."""
-    np.cumsum(rows, axis=0, out=rows)
-    rows[0] += 0.0
-    return rows
+def _running_sums(rows: np.ndarray, carry) -> np.ndarray:
+    """The running sums of ``rows`` over the leading axis, continued from
+    ``carry``, the sum before the first row.
+
+    ``cumsum`` over ``[carry; rows]`` adds in round order, so each sum has
+    the bits of a running ``total += row``; from a +0.0 carry that is the
+    total started as ``0.0``, which turns a leading -0.0 into +0.0, and a
+    chunk continued from the last sum of the chunk before has the bits of
+    one pass over both.
+    """
+    sums = np.empty((len(rows) + 1, *rows.shape[1:]))
+    sums[0] = carry
+    sums[1:] = rows
+    np.cumsum(sums, axis=0, out=sums)
+    return sums[1:]
 
 
 def cce_gap(game: GameSpec, history: PlayHistory, rounds: Optional[int] = None,
@@ -615,7 +669,9 @@ def cce_gaps(game: GameSpec, history: PlayHistory, checkpoints,
     Each recorded profile is checked and folded once, up to the largest
     checkpoint; the running sums are read off at every checkpoint, so
     unsorted and repeated checkpoints cost nothing extra and each value has
-    the bits of a separate ``cce_gap`` call.
+    the bits of a separate ``cce_gap`` call.  The replay runs
+    ``_CHUNK_ROWS`` rounds at a time and carries the sums from chunk to
+    chunk, so what it holds does not grow with the rounds.
     """
     if history.scheme is not Scheme.SIMULTANEOUS and not allow_alternating:
         raise ValueError(
@@ -626,38 +682,50 @@ def cce_gaps(game: GameSpec, history: PlayHistory, checkpoints,
     for T in checkpoints:
         if not 0 < T <= history.rounds:
             raise ValueError(f"rounds must lie in 1..{history.rounds}")
-    last = max(checkpoints, default=0)
-    if not last:
+    if not checkpoints:
         return []
     # every round has the block sizes of the first, so one check covers them
     _check_profile(game.action_counts, history.strategies[0])
     n = game.num_players
     grad = BlockGradients(game.utilities).hoisted()
-    blocks = [b[:last] for b in history.strategies.blocks]
-    # a profile with the bits of the one before folds to the same rows, so only
-    # changed profiles fold; int64 views compare bits, unlike ``==``, which
-    # equates -0.0 with 0.0 and never a nan with itself
-    changed = np.zeros(last, dtype=bool)
-    changed[0] = True
-    for b in blocks:
-        bits = b.view(np.int64)
-        changed[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
-    folds = np.flatnonzero(changed)
-    dev = [np.empty((len(folds), m)) for m in game.action_counts]
-    realized = np.empty((len(folds), n))
-    for row, t in enumerate(folds):
-        profile = [b[t] for b in blocks]
-        for i in range(n):
-            u = dev[i][row] = grad(profile, i)
-            realized[row, i] = profile[i] @ u
-    # each round takes the rows of its latest fold
-    source = np.cumsum(changed) - 1
-    dev = [d[source] for d in dev]
-    realized = realized[source]
-    for d in (*dev, realized):
-        _accumulate(d)
-    return [max(float(dev[i][T - 1].max() - realized[T - 1, i]) / T for i in range(n))
-            for T in checkpoints]
+    blocks = history.strategies.blocks
+    wanted = sorted(set(checkpoints))
+    gaps = {}
+    # the running sums before the chunk, and the rows of the last fold
+    dev, last_dev = [np.zeros(m) for m in game.action_counts], [None] * n
+    realized, last_realized = np.zeros(n), None
+    for start, stop in _chunks(wanted[-1]):
+        rows = [b[start:stop] for b in blocks]
+        # a profile with the bits of the one before folds to the same rows, so
+        # only changed profiles fold (``_repeats`` compares bits, unlike
+        # ``==``, which equates -0.0 with 0.0 and never a nan with itself)
+        changed = ~_repeats(rows, [b[start - 1] for b in blocks] if start else None)
+        folds = np.flatnonzero(changed)
+        # row 0 carries the last fold before the chunk; the first chunk's
+        # first round folds, so it never reads that row
+        fold_dev = [np.empty((len(folds) + 1, m)) for m in game.action_counts]
+        fold_realized = np.empty((len(folds) + 1, n))
+        if start:
+            for d, carried in zip(fold_dev, last_dev):
+                d[0] = carried
+            fold_realized[0] = last_realized
+        for row, t in enumerate(folds, start=1):
+            profile = [b[t] for b in rows]
+            for i in range(n):
+                u = fold_dev[i][row] = grad(profile, i)
+                fold_realized[row, i] = profile[i] @ u
+        last_dev, last_realized = [d[-1] for d in fold_dev], fold_realized[-1]
+        # each round takes the rows of its latest fold
+        source = np.cumsum(changed)
+        sums = [_running_sums(d[source], carry) for d, carry in zip(fold_dev, dev)]
+        realized_sums = _running_sums(fold_realized[source], realized)
+        while wanted and wanted[0] <= stop:
+            T = wanted.pop(0)
+            k = T - 1 - start
+            gaps[T] = max(float(sums[i][k].max() - realized_sums[k, i]) / T for i in range(n))
+        dev = [d[-1] for d in sums]
+        realized = realized_sums[-1]
+    return [gaps[T] for T in checkpoints]
 
 
 def _fmt(x) -> str:
@@ -667,28 +735,26 @@ def _fmt(x) -> str:
 TRACE_HEADER = "round,player,br_gap,kkt_gap,regret_l2,regret_l1,value,updated"
 
 
-# rows the writers format from one ``tolist`` chunk: a whole-record ``tolist``
-# would hold every round as Python objects at once
-_CHUNK_ROWS = 4096
-
-
 def _chunks(rows: int):
     for start in range(0, rows, _CHUNK_ROWS):
         yield start, min(start + _CHUNK_ROWS, rows)
 
 
-def _repeats(columns, start: int, stop: int) -> List[bool]:
-    """Per row in ``start:stop``, whether every column has the bits of the
-    row before it; float columns compare as int64, so -0.0 is not 0.0."""
-    same = np.zeros(stop - start, dtype=bool)
-    lo = max(start, 1)
-    same[lo - start :] = True
-    for column in columns:
-        rows = column[lo - 1 : stop]
-        if rows.dtype == np.float64:
-            rows = rows.view(np.int64)
-        same[lo - start :] &= (rows[1:] == rows[:-1]).all(axis=1)
-    return same.tolist()
+def _repeats(columns, previous) -> np.ndarray:
+    """Per row of the ``columns``, (rows, width) arrays of one length, whether
+    every column has the bits of the row before it; the first row is
+    compared with ``previous``, one row per column, or with none when that is
+    ``None``.  Float columns compare as int64, so -0.0 is not 0.0."""
+    def bits(rows):
+        return rows.view(np.int64) if rows.dtype == np.float64 else rows
+
+    same = np.ones(len(columns[0]), dtype=bool)
+    same[0] = previous is not None
+    for j, column in enumerate(map(bits, columns)):
+        same[1:] &= (column[1:] == column[:-1]).all(axis=1)
+        if previous is not None:
+            same[0] &= bool((column[0] == bits(previous[j])).all())
+    return same
 
 
 def _trace_lines(row, updated, n: int) -> List[str]:
@@ -703,41 +769,79 @@ def _trace_lines(row, updated, n: int) -> List[str]:
     return lines
 
 
-def write_trace_csv(traces: Traces, path) -> None:
-    """One row per (round, player) plus a summary row with player -1.
+class TraceCsvWriter:
+    """The trace CSV of a run fed chunk by chunk, in round order.
 
-    The summary aggregates: max gap, the round's kkt gap, max norms, the
-    round's value, and the number of updated players.  A round with the bits
-    of the round before reuses its text under its own round number.
+    One row per (round, player) plus a summary row with player -1.  The
+    summary aggregates: max gap, the round's kkt gap, max norms, the round's
+    value, and the number of updated players.  A round with the bits of the
+    round before, in its chunk or the last one written, reuses its text
+    under its own round number.  ``fh`` is an open text file; the header is
+    written on construction.
     """
-    n = traces.updated.shape[1]
-    with open(path, "w") as fh:
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._last = None  # the trace and updated rows of the last round written
+        self._lines = None  # its lines
         fh.write(TRACE_HEADER + "\n")
+
+    def write(self, traces: Traces) -> None:
+        n = traces.updated.shape[1]
+        fh, lines = self._fh, self._lines
         for start, stop in _chunks(len(traces)):
-            rows = traces.columns[start:stop].tolist()
-            flags = traces.updated[start:stop].tolist()
-            repeats = _repeats((traces.columns, traces.updated), start, stop)
-            for t, row, updated, repeat in zip(traces.rounds[start:stop], rows, flags, repeats):
+            columns = (traces.columns[start:stop], traces.updated[start:stop])
+            repeats = _repeats(columns, self._last).tolist()
+            for t, row, updated, repeat in zip(traces.rounds[start:stop], columns[0].tolist(),
+                                               columns[1].tolist(), repeats):
                 if not repeat:
                     lines = _trace_lines(row, updated, n)
                 head = f"{t},"
                 fh.write(head + ("\n" + head).join(lines) + "\n")
+            self._last = [c[-1].copy() for c in columns]
+        self._lines = lines
+
+
+class StrategiesJsonlWriter:
+    """The strategies JSONL of a run fed chunk by chunk, in round order.
+
+    One line per round: the strategies entering that round, all blocks,
+    numbered from 1 on across the chunks.  A round with the bits of the
+    round before, in its chunk or the last one written, reuses its blocks'
+    text.  ``fh`` is an open text file.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._rounds = 0
+        self._last = None  # the block rows of the last round written
+        self._blocks = None  # their JSON text
+
+    def write(self, history: PlayHistory) -> None:
+        fh, blocks = self._fh, self._blocks
+        for start, stop in _chunks(history.rounds):
+            columns = [b[start:stop] for b in history.strategies.blocks]
+            rows = [c.tolist() for c in columns]
+            for k, repeat in enumerate(_repeats(columns, self._last).tolist()):
+                if not repeat:
+                    blocks = json.dumps([b[k] for b in rows])
+                # the bytes of json.dumps({"round": ..., "blocks": ...})
+                fh.write('{"round": %d, "blocks": %s}\n' % (self._rounds + k + 1, blocks))
+            self._rounds += stop - start
+            self._last = [c[-1].copy() for c in columns]
+        self._blocks = blocks
+
+
+def write_trace_csv(traces: Traces, path) -> None:
+    """The whole trace as ``TraceCsvWriter`` writes it, to ``path``."""
+    with open(path, "w") as fh:
+        TraceCsvWriter(fh).write(traces)
 
 
 def write_strategies_jsonl(history: PlayHistory, path) -> None:
-    """One line per round: the strategies entering that round, all blocks.
-
-    A round with the bits of the round before reuses its blocks' text."""
-    columns = history.strategies.blocks
+    """The whole history as ``StrategiesJsonlWriter`` writes it, to ``path``."""
     with open(path, "w") as fh:
-        for start, stop in _chunks(history.rounds):
-            chunk = [b[start:stop].tolist() for b in columns]
-            repeats = _repeats(columns, start, stop)
-            for k in range(stop - start):
-                if not repeats[k]:
-                    blocks = json.dumps([b[k] for b in chunk])
-                # the bytes of json.dumps({"round": ..., "blocks": ...})
-                fh.write('{"round": %d, "blocks": %s}\n' % (start + k + 1, blocks))
+        StrategiesJsonlWriter(fh).write(history)
 
 
 # the writer's line opens with the round, a JSON integer, before the blocks

@@ -1,12 +1,20 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import hashlib
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rmkit import cli
+from rmkit import dynamics as dyn
 from rmkit import games as gm
+from rmkit import hard_instances as hard
+from rmkit import objectives as ob
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "digests.json")
 
 
 def _run_json(capsys, argv):
@@ -195,6 +203,180 @@ def test_run_fast_forward_writes_the_bytes_of_the_stepped_run(tmp_path, capsys):
         capsys.readouterr()
         outputs.append([p.read_bytes() for p in paths])
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# streamed outputs
+# ---------------------------------------------------------------------------
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _constant_sum_game():
+    # no pure equilibrium: lazy rm+ keeps skipping and stepping until it converges
+    A = np.random.default_rng(3).random((3, 4))
+    return gm.GameSpec((3, 4), [A, 1.0 - A])
+
+
+def _m6_walk(rounds, *flags):
+    argv = ["--hard-instance", "m=6", "--algo", "rm", "--max-rounds", str(rounds), *flags]
+    # the whole record jumps its repeated rounds, which gives the bits of
+    # stepping them (tests/test_dynamics.py) in a tenth of the time
+    config = dyn.RunConfig(kind="rm", max_rounds=rounds, fast_forward=True,
+                           init_strategies=hard.pure_init_strategies(6))
+    return argv, lambda: (hard.build_padded(6), config)
+
+
+def _constant_sum_run(tmp_path, *flags, **config):
+    game = tmp_path / "constant_sum.json"
+    gm.save_game(_constant_sum_game(), str(game))
+    argv = ["--game", str(game), *flags]
+    return argv, lambda: (gm.load_game(str(game)), dyn.RunConfig(**config))
+
+
+# (the run's flags and its target and config, the golden case it matches or None)
+STREAMED_RUNS = {
+    "m6_walk_20000": (lambda tmp: _m6_walk(20_000), "hard_m6_rm_pure_20000"),
+    "two_chunks": (lambda tmp: _m6_walk(2 * 4096), None),
+    "two_chunks_and_a_round": (lambda tmp: _m6_walk(2 * 4096 + 1), None),
+    # the payoff-8 stretch from round 7,827 on covers the ends of chunks 2, 3 and 4
+    "fast_forward_20000": (lambda tmp: _m6_walk(20_000, "--fast-forward"),
+                           "hard_m6_rm_pure_20000"),
+    # converges at round 6,173, inside the second chunk
+    "lazy_converges_mid_chunk": (lambda tmp: _constant_sum_run(
+        tmp, "--scheme", "lazy", "--algo", "rm+", "--epsilon", "0.0015", "--max-rounds", "20000",
+        scheme="lazy", kind="rm+", epsilon=0.0015, max_rounds=20_000), None),
+    "alternating_drm+": (lambda tmp: _constant_sum_run(
+        tmp, "--scheme", "alternating", "--algo", "drm+", "--gamma", "0.3",
+        "--max-rounds", "4500",
+        scheme="alternating", kind="drm+", discount=1.0 - 0.3, max_rounds=4_500), None),
+    "simultaneous_drm+": (lambda tmp: (
+        ["--objective", "cycle_poly", "--algo", "drm+", "--gamma", "0.3", "--max-rounds", "300"],
+        lambda: (ob.make_cycle_polynomial(),
+                 dyn.RunConfig(kind="drm+", discount=1.0 - 0.3, max_rounds=300))),
+        "cycle_poly_drm+"),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAMED_RUNS))
+def test_a_streamed_run_writes_the_bytes_of_the_whole_record(name, tmp_path, capsys):
+    build, golden = STREAMED_RUNS[name]
+    argv, case = build(tmp_path)
+    streamed = {kind: tmp_path / f"streamed.{kind}" for kind in ("csv", "jsonl", "json")}
+    rc = cli.main(["run", *argv, "--trace", str(streamed["csv"]),
+                   "--strategies", str(streamed["jsonl"]), "--report", str(streamed["json"])])
+    assert rc == 0
+    capsys.readouterr()
+    whole = dyn.run(*case())
+    assert whole.rounds > 4096 or golden is not None
+    dyn.write_trace_csv(whole.traces, tmp_path / "whole.csv")
+    dyn.write_strategies_jsonl(whole.history, tmp_path / "whole.jsonl")
+    for kind in ("csv", "jsonl"):
+        assert streamed[kind].read_bytes() == (tmp_path / f"whole.{kind}").read_bytes()
+    report = json.loads(streamed["json"].read_text())
+    assert report["rounds"] == whole.rounds and report["stop_reason"] == whole.stop_reason
+    assert report["regret_l2_final"] == whole.traces.regret_l2[-1].tolist()
+    assert report["regret_l2_max"] == whole.traces.regret_l2.max(axis=0).tolist()
+    if golden is not None:
+        with open(GOLDEN_PATH) as fh:
+            digests = json.load(fh)[golden]
+        assert digests == {"rounds": report["rounds"], "trace": _sha256(streamed["csv"]),
+                           "strategies": _sha256(streamed["jsonl"])}
+
+
+@pytest.mark.parametrize("flags", [[], ["--fast-forward"]], ids=["stepped", "fast_forward"])
+def test_a_streamed_run_holds_no_more_for_ten_times_the_rounds(
+        flags, tmp_path, capsys, monkeypatch):
+    # chunks of 32 rounds, so that both runs stream many chunks in a short test
+    monkeypatch.setattr(dyn, "_CHUNK_ROWS", 32)
+
+    def peak(rounds):
+        argv = ["run", "--hard-instance", "m=4", "--algo", "rm", "--max-rounds", str(rounds),
+                "--trace", str(tmp_path / "trace.csv"),
+                "--strategies", str(tmp_path / "walk.jsonl"),
+                "--report", str(tmp_path / "report.json"), *flags]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert cli.main(argv) == 0
+            used = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        return used
+
+    peak(30)  # first-call allocations
+    # the record alone would add about 270 B a round, 700 KB here
+    assert peak(3_000) - peak(300) < 32 * 1024
+
+
+@pytest.mark.parametrize("bad", ["missing/walk.jsonl", "."], ids=["missing_dir", "a_directory"])
+def test_run_fails_fast_on_an_output_path_that_cannot_be_opened(
+        bad, tmp_path, capsys, monkeypatch):
+    def no_rounds(*args, **kwargs):
+        raise AssertionError("a round ran")
+
+    monkeypatch.setattr(dyn, "run", no_rounds)
+    trace = tmp_path / "trace.csv"
+    rc = cli.main(["run", "--hard-instance", "m=6", "--algo", "rm", "--max-rounds", "10000000",
+                   "--trace", str(trace), "--strategies", str(tmp_path / bad)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    # the trace's temporary file, opened before the bad path, is removed again
+    assert [p.name for p in tmp_path.iterdir() if p.is_file()] == []
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_a_run_that_fails_leaves_earlier_outputs_as_they_were(
+        error, tmp_path, capsys, monkeypatch):
+    run = dyn.run
+
+    def failing_run(target, config, progress=None, sink=None):
+        def failing_sink(history, traces):
+            sink(history, traces)  # the first chunk reaches the files
+            raise error("block 0 gradient has non-finite entries")
+        return run(target, config, progress=progress, sink=failing_sink)
+
+    monkeypatch.setattr(dyn, "run", failing_run)
+    paths = [tmp_path / name for name in ("trace.csv", "walk.jsonl", "report.json")]
+    paths[2].write_text("an earlier report\n")
+    argv = ["run", "--hard-instance", "m=6", "--algo", "rm", "--max-rounds", "10000",
+            "--trace", str(paths[0]), "--strategies", str(paths[1]), "--report", str(paths[2])]
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "error: block 0 gradient has non-finite entries\n"
+    # no partial file, and the earlier report keeps its bytes
+    assert sorted(tmp_path.iterdir()) == [paths[2]]
+    assert paths[2].read_text() == "an earlier report\n"
+
+    # a run that succeeds replaces it, with the mode a plain open gives
+    monkeypatch.setattr(dyn, "run", run)
+    assert cli.main(argv) == 0
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+    assert json.loads(paths[2].read_text())["rounds"] == 10000
+    umask = os.umask(0)
+    os.umask(umask)
+    assert {p.stat().st_mode & 0o777 for p in paths} == {0o666 & ~umask}
+
+
+def test_run_refuses_two_outputs_on_one_file(tmp_path, capsys):
+    path = tmp_path / "out"
+    rc = cli.main(["run", "--objective", "cycle_poly", "--max-rounds", "5",
+                   "--trace", str(path), "--report", str(tmp_path / "." / "out")])
+    assert rc == 1
+    assert "--trace and --report name the same file" in capsys.readouterr().err
+    assert not path.exists()
+    # a device takes any number of writers
+    rc = cli.main(["run", "--objective", "cycle_poly", "--max-rounds", "5",
+                   "--trace", os.devnull, "--strategies", os.devnull])
+    assert rc == 0
+    assert os.path.exists(os.devnull)
 
 
 # ---------------------------------------------------------------------------

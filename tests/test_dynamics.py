@@ -290,6 +290,14 @@ def test_writers_reuse_a_round_only_when_its_bits_repeat(tmp_path):
         lines += part.read_text().splitlines()[1:]
     assert whole.read_text().splitlines() == lines
     assert "3,1,-0," in whole.read_text() and "5,1,0," in whole.read_text()
+    # one writer fed a round at a time compares each round with the last one
+    # written, by its bits
+    streamed = tmp_path / "streamed.csv"
+    with open(streamed, "w") as fh:
+        writer = dyn.TraceCsvWriter(fh)
+        for t in range(len(traces)):
+            writer.write(traces[t : t + 1])
+    assert streamed.read_bytes() == whole.read_bytes()
 
     pure, signed = [[1.0, 0.0], [0.25, 0.75]], [[1.0, -0.0], [0.25, 0.75]]
     profiles = [pure, pure, signed, signed, pure]
@@ -299,6 +307,12 @@ def test_writers_reuse_a_round_only_when_its_bits_repeat(tmp_path):
     dyn.write_strategies_jsonl(history, path)
     assert path.read_text().splitlines() == [
         json.dumps({"round": t, "blocks": blocks}) for t, blocks in enumerate(profiles, 1)]
+    streamed = tmp_path / "streamed.jsonl"
+    with open(streamed, "w") as fh:
+        writer = dyn.StrategiesJsonlWriter(fh)
+        for t in range(history.rounds):
+            writer.write(dyn.PlayHistory(Scheme.SIMULTANEOUS, history.strategies[t : t + 1]))
+    assert streamed.read_bytes() == path.read_bytes()
 
 
 def test_read_strategies_jsonl_rejects_bad_lines(tmp_path):
@@ -730,6 +744,143 @@ def test_a_stretch_cut_off_by_the_round_limit_keeps_the_bits(monkeypatch):
         assert b[4_319:4_323].tobytes() == b[4_320].tobytes() * 4
         assert b[:4_321].tobytes() == cut.tobytes()
     assert longer.traces.columns[:4_321].tobytes() == fast.traces.columns.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the record streamed to a sink chunk by chunk
+# ---------------------------------------------------------------------------
+
+
+def _padded_m6(rounds, **extra):
+    return hard.build_padded(6), RunConfig(
+        kind="rm", max_rounds=rounds, init_strategies=hard.pure_init_strategies(6), **extra)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _padded_m6(2 * 4096 + 1),
+    # the payoff-8 stretch from round 7,827 on covers the ends of chunks 2 and 3
+    lambda: _padded_m6(3 * 4096 + 100, fast_forward=True),
+    # converges at round 6,173, inside the second chunk
+    lambda: (_constant_sum_game(), RunConfig(scheme="lazy", kind="rm+", epsilon=0.0015,
+                                             max_rounds=20_000)),
+    lambda: (_constant_sum_game(), RunConfig(scheme="alternating", kind="drm+",
+                                             discount=0.7, max_rounds=4_500)),
+], ids=["stepped", "fast_forward", "lazy_converged", "alternating_drm+"])
+def test_a_sink_gets_the_record_in_chunks_with_the_bits_of_the_whole(case):
+    target, config = case()
+    whole = dyn.run(target, config)
+    chunks = []
+    streamed = dyn.run(target, config, sink=lambda *chunk: chunks.append(chunk))
+    assert dyn._CHUNK_ROWS == 4096
+    sizes = [len(traces) for _, traces in chunks]
+    assert sizes[:-1] == [4096] * (len(sizes) - 1) and 0 < sizes[-1] <= 4096
+    assert sum(sizes) == whole.rounds == streamed.rounds > 4096
+    assert [traces.rounds for _, traces in chunks] == [
+        range(4096 * c + 1, 4096 * c + size + 1) for c, size in enumerate(sizes)]
+    if config.epsilon is not None:
+        assert whole.converged and whole.rounds % 4096
+    for i in range(len(whole.states)):
+        for column in ("strategies", "utilities"):
+            parts = [getattr(history, column).blocks[i] for history, _ in chunks]
+            assert (np.concatenate(parts).tobytes()
+                    == getattr(whole.history, column).blocks[i].tobytes())
+    for column in ("columns", "updated"):
+        parts = [getattr(traces, column) for _, traces in chunks]
+        assert np.concatenate(parts).tobytes() == getattr(whole.traces, column).tobytes()
+    # the record went to the sink; the result keeps none of it
+    assert streamed.history.rounds == 0 and len(streamed.traces) == 0
+    assert streamed.stop_reason == whole.stop_reason
+    for x, y in zip(streamed.states, whole.states):
+        assert x.regrets.tobytes() == y.regrets.tobytes()
+        assert x.strategy.tobytes() == y.strategy.tobytes()
+
+
+def test_writers_fed_in_pieces_write_the_bytes_of_one_whole_write(tmp_path, monkeypatch):
+    # rows formatted 7 at a time, so that pieces and tolist chunks end apart
+    monkeypatch.setattr(dyn, "_CHUNK_ROWS", 7)
+    res = dyn.run(*_walk(hard.build_padded, 4, 300)("rm", "simultaneous"))
+    whole = {"csv": tmp_path / "whole.csv", "jsonl": tmp_path / "whole.jsonl"}
+    formatted = []
+    trace_lines = dyn._trace_lines
+    monkeypatch.setattr(dyn, "_trace_lines", lambda *a: formatted.append(a) or trace_lines(*a))
+    dyn.write_trace_csv(res.traces, whole["csv"])
+    dyn.write_strategies_jsonl(res.history, whole["jsonl"])
+    whole_formatted = len(formatted)
+    formatted.clear()
+    # pieces of one round, of a few, and cuts inside stretches of repeated rounds
+    cuts = [0, 1, 2, 5, 40, 41, 150, 299, 300]
+    pieces = {"csv": tmp_path / "pieces.csv", "jsonl": tmp_path / "pieces.jsonl"}
+    with open(pieces["csv"], "w") as csv, open(pieces["jsonl"], "w") as jsonl:
+        trace, strategies = dyn.TraceCsvWriter(csv), dyn.StrategiesJsonlWriter(jsonl)
+        for a, b in zip(cuts, cuts[1:]):
+            trace.write(res.traces[a:b])
+            strategies.write(dyn.PlayHistory(Scheme.SIMULTANEOUS, res.history.strategies[a:b]))
+    for kind in whole:
+        assert pieces[kind].read_bytes() == whole[kind].read_bytes()
+    # a piece that opens on a repeat of the piece before reuses its text too
+    assert len(formatted) == whole_formatted < 300
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_running_sums_start_from_a_positive_zero_as_a_running_total():
+    rows = np.array([-0.0, -0.0, 1.0, -0.0])
+    want, total = [], 0.0
+    for row in rows:
+        total += row
+        want.append(total)
+    sums = dyn._running_sums(rows, 0.0)
+    assert sums.tobytes() == np.array(want).tobytes()
+    # a chunk continued from the last sum of the chunk before
+    rest = dyn._running_sums(rows[2:], sums[1])
+    assert rest.tobytes() == sums[2:].tobytes()
+
+
+def test_external_regret_and_cce_gaps_sum_signed_zeros_as_a_running_total():
+    # one player paid -0.0 for both actions: the gradient is that tensor, and
+    # the strategy (1, -0.0) realizes -0.0 + -0.0 * -0.0 = +0.0 each round
+    game = gm.GameSpec((2,), [np.array([-0.0, -0.0])])
+    x, u = np.array([1.0, -0.0]), game.utilities[0]
+    history = dyn.PlayHistory(Scheme.SIMULTANEOUS, [[x]] * 3, [[u]] * 3)
+    for T in (1, 2, 3):
+        total, realized = np.zeros(2), 0.0
+        for _ in range(T):
+            total += u
+            realized += float(x @ u)
+        want = float(total.max() - realized)
+        assert _bits(want) == _bits(0.0)
+        assert _bits(dyn.external_regret(history, 0, rounds=T)) == _bits(want)
+        assert _bits(dyn.cce_gap(game, history, rounds=T)) == _bits(want / T)
+        assert _bits(_cce_gap_by_hand(game, history, T)) == _bits(want / T)
+
+
+def test_cce_gaps_holds_no_more_for_ten_times_the_rounds(monkeypatch):
+    # chunks of 64 rounds, so that both replays run many chunks in a short test
+    monkeypatch.setattr(dyn, "_CHUNK_ROWS", 64)
+    game = gm.random_potential_game(2, (3, 4), seed=8)
+    rng = np.random.default_rng(8)
+    profiles = [[rng.dirichlet(np.ones(m)) for m in game.action_counts] for _ in range(50)]
+
+    def peak(rounds):
+        # mixed profiles, each held for up to 20 rounds, as in a walk
+        holds = rng.integers(1, 20, size=rounds)
+        rows = [profiles[t % 50] for t in np.repeat(np.arange(rounds), holds)[:rounds]]
+        history = dyn.PlayHistory(Scheme.SIMULTANEOUS, rows)
+        checkpoints = [1, rounds // 3, rounds]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gaps = dyn.cce_gaps(game, history, checkpoints)
+            used = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert gaps == [_cce_gap_by_hand(game, history, T) for T in checkpoints]
+        return used
+
+    peak(100)  # first-call allocations
+    assert peak(4_000) - peak(400) < 8 * 1024
 
 
 # ---------------------------------------------------------------------------
