@@ -641,6 +641,132 @@ def test_progress_callback_fires_on_the_configured_cadence(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# a repeated round's observations and value, reused with their bits
+# ---------------------------------------------------------------------------
+
+
+def _unfolded(game):
+    """``game`` as an objective whose gradient and value give the game's bits
+    but are not the kernel, so that ``run`` calls both every round."""
+    kernel = gm.BlockGradients(game.utilities)
+    return dataclasses.replace(ob.make_multilinear(game),
+                               block_gradient=lambda profile, i: kernel(profile, i),
+                               value=lambda profile: gm.mixed_potential(game, profile))
+
+
+def _moves(res):
+    """Per round and block, whether the round changed the bits of the block's
+    strategy."""
+    ends = [np.concatenate([b, s.strategy[None]]).view(np.int64)
+            for b, s in zip(res.history.strategies.blocks, res.states)]
+    return np.stack([(e[1:] != e[:-1]).any(axis=1) for e in ends], axis=1)
+
+
+@pytest.mark.parametrize("kind", ["rm", "rm+", "drm+"])
+@pytest.mark.parametrize("scheme, lazy_regret_updates", [
+    ("simultaneous", False), ("alternating", False), ("lazy", False), ("lazy", True)])
+@pytest.mark.parametrize("case", [
+    lambda: (hard.build_padded(4), hard.pure_init_strategies(4), 3_000),
+    lambda: (hard.build_padded(6), hard.pure_init_strategies(6), 3_000),
+    lambda: (hard.build_uniform_init(6), None, 3_000),
+    # rm+ settles on a fixed point here
+    lambda: (gm.random_potential_game(3, (16, 16, 16), seed=3), None, 300),
+], ids=["padded_m4", "padded_m6", "uniform_init_m6", "potential_3x16"])
+def test_repeated_rounds_reuse_observations_with_the_bits_of_fresh_ones(
+        case, scheme, lazy_regret_updates, kind, monkeypatch):
+    game, init, rounds = case()
+    config = RunConfig(scheme=scheme, kind=kind, max_rounds=rounds, init_strategies=init,
+                       discount=0.9 if kind == "drm+" else None,
+                       epsilon=1e-3 if scheme == "lazy" else None,
+                       lazy_regret_updates=lazy_regret_updates)
+    monkeypatch.setattr(dyn, "PROGRESS_EVERY", 100)
+    runs = []
+    for target in (game, _unfolded(game)):
+        ticks = []
+        runs.append((dyn.run(target, config, progress=ticks.append), ticks))
+    (reused, reused_ticks), (fresh, fresh_ticks) = runs
+    _assert_same_bits(reused, fresh)
+    assert reused_ticks == fresh_ticks == list(range(100, reused.rounds + 1, 100))
+
+
+def test_the_reuse_cases_move_play_right_after_repeated_rounds():
+    # the padded m=6 rm walk under the alternating scheme, a case above, has
+    # both rounds where a reuse would go stale
+    res = dyn.run(hard.build_padded(6), RunConfig(
+        scheme="alternating", kind="rm", max_rounds=3_000,
+        init_strategies=hard.pure_init_strategies(6)))
+    moved = _moves(res)
+    value = np.ascontiguousarray(res.traces.value).view(np.int64)
+    gradients = res.history.utilities.blocks[1].view(np.int64)
+    after_repeats = np.flatnonzero(~moved[:-1].any(axis=1)) + 1
+    # a round that moves play, so that its value is not the round before's
+    assert any(moved[t].any() and value[t] != value[t - 1] for t in after_repeats)
+    # a round in which block 0 moves, so that block 1 observes a new gradient
+    assert any(moved[t, 0] and (gradients[t] != gradients[t - 1]).any() for t in after_repeats)
+
+
+def test_the_kernel_folds_once_per_block_for_each_round_whose_profile_changed(monkeypatch):
+    gradient_folds, value_folds = [], []
+    fold_block, fold = gm._fold_block, dyn.fold
+    monkeypatch.setattr(gm, "_fold_block", lambda *a: gradient_folds.append(a[2]) or fold_block(*a))
+    monkeypatch.setattr(dyn, "fold", lambda *a: value_folds.append(1) or fold(*a))
+    res = dyn.run(*_padded_m6(3_000))
+    moved = _moves(res).any(axis=1)
+    # round 1 and every round after one that moved play observe afresh
+    assert gradient_folds == [0, 1] * (1 + int(moved[:-1].sum()))
+    # the value folds at round 1 and at the end of every round that moved play
+    assert len(value_folds) == 1 + int(moved[1:].sum())
+    assert len(value_folds) < res.rounds // 50
+
+
+def test_the_kernel_folds_every_round_on_a_tensor_past_the_reuse_size(monkeypatch):
+    game, config = _padded_m6(3_000)
+    assert math.prod(game.action_counts) == 49
+    runs = []
+    for most in (49, 48):
+        gradient_folds, value_folds = [], []
+        fold_block, fold = gm._fold_block, dyn.fold
+        monkeypatch.setattr(dyn, "_REUSE_ENTRIES", most)
+        monkeypatch.setattr(gm, "_fold_block",
+                            lambda *a: gradient_folds.append(a[2]) or fold_block(*a))
+        monkeypatch.setattr(dyn, "fold", lambda *a: value_folds.append(1) or fold(*a))
+        runs.append((dyn.run(game, config), len(gradient_folds), len(value_folds)))
+        monkeypatch.undo()
+    (reused, *reused_folds), (folded, *folds) = runs
+    _assert_same_bits(reused, folded)
+    assert max(reused_folds) < reused.rounds // 50
+    assert folds == [2 * folded.rounds, folded.rounds]
+
+
+def test_a_stateful_gradient_and_objective_value_are_called_every_round():
+    game, config = _padded_m6(300)
+    gradients, values = [], []
+
+    def block_gradient(profile, i):
+        # a new constant vector on each call, so that play never moves
+        gradients.append(np.full(game.action_counts[i], float(len(gradients))))
+        return gradients[-1]
+
+    def value(profile):
+        values.append(float(len(values)))
+        return values[-1]
+
+    kernel = ob.make_multilinear(game)
+    res = dyn.run(dataclasses.replace(kernel, block_gradient=block_gradient, value=value), config)
+    assert not _moves(res).any()
+    assert len(gradients) == 2 * res.rounds
+    for i, observed in enumerate(res.history.utilities.blocks):
+        assert observed.tobytes() == np.stack(gradients[i::2]).tobytes()
+    assert res.traces.value.tolist() == values == [float(t) for t in range(res.rounds)]
+    # an objective's value is called every round even beside the kernel,
+    # whose gradients a repeated round reuses
+    values.clear()
+    res = dyn.run(dataclasses.replace(kernel, value=value), config)
+    assert _moves(res).sum() < res.rounds // 10
+    assert res.traces.value.tolist() == values == [float(t) for t in range(res.rounds)]
+
+
+# ---------------------------------------------------------------------------
 # rounds that repeat the profile: jumped, with the bits of single steps
 # ---------------------------------------------------------------------------
 
@@ -809,6 +935,8 @@ def test_writers_fed_in_pieces_write_the_bytes_of_one_whole_write(tmp_path, monk
     formatted.clear()
     # pieces of one round, of a few, and cuts inside stretches of repeated rounds
     cuts = [0, 1, 2, 5, 40, 41, 150, 299, 300]
+    # and a few repeated lines to a write, so that writes end inside stretches
+    monkeypatch.setattr(dyn, "_BATCH_BYTES", 200)
     pieces = {"csv": tmp_path / "pieces.csv", "jsonl": tmp_path / "pieces.jsonl"}
     with open(pieces["csv"], "w") as csv, open(pieces["jsonl"], "w") as jsonl:
         trace, strategies = dyn.TraceCsvWriter(csv), dyn.StrategiesJsonlWriter(jsonl)
