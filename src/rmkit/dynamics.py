@@ -25,10 +25,15 @@ with ``learners.advance``, the kernel behind the validated single-step
 reference ``learners.step``; ``RegretState`` objects are built only for
 ``on_step`` and for the result.
 
-Block gradients fold axis-moved tensor copies made once per run and dropped
-with it: a game's utilities, and a multilinear objective's potential when
-its ``block_gradient`` is the ``games.BlockGradients`` kernel.  Any other
-gradient callable, a wrapped or rescaled one included, is called per call.
+Block gradients and the value come from the hoisted pair of the
+``games.BlockGradients`` kernel for a game, and for an objective whose
+``block_gradient`` is that kernel; its ``value`` comes from the pair too
+when it is the kernel's own.  The pair folds the tensor that blocks and the
+value share against the last block's strategy once per bits of it, so a
+round of a 3-block multilinear objective whose first two axes hold a
+multiple of 4 rows reads its potential twice, not four times; the other
+blocks fold axis-moved copies made once per run and dropped with it.  Any other gradient or value callable, a wrapped or
+rescaled one included, is called per call.
 ``cce_gaps`` replays a recording once for any number of checkpoints, and
 folds a recorded profile only where its bits differ from the round before;
 the writers and the reader likewise reuse the text of a repeated round.
@@ -38,8 +43,8 @@ its bits reuses what the blocks observed: each block's gradient, ``x @ u``
 and gap fold the inputs they folded the round before, so they have its bits.
 Under the alternating schemes a block reuses them only while every block
 before it has kept its strategy's bits this round; the first one that moves
-makes the rest observe afresh.  A game's value, which ``run`` folds itself
-from the potential, is reused whenever a round leaves every strategy with
+makes the rest observe afresh.  A game's value, which ``run`` takes from
+the kernel, is reused whenever a round leaves every strategy with
 its bits: the profile it folds then has the bits of the one the round
 before ended on.  An objective's ``value`` and any other gradient callable
 are still called, and the gradient checked, every round; ``advance``, the
@@ -49,7 +54,7 @@ cost about what the loop's own work costs in a round.  On a larger tensor
 the folds are most of a round, and skipping them would make a run's time
 follow the round at which its play settles, the reason ``fast_forward`` is
 opt-in: 500 rounds of simultaneous rm+ on seeded 3 x 64 potential games
-took 0.11-0.59 s by seed with the reuse, against 0.62-0.77 s with every
+took 0.05-0.56 s by seed with the reuse, against 0.46-0.54 s with every
 round folded (seeds 1-10, as a game and as an objective, on a 2-core VM).
 
 With ``RunConfig.fast_forward``, rounds that repeat the profile are jumped,
@@ -113,7 +118,7 @@ import numpy as np
 
 from . import learners as ln
 from . import objectives as obj_mod
-from .games import BlockGradients, GameSpec, _check_profile, fold, utility_vector
+from .games import BlockGradients, GameSpec, _check_profile, utility_vector
 from .games import mixed_potential  # noqa: F401  (perfbench/tracing.py wraps this attribute)
 from .objectives import ObjectiveHandle, br_gap
 
@@ -322,24 +327,16 @@ def _gradient_and_value(target):
     is the hoisted kernel, a function of the profile alone."""
     # a gradient kernel moves its axes once, here, and the copies end with the run
     if isinstance(target, GameSpec):
-        grad = BlockGradients(target.utilities).hoisted()
-        if target.potential is not None:
-            potential = target.potential
-
-            # run checks its profiles once, so the value folds without re-checking
-            def value(profile):
-                return float(fold(potential, profile))
-        else:
-            def value(profile):
-                return float("nan")
-
+        grad, value = BlockGradients(target.utilities, target.potential).hoisted()
         return tuple(target.action_counts), grad, value, True
     if isinstance(target, ObjectiveHandle):
-        grad = target.block_gradient
+        grad, value = target.block_gradient, target.value
         folded = isinstance(grad, BlockGradients)
         if folded:
-            grad = grad.hoisted()
-        return tuple(target.domain.block_sizes), grad, target.value, folded
+            # the kernel's own value shares its partial; any other is called as given
+            hoisted_grad, hoisted_value = grad.hoisted()
+            grad, value = hoisted_grad, (hoisted_value if value == grad.value else value)
+        return tuple(target.domain.block_sizes), grad, value, folded
     raise TypeError(f"cannot run on {type(target).__name__}")
 
 
@@ -391,7 +388,7 @@ _CHUNK_ROWS = 4096
 # VM, about the loop's own work, and a 3 x 64 game's take 0.56 ms
 _REUSE_ENTRIES = 4096
 
-# at most this many bytes of repeated JSONL lines go to one write
+# at most this many bytes of repeated CSV rounds or JSONL lines go to one write
 _BATCH_BYTES = 1 << 16
 
 # a stretch is covered in look-ahead chunks of 16, 32, ... rows up to the cap,
@@ -727,7 +724,7 @@ def cce_gaps(game: GameSpec, history: PlayHistory, checkpoints,
     # every round has the block sizes of the first, so one check covers them
     _check_profile(game.action_counts, history.strategies[0])
     n = game.num_players
-    grad = BlockGradients(game.utilities).hoisted()
+    grad, _ = BlockGradients(game.utilities).hoisted()
     blocks = history.strategies.blocks
     wanted = sorted(set(checkpoints))
     gaps = {}
@@ -816,30 +813,42 @@ class TraceCsvWriter:
     summary aggregates: max gap, the round's kkt gap, max norms, the round's
     value, and the number of updated players.  A round with the bits of the
     round before, in its chunk or the last one written, reuses its text
-    under its own round number.  ``fh`` is an open text file; the header is
-    written on construction.
+    under its own round number, and such rounds go out in writes of up to
+    ``_BATCH_BYTES``.  ``fh`` is an open text file; the header is written on
+    construction.
     """
 
     def __init__(self, fh):
         self._fh = fh
         self._last = None  # the trace and updated rows of the last round written
-        self._lines = None  # its lines
+        self._tails = None  # its lines, each without its leading round number
         fh.write(TRACE_HEADER + "\n")
 
     def write(self, traces: Traces) -> None:
         n = traces.updated.shape[1]
-        fh, lines = self._fh, self._lines
+        fh, tails = self._fh, self._tails
         for start, stop in _chunks(len(traces)):
             columns = (traces.columns[start:stop], traces.updated[start:stop])
-            repeats = _repeats(columns, self._last).tolist()
-            for t, row, updated, repeat in zip(traces.rounds[start:stop], columns[0].tolist(),
-                                               columns[1].tolist(), repeats):
-                if not repeat:
-                    lines = _trace_lines(row, updated, n)
-                head = f"{t},"
-                fh.write(head + ("\n" + head).join(lines) + "\n")
+            new = np.flatnonzero(~_repeats(columns, self._last))
+            rows, flags = columns[0][new].tolist(), columns[1][new].tolist()
+            rounds = traces.rounds[start:stop]
+            # each new row opens the rounds that share its text; the rounds
+            # before the first one continue the text of the last chunk
+            bounds = [0, *new.tolist(), stop - start]
+            for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                if k:
+                    tails = ["," + line + "\n"
+                             for line in _trace_lines(rows[k - 1], flags[k - 1], n)]
+                if a == b:
+                    continue
+                # the longest round number sets the bytes of a round
+                size = len(tails) * len(str(rounds[b - 1])) + sum(map(len, tails))
+                batch = max(1, _BATCH_BYTES // size)
+                for lo in range(a, b, batch):
+                    heads = map(str, rounds[lo:min(lo + batch, b)])
+                    fh.write("".join([head + tail for head in heads for tail in tails]))
             self._last = [c[-1].copy() for c in columns]
-        self._lines = lines
+        self._tails = tails
 
 
 class StrategiesJsonlWriter:

@@ -104,18 +104,15 @@ def make_multilinear(game: games_mod.GameSpec) -> ObjectiveHandle:
     if game.potential is None:
         raise ValueError("game has no potential tensor")
     pot = game.potential
-    domain = SimplexProduct(game.action_counts)
-
-    def value(profile) -> float:
-        return games_mod.mixed_tensor_value(pot, profile)
-
+    # a one-off call moves its axis and keeps nothing; ``dynamics.run`` folds
+    # the gradients and the value through the kernel's hoisted pair, and what
+    # that makes ends with the run, so the handle never keeps a second
+    # potential for its whole life
+    kernel = games_mod.BlockGradients([pot] * game.num_players, pot)
     return ObjectiveHandle(
-        domain=domain,
-        value=value,
-        # a one-off call moves its axis and keeps nothing; ``dynamics.run``
-        # moves every axis once per run, and the copies end with the run, so
-        # the handle never keeps a second potential for its whole life
-        block_gradient=games_mod.BlockGradients([pot] * game.num_players),
+        domain=SimplexProduct(game.action_counts),
+        value=kernel.value,
+        block_gradient=kernel,
         smoothness=multilinear_smoothness_bound(pot),
         value_range=float(pot.max() - pot.min()),
         tensor=pot,

@@ -1,6 +1,7 @@
 """Unit tests for game containers, generators, and serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -133,6 +134,58 @@ def test_memory_layout_never_changes_the_bits():
         profile = [rng.dirichlet(np.ones(m)) for m in t.T.shape]
         assert gm.mixed_tensor_value(t.T, profile) == \
             gm.mixed_tensor_value(np.ascontiguousarray(t.T), profile)
+
+
+# ---------------------------------------------------------------------------
+# the hoisted pair: one shared partial, with the bits of per-call folds
+# ---------------------------------------------------------------------------
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+# row counts (all axes but the last) of 12, 35, 3, 8, 1287, 1221 and 63; at
+# (7, 9, 17) taking the middle block's rows from the shared partial changed
+# bits, so the kernel folds a moved copy for it
+@pytest.mark.parametrize("shape", [(3, 4, 5), (5, 7, 3), (3, 1, 4), (2, 2, 2, 3),
+                                   (9, 11, 13, 7), (33, 37, 41), (7, 9, 17), (4, 6), (5,)])
+def test_the_hoisted_pair_gives_the_bits_of_per_call_folds(shape):
+    rng = np.random.default_rng(sum(shape))
+    tensor = rng.uniform(-1.0, 1.0, size=shape)
+    kernel = gm.BlockGradients([tensor] * len(shape), tensor)
+    grad, value = kernel.hoisted()
+    first, second = ([rng.dirichlet(np.ones(m)) for m in shape] for _ in range(2))
+    # the last block's strategy kept while the others move, as within a
+    # round, then changed back
+    kept_last = [rng.dirichlet(np.ones(m)) for m in shape[:-1]] + [second[-1]]
+    for profile in (first, second, kept_last, first):
+        for i in range(len(shape)):
+            assert grad(profile, i).tobytes() == kernel(profile, i).tobytes()
+        assert _bits(value(profile)) == _bits(gm.mixed_tensor_value(tensor, profile))
+        assert _bits(kernel.value(profile)) == _bits(gm.mixed_tensor_value(tensor, profile))
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (4, 5, 6)])
+def test_a_gradient_of_the_hoisted_pair_is_the_callers_to_change(shape):
+    # with two blocks, block 0's gradient is the shared partial itself
+    rng = np.random.default_rng(3)
+    tensor = rng.uniform(size=shape)
+    kernel = gm.BlockGradients([tensor] * len(shape), tensor)
+    grad, value = kernel.hoisted()
+    profile = [rng.dirichlet(np.ones(m)) for m in shape]
+    for i in range(len(shape)):
+        grad(profile, i)[:] = np.nan
+    for i in range(len(shape)):
+        assert grad(profile, i).tobytes() == kernel(profile, i).tobytes()
+    assert _bits(value(profile)) == _bits(gm.mixed_tensor_value(tensor, profile))
+
+
+def test_the_kernel_value_is_nan_without_a_potential():
+    a = np.ones((2, 3))
+    kernel = gm.BlockGradients([a, a])
+    profile = [np.full(2, 0.5), np.full(3, 1 / 3)]
+    assert math.isnan(kernel.value(profile)) and math.isnan(kernel.hoisted()[1](profile))
 
 
 def test_mixed_potential_requires_a_potential():
