@@ -48,7 +48,6 @@ _RUN_KEY_TYPES = {
     "init_regrets": ((list,), "a list of per-block vectors"),
     "init_strategies": ((list,), "a list of per-block vectors"),
     "lazy_regret_updates": ((bool,), "true or false"),
-    "fast_forward": ((bool,), "true or false"),
 }
 _RUN_DEFAULTS = {
     "algo": "rm+",
@@ -56,7 +55,6 @@ _RUN_DEFAULTS = {
     "max_rounds": 10_000,
     "init": "zero",
     "lazy_regret_updates": False,
-    "fast_forward": False,
 }
 
 
@@ -236,7 +234,6 @@ def _execute_run(cfg: dict) -> int:
         init_regrets=init_regrets,
         init_strategies=init_strategies,
         lazy_regret_updates=cfg["lazy_regret_updates"],
-        fast_forward=cfg["fast_forward"],
     )
 
     def progress(t):
@@ -448,10 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--trace", help="trace CSV output path")
     run_p.add_argument("--strategies", help="strategies JSONL output path")
     run_p.add_argument("--report", help="summary JSON output path")
-    run_p.add_argument("--fast-forward", dest="fast_forward", action="store_true",
-                       default=None,
-                       help="jump rounds that repeat the profile (rm and rm+); "
-                            "progress lines then arrive in bursts")
     run_p.add_argument("--jobs", type=int, default=1,
                        help="parallel workers for batch configs")
     run_p.set_defaults(func=cmd_run)

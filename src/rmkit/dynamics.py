@@ -27,55 +27,55 @@ reference ``learners.step``; ``RegretState`` objects are built only for
 
 Block gradients and the value come from the hoisted pair of the
 ``games.BlockGradients`` kernel for a game, and for an objective whose
-``block_gradient`` is that kernel; its ``value`` comes from the pair too
-when it is the kernel's own.  The pair folds the tensor that blocks and the
-value share against the last block's strategy once per bits of it, so a
-round of a 3-block multilinear objective whose first two axes hold a
-multiple of 4 rows reads its potential twice, not four times; the other
-blocks fold axis-moved copies made once per run and dropped with it.  Any other gradient or value callable, a wrapped or
-rescaled one included, is called per call.
+``block_gradient`` is that kernel and whose ``value`` is the kernel's own.
+The pair folds the tensor that blocks and the value share against the last
+block's strategy once per bits of it, so a round of a 3-block multilinear
+objective whose first two axes hold a multiple of 4 rows reads its
+potential twice, not four times; the other blocks fold axis-moved copies
+made once per run and dropped with it.  Any other gradient or value
+callable, a wrapped or rescaled one included, is called per call.
 ``cce_gaps`` replays a recording once for any number of checkpoints, and
 folds a recorded profile only where its bits differ from the round before;
 the writers and the reader likewise reuse the text of a repeated round.
 
-With that kernel, the round after one that left every block's strategy with
+One rule decides what a repeated round may skip.  It applies when the
+gradient and the value both come from the kernel's pair, functions of the
+profile alone, and the game or objective has at most ``_REUSE_ENTRIES``
+profiles.  Then the round after one that left every block's strategy with
 its bits reuses what the blocks observed: each block's gradient, ``x @ u``
 and gap fold the inputs they folded the round before, so they have its bits.
 Under the alternating schemes a block reuses them only while every block
 before it has kept its strategy's bits this round; the first one that moves
-makes the rest observe afresh.  A game's value, which ``run`` takes from
-the kernel, is reused whenever a round leaves every strategy with
-its bits: the profile it folds then has the bits of the one the round
-before ended on.  An objective's ``value`` and any other gradient callable
-are still called, and the gradient checked, every round; ``advance``, the
-record and the callbacks see every round as before.  The reuse is made only
-for a game or objective of at most ``_REUSE_ENTRIES`` profiles, whose folds
-cost about what the loop's own work costs in a round.  On a larger tensor
-the folds are most of a round, and skipping them would make a run's time
-follow the round at which its play settles, the reason ``fast_forward`` is
-opt-in: 500 rounds of simultaneous rm+ on seeded 3 x 64 potential games
-took 0.05-0.56 s by seed with the reuse, against 0.46-0.54 s with every
-round folded (seeds 1-10, as a game and as an objective, on a 2-core VM).
+makes the rest observe afresh.  The value is reused whenever a round leaves
+every strategy with its bits: the profile it folds then has the bits of the
+one the round before ended on.
 
-With ``RunConfig.fast_forward``, rounds that repeat the profile are jumped,
-not stepped, for rm and rm+ under the simultaneous and alternating schemes,
-when ``on_step`` is ``None`` and the gradient is that kernel, a function of
-the profile alone.
-Once a round leaves every block's strategy with its bits, the next round
-folds the same inputs, so its strategies, gradients, gaps, kkt gap and value
-repeat those bits.  A round that also leaves the regrets with their bits is
-a fixed point: the rest of the run repeats it.  Otherwise, for rm, the
-regrets move by the same g each round, and ``cumsum`` over ``[r, g, g, ...]``
-adds in round order, giving the bits of the loop's ``r + g``.  Play stays
-while no regret other than the played action's turns positive, so the
-positive part has at most one nonzero entry and its l1 and l2 norms are
-exact in any order.  The round that would move play is stepped by the loop.
-The jumped rounds are appended chunk by chunk to the same record, with
-``progress`` called at every multiple of ``PROGRESS_EVERY`` they cross; drm+
-and the lazy scheme always step.  It is off by default: the calls to
-``progress`` across a stretch come in a burst, not at the pace of the
-rounds, and how much a run saves depends on whether and when its profile
-settles, so seeded runs of one size no longer take one time.
+Under the same rule, for rm and rm+ under the simultaneous and alternating
+schemes and with ``on_step`` ``None``, rounds that repeat the profile are
+jumped, not stepped.  Once a round leaves every block's strategy with its
+bits, the next round folds the same inputs, so its strategies, gradients,
+gaps, kkt gap and value repeat those bits.  A round that also leaves the
+regrets with their bits is a fixed point: the rest of the run repeats it.
+Otherwise, for rm, the regrets move by the same g each round, and ``cumsum``
+over ``[r, g, g, ...]`` adds in round order, giving the bits of the loop's
+``r + g``.  Play stays while no regret other than the played action's turns
+positive, so the positive part has at most one nonzero entry and its l1 and
+l2 norms are exact in any order.  The round that would move play is stepped
+by the loop.  The jumped rounds are appended chunk by chunk to the same
+record, with ``progress`` called at every multiple of ``PROGRESS_EVERY``
+they cross, so those calls come in bursts, not at the pace of the rounds.
+
+Everything else steps and observes every round: drm+, the lazy scheme and
+runs with ``on_step`` step each round, and a gradient or value callable
+that is not the kernel's, even beside the kernel, is called, and the
+gradient checked, every round.  That per-round loop is the reference that
+the reuse and the jump are tested against, bit for bit.  The limit keeps a
+large tensor on it: up to the limit a round's folds cost about what the
+loop's own work costs, but past it they are most of a round, and skipping
+them would make a run's time follow the round at which its play settles.
+500 rounds of simultaneous rm+ on seeded 3 x 64 potential games took
+0.05-0.56 s by seed with the reuse, against 0.46-0.54 s with every round
+folded (seeds 1-10, as a game and as an objective, on a 2-core VM).
 
 The record a run returns is float64 columns, not per-round objects: per
 block the entering strategies and the observed gradients (``Rounds``), and
@@ -146,7 +146,6 @@ class RunConfig:
     init_regrets: Optional[list] = None  # per-block vectors, CUSTOM only
     init_strategies: Optional[list] = None  # fallback strategies at birth
     lazy_regret_updates: bool = False
-    fast_forward: bool = False  # jump rounds that repeat the profile (see the module docstring)
 
     def __post_init__(self):
         self.scheme = Scheme(self.scheme)
@@ -188,30 +187,13 @@ def _column(buffer: array, width: int, dtype=np.float64) -> np.ndarray:
 class Rounds(Sequence):
     """Per-round profiles over per-block columns.
 
-    ``blocks[i]`` is a read-only (rounds, m_i) float64 array; indexing a
-    round gives the list of its block rows (views), a slice gives another
-    ``Rounds`` over the same memory.
+    ``blocks[i]`` is a (rounds, m_i) float64 array, read-only in a record;
+    indexing a round gives the list of its block rows (views), a slice gives
+    another ``Rounds`` over the same memory.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks=()):
         self.blocks = list(blocks)
-
-    @classmethod
-    def stack(cls, rows) -> "Rounds":
-        """Columns from per-round lists of block vectors of fixed sizes."""
-        rows = list(rows)
-        if not rows:
-            return cls([])
-        sizes = [len(x) for x in rows[0]]
-        for t, row in enumerate(rows):
-            if [len(x) for x in row] != sizes:
-                raise ValueError(f"round {t + 1} has block sizes {[len(x) for x in row]}, "
-                                 f"round 1 has {sizes}")
-        blocks = [np.array([row[i] for row in rows], dtype=np.float64).reshape(len(rows), m)
-                  for i, m in enumerate(sizes)]
-        for b in blocks:
-            b.flags.writeable = False
-        return cls(blocks)
 
     def __len__(self) -> int:
         return len(self.blocks[0]) if self.blocks else 0
@@ -219,11 +201,8 @@ class Rounds(Sequence):
     def __getitem__(self, t):
         if isinstance(t, slice):
             return Rounds([b[t] for b in self.blocks])
+        t = range(len(self))[t]  # the IndexError past the end stops iteration
         return [b[t] for b in self.blocks]
-
-    def __iter__(self):
-        for t in range(len(self)):
-            yield [b[t] for b in self.blocks]
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -279,24 +258,13 @@ class Traces(Sequence):
 
 @dataclass
 class PlayHistory:
-    """Strategies entering each round and the utilities each block observed.
-
-    Both are ``Rounds`` columns; per-round lists are stacked on the way in.
-    ``utilities`` is ``None`` for a recording that kept none (any ``None``
-    in the given lists means none were kept).
-    """
+    """Strategies entering each round and the utilities each block observed,
+    as ``Rounds`` columns; ``utilities`` is ``None`` for a recording that kept
+    none."""
 
     scheme: Scheme
-    strategies: Rounds = field(default_factory=list)  # [round][block], entering the round
-    utilities: Optional[Rounds] = field(default_factory=list)  # [round][block], as observed
-
-    def __post_init__(self):
-        if not isinstance(self.strategies, Rounds):
-            self.strategies = Rounds.stack(self.strategies)
-        if self.utilities is not None and not isinstance(self.utilities, Rounds):
-            rows = list(self.utilities)
-            kept = all(row is not None and all(u is not None for u in row) for row in rows)
-            self.utilities = Rounds.stack(rows) if kept else None
+    strategies: Rounds = field(default_factory=Rounds)  # [round][block], entering the round
+    utilities: Optional[Rounds] = field(default_factory=Rounds)  # [round][block], as observed
 
     @property
     def rounds(self) -> int:
@@ -323,19 +291,19 @@ class RunResult:
 
 
 def _gradient_and_value(target):
-    """``(block sizes, gradient, value, folded)``: ``folded`` says the gradient
-    is the hoisted kernel, a function of the profile alone."""
+    """``(block sizes, gradient, value, folded)``: ``folded`` says both come
+    from the kernel's hoisted pair, so both are functions of the profile alone."""
     # a gradient kernel moves its axes once, here, and the copies end with the run
     if isinstance(target, GameSpec):
         grad, value = BlockGradients(target.utilities, target.potential).hoisted()
         return tuple(target.action_counts), grad, value, True
     if isinstance(target, ObjectiveHandle):
         grad, value = target.block_gradient, target.value
-        folded = isinstance(grad, BlockGradients)
+        # the kernel with its own value runs as the hoisted pair; any other
+        # gradient or value, even beside the kernel, is called as given
+        folded = isinstance(grad, BlockGradients) and value == grad.value
         if folded:
-            # the kernel's own value shares its partial; any other is called as given
-            hoisted_grad, hoisted_value = grad.hoisted()
-            grad, value = hoisted_grad, (hoisted_value if value == grad.value else value)
+            grad, value = grad.hoisted()
         return tuple(target.domain.block_sizes), grad, value, folded
     raise TypeError(f"cannot run on {type(target).__name__}")
 
@@ -384,8 +352,9 @@ PROGRESS_EVERY = 10_000
 _CHUNK_ROWS = 4096
 
 # the most profiles (tensor entries) for which a repeated round reuses the
-# kernel's observations: up to 16^3, a round's folds take 10-30 us on a 2-core
-# VM, about the loop's own work, and a 3 x 64 game's take 0.56 ms
+# kernel's observations and value, and repeated rounds are jumped: up to
+# 16^3, a round's folds take 10-30 us on a 2-core VM, about the loop's own
+# work, and a 3 x 64 game's take 0.56 ms
 _REUSE_ENTRIES = 4096
 
 # at most this many bytes of repeated CSV rounds or JSONL lines go to one write
@@ -446,8 +415,8 @@ def run(
 
     ``on_step`` is called as ``on_step(round, block, state_before, g,
     state_after)`` for every realized learner update.  ``progress`` is
-    called with the round number every ``PROGRESS_EVERY`` rounds; under
-    ``config.fast_forward`` the calls for a jumped stretch come together.
+    called with the round number every ``PROGRESS_EVERY`` rounds; the calls
+    for a jumped stretch come together.
     ``sink``, when given, is called as ``sink(history, traces)`` with the
     record of every ``_CHUNK_ROWS`` rounds, in round order, and with the
     rounds left over when the run ends; the result then keeps an empty
@@ -463,11 +432,13 @@ def run(
     simultaneous = config.scheme is Scheme.SIMULTANEOUS
     lazy = config.scheme is Scheme.LAZY_ALTERNATING
     shapes = [(m,) for m in sizes]
-    # rounds that repeat the profile are covered in chunks, not stepped, when
-    # asked for, no caller watches each update and the gradient is known to be
-    # a function of the profile alone (see the module docstring)
-    jump = (config.fast_forward and folded and on_step is None and not lazy
-            and kind in (ln.Kind.RM, ln.Kind.RM_PLUS))
+    # one rule for repeated rounds (module docstring): when the gradient and
+    # the value are the kernel's on a small tensor, a round after one that
+    # left every strategy with its bits reuses its observations and value,
+    # and, for rm and rm+ with no caller watching each update, rounds that
+    # repeat the profile are covered in chunks, not stepped
+    reuse = folded and math.prod(sizes) <= _REUSE_ENTRIES
+    jump = reuse and on_step is None and not lazy and kind in (ln.Kind.RM, ln.Kind.RM_PLUS)
 
     # Per block: the regrets, the strategy the state stores (which is also
     # what the other blocks see), the strategy its regrets play next, and the
@@ -573,8 +544,6 @@ def run(
     # each block's last observation (gradient, x @ u, gap) and the last value,
     # reused while the inputs they fold keep their bits (module docstring)
     observed, xus, gaps = [None] * n, [0.0] * n, [0.0] * n
-    reuse = folded and math.prod(sizes) <= _REUSE_ENTRIES
-    own_value = reuse and isinstance(target, GameSpec)
     kept = False  # the round before left every block's strategy with its bits
     t = 0
     while t < config.max_rounds:
@@ -622,7 +591,7 @@ def run(
 
         if t == 1:
             initial_gaps = list(gaps)
-        if t == 1 or not (own_value and kept):
+        if t == 1 or not (reuse and kept):
             v = value(profile)
         row = trace_row(*gaps, float(sum(gaps)), *l2, *l1, v)
         trace.frombytes(row)

@@ -80,11 +80,13 @@ def fold(tensor: np.ndarray, vectors) -> np.ndarray:
     over its last axis; a stacked ``@`` over the leading axes would round
     differently when one of them has size one.  Folding every axis
     leaves a 0-d array; a vector comes back as the product itself, not as a
-    view, because a run keeps every gradient in its history.  Folding
-    ``tensor`` against its last vector alone gives the partial that every
-    further fold continues, which is what ``BlockGradients.hoisted`` shares.
+    view, because a run keeps every gradient in its history, and with no
+    vector to fold it comes back as a copy, so no caller can write into the
+    tensor.  Folding ``tensor`` against its last vector alone gives the
+    partial that every further fold continues, which is what
+    ``BlockGradients.hoisted`` shares.
     """
-    t = tensor
+    t = tensor if len(vectors) else tensor.copy()
     for v in reversed(vectors):
         t = t.reshape(-1, len(v)) @ v
     shape = tensor.shape[: tensor.ndim - len(vectors)]
@@ -92,7 +94,8 @@ def fold(tensor: np.ndarray, vectors) -> np.ndarray:
 
 
 def own_axis_first(tensor: np.ndarray, player: int) -> np.ndarray:
-    return np.ascontiguousarray(np.moveaxis(tensor, player, 0))
+    # axis 0 is first already; ``moveaxis`` would only build a view of it
+    return np.ascontiguousarray(np.moveaxis(tensor, player, 0) if player else tensor)
 
 
 class BlockGradients:
@@ -158,9 +161,7 @@ class BlockGradients:
         def grad(profile, i: int) -> Vector:
             if not sharing[i]:
                 return _fold_block(moved[i], profile, i)
-            u = _fold_block(own_axis_first(partial(profile), i), profile[:-1], i)
-            # with two blocks, block 0's gradient is the partial itself
-            return u if u.flags.writeable else u.copy()
+            return _fold_block(own_axis_first(partial(profile), i), profile[:-1], i)
 
         def value(profile) -> float:
             if value_shares:

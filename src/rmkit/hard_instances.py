@@ -355,8 +355,7 @@ def run_separation(m: int, max_rounds: int, epsilon: float, rm_plus_max_rounds: 
     """The rm walk on the padded game, its phase report, and the rm+ contrast."""
     game, init = build_padded(m), pure_init_strategies(m)
     walk = dyn.run(game, dyn.RunConfig(
-        scheme="simultaneous", kind="rm", max_rounds=max_rounds, init_strategies=init,
-        fast_forward=True))
+        scheme="simultaneous", kind="rm", max_rounds=max_rounds, init_strategies=init))
     reached = np.flatnonzero(walk.traces.br_gaps.max(axis=1) <= epsilon)
     rm_rounds = int(reached[0]) + 1 if len(reached) else None
     contrast = dyn.run(game, dyn.RunConfig(

@@ -469,7 +469,7 @@ def suite_uniform_init() -> SuiteResult:
     game = hard.build_uniform_init(m)  # construction asserts its own row sums
     c.note("construction invariants (zero sum, round-1 regret pattern) hold at build time")
     res = dyn.run(game, dyn.RunConfig(
-        scheme="simultaneous", kind="rm", max_rounds=120_000, fast_forward=True))
+        scheme="simultaneous", kind="rm", max_rounds=120_000))
     second = res.history.strategies[1]
     purity = min(float(second[i][0]) for i in range(2))
     stray = max(float(np.abs(second[i][1:]).max()) for i in range(2))
@@ -556,7 +556,7 @@ def suite_cce() -> SuiteResult:
     for game in games:
         for kind in ("rm", "rm+"):
             res = dyn.run(game, dyn.RunConfig(
-                scheme="simultaneous", kind=kind, max_rounds=checkpoints[-1], fast_forward=True))
+                scheme="simultaneous", kind=kind, max_rounds=checkpoints[-1]))
             gaps = dyn.cce_gaps(game, res.history, checkpoints)
             for T, gap in zip(checkpoints, gaps):
                 reg = max(
@@ -574,7 +574,7 @@ def suite_cce() -> SuiteResult:
     game = hard.build_padded(m)
     res = dyn.run(game, dyn.RunConfig(
         scheme="simultaneous", kind="rm", max_rounds=checkpoints[-1],
-        init_strategies=hard.pure_init_strategies(m), fast_forward=True))
+        init_strategies=hard.pure_init_strategies(m)))
     scale = gm.utility_range(game)
     decay_ok = nash_ok = True
     for T, gap in zip(checkpoints, dyn.cce_gaps(game, res.history, checkpoints)):

@@ -1,8 +1,10 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from rmkit import hard_instances as hard
 from rmkit import objectives as ob
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "digests.json")
+README_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _run_json(capsys, argv):
@@ -117,9 +120,11 @@ def test_run_config_flags_override_the_file(capsys, tmp_path):
 
 def test_run_config_rejects_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"objective": "cycle_poly", "wat": 1}))
-    assert cli.main(["run", "--config", str(cfg)]) == 1
-    assert "unknown keys" in capsys.readouterr().err
+    # the run jumps repeated rounds on its own; "fast_forward" is no key
+    for key in ("wat", "fast_forward"):
+        cfg.write_text(json.dumps({"objective": "cycle_poly", key: True}))
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert f"{cfg}: unknown keys ['{key}']" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize(
@@ -147,6 +152,24 @@ def test_run_config_rejects_wrong_json_types(doc, msg, capsys, tmp_path):
     cfg.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(cfg)]) == 1
     assert f"{cfg}: {msg}" in _one_line_error(capsys)
+
+
+def test_the_run_flags_match_the_config_keys_and_the_readme():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag: action.dest for action in commands.choices["run"]._actions
+             for flag in action.option_strings if flag.startswith("--")}
+    with open(README_PATH) as fh:
+        readme = fh.read()
+    section = readme[readme.index("\n### run\n"):]
+    section = section[: section.index("\n### ", 1)]
+    documented = set(re.findall(r"--[a-z][a-z-]*[a-z]", section))
+    for flag, dest in flags.items():
+        if flag in ("--help", "--config", "--jobs"):
+            continue
+        assert dest in cli._RUN_KEY_TYPES, f"{flag} is no --config key"
+        assert flag in documented, f"{flag} is not in README's run section"
+    assert documented <= set(flags), f"README's run section names {documented - set(flags)}"
 
 
 def test_run_config_carries_custom_inits(capsys, tmp_path):
@@ -190,14 +213,17 @@ def test_run_traces_are_byte_identical_across_reruns(tmp_path, capsys):
     assert header == "round,player,br_gap,kkt_gap,regret_l2,regret_l1,value,updated"
 
 
-def test_run_fast_forward_writes_the_bytes_of_the_stepped_run(tmp_path, capsys):
+def test_run_writes_the_bytes_of_the_per_round_reference(tmp_path, capsys, monkeypatch):
+    # the default run jumps the m=4 walk's repeated rounds; with no reuse
+    # allowed, every round is observed and stepped
     outputs = []
-    for flags in ([], ["--fast-forward"]):
+    for most in (dyn._REUSE_ENTRIES, 0):
+        monkeypatch.setattr(dyn, "_REUSE_ENTRIES", most)
         paths = [tmp_path / f"{name}{len(outputs)}" for name in ("trace", "strategies", "report")]
         rc = cli.main(
             ["run", "--hard-instance", "m=4", "--algo", "rm", "--max-rounds", "3000",
              "--trace", str(paths[0]), "--strategies", str(paths[1]),
-             "--report", str(paths[2]), *flags]
+             "--report", str(paths[2])]
         )
         assert rc == 0
         capsys.readouterr()
@@ -220,11 +246,9 @@ def _constant_sum_game():
     return gm.GameSpec((3, 4), [A, 1.0 - A])
 
 
-def _m6_walk(rounds, *flags):
-    argv = ["--hard-instance", "m=6", "--algo", "rm", "--max-rounds", str(rounds), *flags]
-    # the whole record jumps its repeated rounds, which gives the bits of
-    # stepping them (tests/test_dynamics.py) in a tenth of the time
-    config = dyn.RunConfig(kind="rm", max_rounds=rounds, fast_forward=True,
+def _m6_walk(rounds):
+    argv = ["--hard-instance", "m=6", "--algo", "rm", "--max-rounds", str(rounds)]
+    config = dyn.RunConfig(kind="rm", max_rounds=rounds,
                            init_strategies=hard.pure_init_strategies(6))
     return argv, lambda: (hard.build_padded(6), config)
 
@@ -238,12 +262,12 @@ def _constant_sum_run(tmp_path, *flags, **config):
 
 # (the run's flags and its target and config, the golden case it matches or None)
 STREAMED_RUNS = {
+    # the payoff-8 stretch from round 7,827 on covers the ends of chunks 2, 3 and 4
     "m6_walk_20000": (lambda tmp: _m6_walk(20_000), "hard_m6_rm_pure_20000"),
     "two_chunks": (lambda tmp: _m6_walk(2 * 4096), None),
     "two_chunks_and_a_round": (lambda tmp: _m6_walk(2 * 4096 + 1), None),
-    # the payoff-8 stretch from round 7,827 on covers the ends of chunks 2, 3 and 4
-    "fast_forward_20000": (lambda tmp: _m6_walk(20_000, "--fast-forward"),
-                           "hard_m6_rm_pure_20000"),
+    # the same walk streamed from the per-round reference (PER_ROUND_RUNS)
+    "per_round_20000": (lambda tmp: _m6_walk(20_000), "hard_m6_rm_pure_20000"),
     # converges at round 6,173, inside the second chunk
     "lazy_converges_mid_chunk": (lambda tmp: _constant_sum_run(
         tmp, "--scheme", "lazy", "--algo", "rm+", "--epsilon", "0.0015", "--max-rounds", "20000",
@@ -258,15 +282,22 @@ STREAMED_RUNS = {
                  dyn.RunConfig(kind="drm+", discount=1.0 - 0.3, max_rounds=300))),
         "cycle_poly_drm+"),
 }
+# the runs whose streamed side observes and steps every round, with no reuse
+# allowed; their whole record comes from the default run
+PER_ROUND_RUNS = {"per_round_20000"}
 
 
 @pytest.mark.parametrize("name", list(STREAMED_RUNS))
-def test_a_streamed_run_writes_the_bytes_of_the_whole_record(name, tmp_path, capsys):
+def test_a_streamed_run_writes_the_bytes_of_the_whole_record(
+        name, tmp_path, capsys, monkeypatch):
     build, golden = STREAMED_RUNS[name]
     argv, case = build(tmp_path)
     streamed = {kind: tmp_path / f"streamed.{kind}" for kind in ("csv", "jsonl", "json")}
+    if name in PER_ROUND_RUNS:
+        monkeypatch.setattr(dyn, "_REUSE_ENTRIES", 0)
     rc = cli.main(["run", *argv, "--trace", str(streamed["csv"]),
                    "--strategies", str(streamed["jsonl"]), "--report", str(streamed["json"])])
+    monkeypatch.undo()
     assert rc == 0
     capsys.readouterr()
     whole = dyn.run(*case())
@@ -286,17 +317,19 @@ def test_a_streamed_run_writes_the_bytes_of_the_whole_record(name, tmp_path, cap
                            "strategies": _sha256(streamed["jsonl"])}
 
 
-@pytest.mark.parametrize("flags", [[], ["--fast-forward"]], ids=["stepped", "fast_forward"])
+@pytest.mark.parametrize("per_round", [True, False], ids=["stepped", "jumped"])
 def test_a_streamed_run_holds_no_more_for_ten_times_the_rounds(
-        flags, tmp_path, capsys, monkeypatch):
+        per_round, tmp_path, capsys, monkeypatch):
     # chunks of 32 rounds, so that both runs stream many chunks in a short test
     monkeypatch.setattr(dyn, "_CHUNK_ROWS", 32)
+    if per_round:
+        monkeypatch.setattr(dyn, "_REUSE_ENTRIES", 0)
 
     def peak(rounds):
         argv = ["run", "--hard-instance", "m=4", "--algo", "rm", "--max-rounds", str(rounds),
                 "--trace", str(tmp_path / "trace.csv"),
                 "--strategies", str(tmp_path / "walk.jsonl"),
-                "--report", str(tmp_path / "report.json"), *flags]
+                "--report", str(tmp_path / "report.json")]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

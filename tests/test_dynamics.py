@@ -28,6 +28,12 @@ def _corner_game():
 # ---------------------------------------------------------------------------
 
 
+def _rounds(profiles):
+    """``Rounds`` columns of per-round lists of block vectors."""
+    return dyn.Rounds(np.array([profile[i] for profile in profiles], dtype=np.float64)
+                      for i in range(len(profiles[0])))
+
+
 def test_run_config_coerces_strings():
     cfg = RunConfig(scheme="lazy", kind="rm+", epsilon=0.5)
     assert cfg.scheme is Scheme.LAZY_ALTERNATING
@@ -301,8 +307,7 @@ def test_writers_reuse_a_round_only_when_its_bits_repeat(tmp_path):
 
     pure, signed = [[1.0, 0.0], [0.25, 0.75]], [[1.0, -0.0], [0.25, 0.75]]
     profiles = [pure, pure, signed, signed, pure]
-    history = dyn.PlayHistory(Scheme.SIMULTANEOUS,
-                              [[np.array(x) for x in blocks] for blocks in profiles])
+    history = dyn.PlayHistory(Scheme.SIMULTANEOUS, _rounds(profiles))
     path = tmp_path / "strategies.jsonl"
     dyn.write_strategies_jsonl(history, path)
     assert path.read_text().splitlines() == [
@@ -383,20 +388,20 @@ def test_the_record_is_read_only_columns_behind_per_round_views():
     assert again.traces[:149] != traces
 
 
-def test_play_history_stacks_per_round_lists():
+def test_play_history_holds_rounds_columns():
     a, b = np.array([0.5, 0.5]), np.array([1.0, 0.0, 0.0])
-    history = dyn.PlayHistory(scheme=Scheme.SIMULTANEOUS, strategies=[[a, b], [b[:2], b]],
-                              utilities=[[a, b], [a, b]])
+    strategies = _rounds([[a, b], [b[:2], b]])
+    history = dyn.PlayHistory(Scheme.SIMULTANEOUS, strategies, _rounds([[a, b], [a, b]]))
     assert history.rounds == 2
     assert [blk.shape for blk in history.strategies.blocks] == [(2, 2), (2, 3)]
     assert history.utilities == [[a, b], [a, b]]
-    for missing in ([None, None], [[None, None], [None, None]]):
-        unrecorded = dyn.PlayHistory(Scheme.SIMULTANEOUS, [[a, b], [a, b]], missing)
-        assert unrecorded.utilities is None and unrecorded.rounds == 2
-    assert dyn.PlayHistory(Scheme.SIMULTANEOUS).rounds == 0
-    ragged = r"round 2 has block sizes \[3, 3\], round 1 has \[2, 3\]"
-    with pytest.raises(ValueError, match=ragged):
-        dyn.PlayHistory(Scheme.SIMULTANEOUS, [[a, b], [b, b]])
+    assert history.strategies == [[a, b], [b[:2], b]]  # == iterates round by round
+    assert np.array_equal(history.strategies[-1][0], b[:2])
+    with pytest.raises(IndexError):
+        history.strategies[2]
+    assert dyn.PlayHistory(Scheme.SIMULTANEOUS, strategies, None).utilities is None
+    empty = dyn.PlayHistory(Scheme.SIMULTANEOUS)
+    assert empty.rounds == 0 and list(empty.strategies) == [] and empty.utilities == []
 
 
 def test_a_long_walk_keeps_under_400_bytes_per_round():
@@ -759,13 +764,20 @@ def test_the_kernel_folds_every_round_on_a_tensor_past_the_reuse_size(monkeypatc
     for most in (49, 48):
         monkeypatch.setattr(dyn, "_REUSE_ENTRIES", most)
         gradient_folds, folds = _logged_folds(monkeypatch)
+        look_aheads = []
+        look_ahead = dyn._rm_look_ahead
+        monkeypatch.setattr(dyn, "_rm_look_ahead",
+                            lambda *a: look_aheads.append(a) or look_ahead(*a))
         runs.append((dyn.run(game, config), len(gradient_folds),
-                     sum(value for _, value in folds)))
+                     sum(value for _, value in folds), len(look_aheads)))
         monkeypatch.undo()
-    (reused, *reused_folds), (folded, *folds) = runs
+    (reused, *reused_folds, jumps), (folded, *folds, no_jumps) = runs
     _assert_same_bits(reused, folded)
     assert max(reused_folds) < reused.rounds // 50
     assert folds == [2 * folded.rounds, folded.rounds]
+    # the same limit decides the jump: within it rm jumps the walk's
+    # stretches, past it every round is stepped
+    assert jumps > 0 and no_jumps == 0
 
 
 @pytest.mark.parametrize("scheme", ["simultaneous", "alternating", "lazy"])
@@ -784,7 +796,7 @@ def test_a_round_of_a_three_block_objective_folds_its_potential_twice(scheme, mo
     assert sum(size == 120 for size, _ in folds) == 1 + res.rounds + int(moved.sum())
 
 
-def test_a_stateful_gradient_and_objective_value_are_called_every_round():
+def test_a_stateful_gradient_and_objective_value_are_called_every_round(monkeypatch):
     game, config = _padded_m6(300)
     gradients, values = [], []
 
@@ -804,12 +816,34 @@ def test_a_stateful_gradient_and_objective_value_are_called_every_round():
     for i, observed in enumerate(res.history.utilities.blocks):
         assert observed.tobytes() == np.stack(gradients[i::2]).tobytes()
     assert res.traces.value.tolist() == values == [float(t) for t in range(res.rounds)]
-    # an objective's value is called every round even beside the kernel,
-    # whose gradients a repeated round reuses
-    values.clear()
-    res = dyn.run(dataclasses.replace(kernel, value=value), config)
-    assert _moves(res).sum() < res.rounds // 10
-    assert res.traces.value.tolist() == values == [float(t) for t in range(res.rounds)]
+    # a value that is not the kernel's own is called every round even beside
+    # the kernel, and the run observes and steps every round with it
+    runs = []
+    for most in (dyn._REUSE_ENTRIES, 0):
+        monkeypatch.setattr(dyn, "_REUSE_ENTRIES", most)
+        values.clear()
+        runs.append(dyn.run(dataclasses.replace(kernel, value=value), config))
+        assert runs[-1].traces.value.tolist() == values == [float(t) for t in range(300)]
+    default, per_round = runs
+    assert _moves(default).sum() < default.rounds // 10
+    _assert_same_bits(default, per_round)
+
+
+def test_a_multilinear_objective_reuses_its_own_value_on_repeated_rounds(monkeypatch):
+    game, config = _padded_m6(3_000)
+    objective = ob.make_multilinear(game)
+    runs = []
+    for most in (dyn._REUSE_ENTRIES, 0):
+        monkeypatch.setattr(dyn, "_REUSE_ENTRIES", most)
+        _, folds = _logged_folds(monkeypatch)
+        runs.append((dyn.run(objective, config), sum(full for _, full in folds)))
+        monkeypatch.undo()
+    (default, default_values), (per_round, per_round_values) = runs
+    _assert_same_bits(default, per_round)
+    _assert_same_bits(default, dyn.run(game, config))
+    # the value folds at round 1 and after every round that moved play
+    assert default_values == 1 + int(_moves(default)[1:].any(axis=1).sum()) < 3_000 // 50
+    assert per_round_values == 3_000
 
 
 # ---------------------------------------------------------------------------
@@ -852,15 +886,17 @@ def _assert_same_bits(a, b):
 
 
 def _both_paths(target, config, monkeypatch):
-    """The run fast-forwarded, and stepped one round at a time, each with the
+    """The default run, which jumps rounds that repeat the profile, and the
+    per-round reference, which observes and steps every round, each with the
     rounds its progress callback saw."""
     monkeypatch.setattr(dyn, "PROGRESS_EVERY", 100)
     runs = []
-    for fast_forward in (True, False):
+    # the reference first, so that the limit is back for the caller
+    for most in (0, dyn._REUSE_ENTRIES):
+        monkeypatch.setattr(dyn, "_REUSE_ENTRIES", most)
         ticks = []
-        run_config = dataclasses.replace(config, fast_forward=fast_forward)
-        runs.append((dyn.run(target, run_config, progress=ticks.append), ticks))
-    return runs
+        runs.append((dyn.run(target, config, progress=ticks.append), ticks))
+    return runs[::-1]
 
 
 @pytest.mark.parametrize("scheme", ["simultaneous", "alternating"])
@@ -875,14 +911,14 @@ def _both_paths(target, config, monkeypatch):
 def test_repeated_profiles_are_jumped_with_the_bits_of_single_steps(
         case, kind, scheme, monkeypatch):
     target, config = case(kind, scheme)
-    (fast, fast_ticks), (stepped, stepped_ticks) = _both_paths(target, config, monkeypatch)
-    _assert_same_bits(fast, stepped)
-    assert fast_ticks == stepped_ticks == list(range(100, config.max_rounds + 1, 100))
+    (jumped, jumped_ticks), (stepped, stepped_ticks) = _both_paths(target, config, monkeypatch)
+    _assert_same_bits(jumped, stepped)
+    assert jumped_ticks == stepped_ticks == list(range(100, config.max_rounds + 1, 100))
     # every case spends most of its rounds on a repeated profile
-    blocks = fast.history.strategies.blocks
+    blocks = jumped.history.strategies.blocks
     repeats = sum(all(b[t].tobytes() == b[t - 1].tobytes() for b in blocks)
-                  for t in range(1, fast.rounds))
-    assert repeats > fast.rounds // 3
+                  for t in range(1, jumped.rounds))
+    assert repeats > jumped.rounds // 3
 
 
 def test_the_potential_game_reaches_a_fixed_point_under_rm_plus():
@@ -900,22 +936,26 @@ def test_a_stretch_cut_off_by_the_round_limit_keeps_the_bits(monkeypatch):
     look_aheads = []
     look_ahead = dyn._rm_look_ahead
     monkeypatch.setattr(dyn, "_rm_look_ahead", lambda *a: look_aheads.append(a) or look_ahead(*a))
-    (fast, fast_ticks), (stepped, stepped_ticks) = _both_paths(target, config, monkeypatch)
-    _assert_same_bits(fast, stepped)
-    assert look_aheads  # the fast run jumped; the stepped one did not
+    (jumped, jumped_ticks), (stepped, stepped_ticks) = _both_paths(target, config, monkeypatch)
+    _assert_same_bits(jumped, stepped)
+    assert look_aheads  # the default run jumped
     look_aheads.clear()
+    # neither the reference nor a run that watches each update jumps
+    limit = dyn._REUSE_ENTRIES
+    monkeypatch.setattr(dyn, "_REUSE_ENTRIES", 0)
     dyn.run(target, config)
-    dyn.run(target, dataclasses.replace(config, fast_forward=True), on_step=lambda *u: None)
+    monkeypatch.setattr(dyn, "_REUSE_ENTRIES", limit)
+    dyn.run(target, config, on_step=lambda *u: None)
     assert not look_aheads
-    assert fast_ticks == stepped_ticks
-    assert fast.rounds == 4_321
+    assert jumped_ticks == stepped_ticks
+    assert jumped.rounds == 4_321
     # the walk goes on repeating the profile past the limit, and the cut
     # run is a prefix of the longer one
     longer = dyn.run(target, dataclasses.replace(config, max_rounds=4_400))
-    for cut, b in zip(fast.history.strategies.blocks, longer.history.strategies.blocks):
+    for cut, b in zip(jumped.history.strategies.blocks, longer.history.strategies.blocks):
         assert b[4_319:4_323].tobytes() == b[4_320].tobytes() * 4
         assert b[:4_321].tobytes() == cut.tobytes()
-    assert longer.traces.columns[:4_321].tobytes() == fast.traces.columns.tobytes()
+    assert longer.traces.columns[:4_321].tobytes() == jumped.traces.columns.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -923,22 +963,26 @@ def test_a_stretch_cut_off_by_the_round_limit_keeps_the_bits(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _padded_m6(rounds, **extra):
+def _padded_m6(rounds):
     return hard.build_padded(6), RunConfig(
-        kind="rm", max_rounds=rounds, init_strategies=hard.pure_init_strategies(6), **extra)
+        kind="rm", max_rounds=rounds, init_strategies=hard.pure_init_strategies(6))
 
 
-@pytest.mark.parametrize("case", [
-    lambda: _padded_m6(2 * 4096 + 1),
+@pytest.mark.parametrize("case, per_round", [
+    (lambda: _padded_m6(2 * 4096 + 1), True),
     # the payoff-8 stretch from round 7,827 on covers the ends of chunks 2 and 3
-    lambda: _padded_m6(3 * 4096 + 100, fast_forward=True),
+    (lambda: _padded_m6(3 * 4096 + 100), False),
     # converges at round 6,173, inside the second chunk
-    lambda: (_constant_sum_game(), RunConfig(scheme="lazy", kind="rm+", epsilon=0.0015,
-                                             max_rounds=20_000)),
-    lambda: (_constant_sum_game(), RunConfig(scheme="alternating", kind="drm+",
-                                             discount=0.7, max_rounds=4_500)),
-], ids=["stepped", "fast_forward", "lazy_converged", "alternating_drm+"])
-def test_a_sink_gets_the_record_in_chunks_with_the_bits_of_the_whole(case):
+    (lambda: (_constant_sum_game(), RunConfig(scheme="lazy", kind="rm+", epsilon=0.0015,
+                                              max_rounds=20_000)), False),
+    (lambda: (_constant_sum_game(), RunConfig(scheme="alternating", kind="drm+",
+                                              discount=0.7, max_rounds=4_500)), False),
+], ids=["stepped", "jumped", "lazy_converged", "alternating_drm+"])
+def test_a_sink_gets_the_record_in_chunks_with_the_bits_of_the_whole(case, per_round,
+                                                                     monkeypatch):
+    if per_round:
+        # every round observed and stepped, so that the loop itself flushes
+        monkeypatch.setattr(dyn, "_REUSE_ENTRIES", 0)
     target, config = case()
     whole = dyn.run(target, config)
     chunks = []
@@ -1025,7 +1069,7 @@ def test_external_regret_and_cce_gaps_sum_signed_zeros_as_a_running_total():
     # the strategy (1, -0.0) realizes -0.0 + -0.0 * -0.0 = +0.0 each round
     game = gm.GameSpec((2,), [np.array([-0.0, -0.0])])
     x, u = np.array([1.0, -0.0]), game.utilities[0]
-    history = dyn.PlayHistory(Scheme.SIMULTANEOUS, [[x]] * 3, [[u]] * 3)
+    history = dyn.PlayHistory(Scheme.SIMULTANEOUS, _rounds([[x]] * 3), _rounds([[u]] * 3))
     for T in (1, 2, 3):
         total, realized = np.zeros(2), 0.0
         for _ in range(T):
@@ -1049,7 +1093,7 @@ def test_cce_gaps_holds_no_more_for_ten_times_the_rounds(monkeypatch):
         # mixed profiles, each held for up to 20 rounds, as in a walk
         holds = rng.integers(1, 20, size=rounds)
         rows = [profiles[t % 50] for t in np.repeat(np.arange(rounds), holds)[:rounds]]
-        history = dyn.PlayHistory(Scheme.SIMULTANEOUS, rows)
+        history = dyn.PlayHistory(Scheme.SIMULTANEOUS, _rounds(rows))
         checkpoints = [1, rounds // 3, rounds]
         tracemalloc.start()
         try:
@@ -1180,7 +1224,7 @@ def test_cce_gaps_over_repeated_profiles_give_the_bits_of_a_full_replay():
     # sign of a zero
     rows = ([[pure, mixed]] * 3 + [[signed, mixed]] * 2
             + [[pure, mixed], [mixed, pure], [mixed, pure]])
-    history = dyn.PlayHistory(Scheme.SIMULTANEOUS, [[np.array(x) for x in row] for row in rows])
+    history = dyn.PlayHistory(Scheme.SIMULTANEOUS, _rounds(rows))
     checkpoints = list(range(1, len(rows) + 1))
     assert dyn.cce_gaps(game, history, checkpoints) == [
         _cce_gap_by_hand(game, history, T) for T in checkpoints]

@@ -181,6 +181,20 @@ def test_a_gradient_of_the_hoisted_pair_is_the_callers_to_change(shape):
     assert _bits(value(profile)) == _bits(gm.mixed_tensor_value(tensor, profile))
 
 
+def test_a_one_player_gradient_is_a_new_array_not_the_game_tensor():
+    # with one player no vector is folded, so the gradient is the tensor's
+    # entries, in an array of its own
+    u = np.array([0.25, 0.5, 1.0])
+    game = gm.GameSpec((3,), [u.copy()])
+    x = [np.array([0.5, 0.25, 0.25])]
+    kernel = gm.BlockGradients(game.utilities)
+    grad, _ = kernel.hoisted()
+    for gradient in (gm.utility_vector(game, 0, x), kernel(x, 0), grad(x, 0)):
+        assert gradient.tobytes() == u.tobytes()
+        gradient[:] = 0.0
+        assert game.utilities[0].tobytes() == u.tobytes()
+
+
 def test_the_kernel_value_is_nan_without_a_potential():
     a = np.ones((2, 3))
     kernel = gm.BlockGradients([a, a])

@@ -12,14 +12,11 @@ _E = {m: np.eye(m) for m in (2, 4)}
 
 
 def _fake_history(m, rows_cols):
-    """History from (player-1 vector, player-2 vector) pairs; utilities are
-    never consulted by the analyzer."""
-    strategies = [[np.asarray(a, dtype=float), np.asarray(b, dtype=float)] for a, b in rows_cols]
-    return PlayHistory(
-        scheme=Scheme.SIMULTANEOUS,
-        strategies=strategies,
-        utilities=[[None, None] for _ in strategies],
-    )
+    """History from (player-1 vector, player-2 vector) pairs, as ``Rounds``
+    columns; the analyzer never consults utilities."""
+    blocks = [np.array([pair[j] for pair in rows_cols], dtype=float).reshape(-1, m)
+              for j in (0, 1)]
+    return PlayHistory(scheme=Scheme.SIMULTANEOUS, strategies=dyn.Rounds(blocks), utilities=None)
 
 
 # ---------------------------------------------------------------------------
