@@ -27,8 +27,8 @@ reference ``learners.step``; ``RegretState`` objects are built only for
 
 Block gradients and the value come from the hoisted pair of the
 ``games.BlockGradients`` kernel for a game, and for an objective whose
-``block_gradient`` is that kernel and whose ``value`` is the kernel's own.
-The pair folds the tensor that blocks and the value share against the last
+``block_gradient`` is that kernel; its ``value`` comes from the pair too
+when it is the kernel's own.  The pair folds the tensor that blocks and the value share against the last
 block's strategy once per bits of it, so a round of a 3-block multilinear
 objective whose first two axes hold a multiple of 4 rows reads its
 potential twice, not four times; the other blocks fold axis-moved copies
@@ -66,9 +66,10 @@ record, with ``progress`` called at every multiple of ``PROGRESS_EVERY``
 they cross, so those calls come in bursts, not at the pace of the rounds.
 
 Everything else steps and observes every round: drm+, the lazy scheme and
-runs with ``on_step`` step each round, and a gradient or value callable
-that is not the kernel's, even beside the kernel, is called, and the
-gradient checked, every round.  That per-round loop is the reference that
+runs with ``on_step`` step each round, and a gradient callable that is not
+the kernel or a value that is not the kernel's own is called, and the
+gradient checked, every round; beside such a value the kernel's hoisted
+gradient, too, observes every round.  That per-round loop is the reference that
 the reuse and the jump are tested against, bit for bit.  The limit keeps a
 large tensor on it: up to the limit a round's folds cost about what the
 loop's own work costs, but past it they are most of a round, and skipping
@@ -299,11 +300,13 @@ def _gradient_and_value(target):
         return tuple(target.action_counts), grad, value, True
     if isinstance(target, ObjectiveHandle):
         grad, value = target.block_gradient, target.value
-        # the kernel with its own value runs as the hoisted pair; any other
-        # gradient or value, even beside the kernel, is called as given
-        folded = isinstance(grad, BlockGradients) and value == grad.value
-        if folded:
-            grad, value = grad.hoisted()
+        folded = False
+        if isinstance(grad, BlockGradients):
+            # the kernel's gradient is hoisted; its value only when it is the
+            # kernel's own, for any other value is called as given
+            folded = value == grad.value
+            grad, hoisted_value = grad.hoisted()
+            value = hoisted_value if folded else value
         return tuple(target.domain.block_sizes), grad, value, folded
     raise TypeError(f"cannot run on {type(target).__name__}")
 

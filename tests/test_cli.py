@@ -260,44 +260,43 @@ def _constant_sum_run(tmp_path, *flags, **config):
     return argv, lambda: (gm.load_game(str(game)), dyn.RunConfig(**config))
 
 
-# (the run's flags and its target and config, the golden case it matches or None)
+# (the run's flags and its target and config, the golden case it matches or
+# None, whether the streamed side is the per-round reference: every round
+# observed and stepped, with no reuse allowed); the whole record comes from
+# the default run
 STREAMED_RUNS = {
     # the payoff-8 stretch from round 7,827 on covers the ends of chunks 2, 3 and 4
-    "m6_walk_20000": (lambda tmp: _m6_walk(20_000), "hard_m6_rm_pure_20000"),
-    "two_chunks": (lambda tmp: _m6_walk(2 * 4096), None),
-    "two_chunks_and_a_round": (lambda tmp: _m6_walk(2 * 4096 + 1), None),
-    # the same walk streamed from the per-round reference (PER_ROUND_RUNS)
-    "per_round_20000": (lambda tmp: _m6_walk(20_000), "hard_m6_rm_pure_20000"),
+    "m6_walk_20000": (lambda tmp: _m6_walk(20_000), "hard_m6_rm_pure_20000", False),
+    "two_chunks": (lambda tmp: _m6_walk(2 * 4096), None, True),
+    "two_chunks_and_a_round": (lambda tmp: _m6_walk(2 * 4096 + 1), None, True),
+    "per_round_20000": (lambda tmp: _m6_walk(20_000), "hard_m6_rm_pure_20000", True),
     # converges at round 6,173, inside the second chunk
     "lazy_converges_mid_chunk": (lambda tmp: _constant_sum_run(
         tmp, "--scheme", "lazy", "--algo", "rm+", "--epsilon", "0.0015", "--max-rounds", "20000",
-        scheme="lazy", kind="rm+", epsilon=0.0015, max_rounds=20_000), None),
+        scheme="lazy", kind="rm+", epsilon=0.0015, max_rounds=20_000), None, False),
     "alternating_drm+": (lambda tmp: _constant_sum_run(
         tmp, "--scheme", "alternating", "--algo", "drm+", "--gamma", "0.3",
         "--max-rounds", "4500",
-        scheme="alternating", kind="drm+", discount=1.0 - 0.3, max_rounds=4_500), None),
+        scheme="alternating", kind="drm+", discount=1.0 - 0.3, max_rounds=4_500), None, False),
     "simultaneous_drm+": (lambda tmp: (
         ["--objective", "cycle_poly", "--algo", "drm+", "--gamma", "0.3", "--max-rounds", "300"],
         lambda: (ob.make_cycle_polynomial(),
                  dyn.RunConfig(kind="drm+", discount=1.0 - 0.3, max_rounds=300))),
-        "cycle_poly_drm+"),
+        "cycle_poly_drm+", False),
 }
-# the runs whose streamed side observes and steps every round, with no reuse
-# allowed; their whole record comes from the default run
-PER_ROUND_RUNS = {"per_round_20000"}
 
 
 @pytest.mark.parametrize("name", list(STREAMED_RUNS))
 def test_a_streamed_run_writes_the_bytes_of_the_whole_record(
         name, tmp_path, capsys, monkeypatch):
-    build, golden = STREAMED_RUNS[name]
+    build, golden, per_round = STREAMED_RUNS[name]
     argv, case = build(tmp_path)
     streamed = {kind: tmp_path / f"streamed.{kind}" for kind in ("csv", "jsonl", "json")}
-    if name in PER_ROUND_RUNS:
-        monkeypatch.setattr(dyn, "_REUSE_ENTRIES", 0)
-    rc = cli.main(["run", *argv, "--trace", str(streamed["csv"]),
-                   "--strategies", str(streamed["jsonl"]), "--report", str(streamed["json"])])
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        if per_round:
+            patch.setattr(dyn, "_REUSE_ENTRIES", 0)
+        rc = cli.main(["run", *argv, "--trace", str(streamed["csv"]),
+                       "--strategies", str(streamed["jsonl"]), "--report", str(streamed["json"])])
     assert rc == 0
     capsys.readouterr()
     whole = dyn.run(*case())

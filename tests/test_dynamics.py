@@ -817,7 +817,12 @@ def test_a_stateful_gradient_and_objective_value_are_called_every_round(monkeypa
         assert observed.tobytes() == np.stack(gradients[i::2]).tobytes()
     assert res.traces.value.tolist() == values == [float(t) for t in range(res.rounds)]
     # a value that is not the kernel's own is called every round even beside
-    # the kernel, and the run observes and steps every round with it
+    # the kernel, and the run observes and steps every round with it; the
+    # kernel's gradient still runs hoisted, not moving its axes per call
+    def per_call(self, profile, i):
+        raise AssertionError("the kernel's gradient ran per call")
+
+    monkeypatch.setattr(gm.BlockGradients, "__call__", per_call)
     runs = []
     for most in (dyn._REUSE_ENTRIES, 0):
         monkeypatch.setattr(dyn, "_REUSE_ENTRIES", most)
