@@ -52,9 +52,10 @@ def main(argv=None) -> int:
     for ph in report.phases:
         ratio = (f"{ph.length / prev:9.2f}"
                  if ph.length is not None and prev else f"{'-':>9}")
+        t_low = ph.t_low if ph.t_low is not None else "-"
         t_high = ph.t_high if ph.t_high is not None else "-"
         length = ph.length if ph.length is not None else "open"
-        print(f"  {ph.k:>3}  {ph.t_low:>8}  {t_high:>8}  {length:>8}  {ratio}")
+        print(f"  {ph.k:>3}  {t_low:>8}  {t_high:>8}  {length:>8}  {ratio}")
         prev = ph.length
     growth_ok, failures = hard.check_stall_growth(report)
     print(f"\nrecursive/factorial growth floors: {'ok' if growth_ok else 'VIOLATED'}")

@@ -53,14 +53,17 @@ from .dynamics import (
     cce_gap,
     cce_gaps,
     external_regret,
+    iter_strategies_jsonl,
     nash_gap,
+    read_strategies_jsonl,
+    replay_cce,
     run,
     write_strategies_jsonl,
     write_trace_csv,
 )
-from .dynamics import read_strategies_jsonl
 from .hard_instances import (
     PhaseReport,
+    PhaseTracker,
     SpiralMatrix,
     analyze_phases,
     build_padded,

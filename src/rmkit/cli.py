@@ -344,9 +344,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cce_checkpoints(text, rounds: int) -> list:
+def _cce_checkpoints(text):
+    """The ``--cce-at`` rounds, or ``None`` for the last round recorded."""
     if not text:
-        return [rounds]
+        return None
     try:
         checkpoints = [int(part) for part in text.split(",")]
     except ValueError:
@@ -354,8 +355,6 @@ def _cce_checkpoints(text, rounds: int) -> list:
     for T in checkpoints:
         if T < 1:
             raise CliError(f"--cce-at {T}: rounds are counted from 1")
-        if T > rounds:
-            raise CliError(f"--cce-at {T} exceeds the {rounds} recorded rounds")
     return checkpoints
 
 
@@ -364,44 +363,56 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     unknown = [a for a in analyses if a not in ("phases", "stall_growth", "cce")]
     if unknown:
         raise CliError(f"unknown analyses {unknown}; choose from phases, stall_growth, cce")
-    strategies = dyn.read_strategies_jsonl(ns.strategies)
-    if not strategies:
-        raise CliError(f"{ns.strategies}: no rounds recorded")
-    history = dyn.PlayHistory(scheme=dyn.Scheme(ns.scheme), strategies=strategies,
-                              utilities=None)
-    report = {"rounds": len(strategies)}
-    phase_report = None
+    scheme = dyn.Scheme(ns.scheme)
+    # every input but the recording first, so that the recording is read once,
+    # chunk by chunk, into the tracker and the cce replay
+    tracker = game = checkpoints = None
     if "phases" in analyses or "stall_growth" in analyses:
         if ns.m is None:
             raise CliError("phase analyses need --m to rebuild the spiral")
-        spiral = hard.build_spiral(ns.m)
-        fits = {((ns.m + 1,), (ns.m + 1,)), ((2 * ns.m,), (2 * ns.m,))}
-        shapes = tuple(x.shape for x in strategies[0])
-        if shapes not in fits:
-            raise CliError(
-                f"{ns.strategies}: block shapes {shapes} do not fit --m {ns.m}; "
-                f"want two blocks of size {ns.m + 1} (padded) or {2 * ns.m} (uniform_init)")
-        phase_report = hard.analyze_phases(
-            history, spiral, skip_rounds=ns.skip_rounds
-        )
-    if "phases" in analyses:
-        report["phases"] = phase_report.to_json_dict()
-    if "stall_growth" in analyses:
-        ok, failures = hard.check_stall_growth(phase_report)
-        report["stall_growth"] = {"ok": ok, "failures": failures}
+        tracker = hard.PhaseTracker(hard.build_spiral(ns.m), skip_rounds=ns.skip_rounds)
     if "cce" in analyses:
         if not ns.game:
             raise CliError("cce analysis needs --game to recompute utilities")
         game = gm.load_game(ns.game)
-        checkpoints = _cce_checkpoints(ns.cce_at, len(strategies))
-        gaps = dyn.cce_gaps(
-            game, history, checkpoints,
-            allow_alternating=history.scheme is not dyn.Scheme.SIMULTANEOUS,
-        )
-        report["cce"] = {str(T): gap for T, gap in zip(checkpoints, gaps)}
-        if history.scheme is not dyn.Scheme.SIMULTANEOUS:
+        checkpoints = _cce_checkpoints(ns.cce_at)
+
+    def chunks():
+        for chunk in dyn.iter_strategies_jsonl(ns.strategies):
+            if tracker is not None:
+                if not tracker.rounds:
+                    fits = {((ns.m + 1,), (ns.m + 1,)), ((2 * ns.m,), (2 * ns.m,))}
+                    shapes = tuple(b.shape[1:] for b in chunk.blocks)
+                    if shapes not in fits:
+                        raise CliError(
+                            f"{ns.strategies}: block shapes {shapes} do not fit --m {ns.m}; "
+                            f"want two blocks of size {ns.m + 1} (padded) "
+                            f"or {2 * ns.m} (uniform_init)")
+                tracker.update(chunk)
+            yield chunk
+
+    if game is not None:
+        rounds, gaps = dyn.replay_cce(game, chunks(), checkpoints)
+    else:
+        rounds = sum(map(len, chunks()))
+    if not rounds:
+        raise CliError(f"{ns.strategies}: no rounds recorded")
+    for T in checkpoints or ():
+        if T > rounds:
+            raise CliError(f"--cce-at {T} exceeds the {rounds} recorded rounds")
+    report = {"rounds": rounds}
+    if tracker is not None:
+        phase_report = tracker.report()
+        if "phases" in analyses:
+            report["phases"] = phase_report.to_json_dict()
+        if "stall_growth" in analyses:
+            ok, failures = hard.check_stall_growth(phase_report)
+            report["stall_growth"] = {"ok": ok, "failures": failures}
+    if game is not None:
+        report["cce"] = {str(T): gaps[T] for T in checkpoints or [rounds]}
+        if scheme is not dyn.Scheme.SIMULTANEOUS:
             # a recording not played simultaneously averages time-skewed profiles
-            report["cce_scheme"] = history.scheme.value
+            report["cce_scheme"] = scheme.value
     if ns.out:
         with open(ns.out, "w") as fh:
             json.dump(report, fh, indent=2)

@@ -34,7 +34,7 @@ objective whose first two axes hold a multiple of 4 rows reads its
 potential twice, not four times; the other blocks fold axis-moved copies
 made once per run and dropped with it.  Any other gradient or value
 callable, a wrapped or rescaled one included, is called per call.
-``cce_gaps`` replays a recording once for any number of checkpoints, and
+``replay_cce`` replays a recording once for any number of checkpoints, and
 folds a recorded profile only where its bits differ from the round before;
 the writers and the reader likewise reuse the text of a repeated round.
 
@@ -101,13 +101,20 @@ sink.  ``TraceCsvWriter`` and ``StrategiesJsonlWriter`` write such chunks
 with the bytes of one whole write, carrying the last round written for the
 repeat check; ``write_trace_csv`` and ``write_strategies_jsonl`` are those
 writers fed one whole record.
+
+A recording is read back the same way: ``iter_strategies_jsonl`` yields it
+as ``Rounds`` chunks of ``_CHUNK_ROWS`` lines, and ``replay_cce`` and
+``hard_instances.PhaseTracker`` take such chunks in round order, whether
+from the reader or from a sink, carrying from one chunk to the next only
+what the next needs.  ``read_strategies_jsonl`` and ``cce_gaps`` are the
+reader and the replay with the chunks stacked into, or fed as, one whole
+record.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import struct
 from array import array
 from collections.abc import Sequence
@@ -678,9 +685,8 @@ def cce_gaps(game: GameSpec, history: PlayHistory, checkpoints,
     Each recorded profile is checked and folded once, up to the largest
     checkpoint; the running sums are read off at every checkpoint, so
     unsorted and repeated checkpoints cost nothing extra and each value has
-    the bits of a separate ``cce_gap`` call.  The replay runs
-    ``_CHUNK_ROWS`` rounds at a time and carries the sums from chunk to
-    chunk, so what it holds does not grow with the rounds.
+    the bits of a separate ``cce_gap`` call.  The replay is ``replay_cce``
+    fed the history as one chunk.
     """
     if history.scheme is not Scheme.SIMULTANEOUS and not allow_alternating:
         raise ValueError(
@@ -693,48 +699,74 @@ def cce_gaps(game: GameSpec, history: PlayHistory, checkpoints,
             raise ValueError(f"rounds must lie in 1..{history.rounds}")
     if not checkpoints:
         return []
-    # every round has the block sizes of the first, so one check covers them
-    _check_profile(game.action_counts, history.strategies[0])
+    _, gaps = replay_cce(game, [history.strategies], checkpoints)
+    return [gaps[T] for T in checkpoints]
+
+
+def replay_cce(game: GameSpec, chunks, checkpoints=None):
+    """``(rounds, {T: cce gap})`` from one replay of ``Rounds`` chunks, fed in
+    round order: the rounds fed, and the gap at each checkpoint up to them,
+    or, when ``checkpoints`` is ``None``, at the last round.
+
+    Every chunk is read, but rounds past the largest checkpoint are not
+    folded.  The replay runs ``_CHUNK_ROWS`` rounds at a time and carries the
+    running sums from one to the next, so what it holds does not grow with
+    the rounds, and the sums, sequential ``cumsum``s, do not depend on
+    where a chunk ends.
+    """
     n = game.num_players
     grad, _ = BlockGradients(game.utilities).hoisted()
-    blocks = history.strategies.blocks
-    wanted = sorted(set(checkpoints))
+    wanted = None if checkpoints is None else sorted(set(checkpoints))
+    last = None if checkpoints is None else max(checkpoints, default=0)
     gaps = {}
-    # the running sums before the chunk, and the rows of the last fold
+    # the running sums before the rows to come, the rows of the last fold,
+    # and the last profile replayed
     dev, last_dev = [np.zeros(m) for m in game.action_counts], [None] * n
     realized, last_realized = np.zeros(n), None
-    for start, stop in _chunks(wanted[-1]):
-        rows = [b[start:stop] for b in blocks]
-        # a profile with the bits of the one before folds to the same rows, so
-        # only changed profiles fold (``_repeats`` compares bits, unlike
-        # ``==``, which equates -0.0 with 0.0 and never a nan with itself)
-        changed = ~_repeats(rows, [b[start - 1] for b in blocks] if start else None)
-        folds = np.flatnonzero(changed)
-        # row 0 carries the last fold before the chunk; the first chunk's
-        # first round folds, so it never reads that row
-        fold_dev = [np.empty((len(folds) + 1, m)) for m in game.action_counts]
-        fold_realized = np.empty((len(folds) + 1, n))
-        if start:
-            for d, carried in zip(fold_dev, last_dev):
-                d[0] = carried
-            fold_realized[0] = last_realized
-        for row, t in enumerate(folds, start=1):
-            profile = [b[t] for b in rows]
-            for i in range(n):
-                u = fold_dev[i][row] = grad(profile, i)
-                fold_realized[row, i] = profile[i] @ u
-        last_dev, last_realized = [d[-1] for d in fold_dev], fold_realized[-1]
-        # each round takes the rows of its latest fold
-        source = np.cumsum(changed)
-        sums = [_running_sums(d[source], carry) for d, carry in zip(fold_dev, dev)]
-        realized_sums = _running_sums(fold_realized[source], realized)
-        while wanted and wanted[0] <= stop:
-            T = wanted.pop(0)
-            k = T - 1 - start
-            gaps[T] = max(float(sums[i][k].max() - realized_sums[k, i]) / T for i in range(n))
-        dev = [d[-1] for d in sums]
-        realized = realized_sums[-1]
-    return [gaps[T] for T in checkpoints]
+    previous = None
+    done = 0
+    for chunk in chunks:
+        if not done:
+            # every round has the block sizes of the first, so one check covers them
+            _check_profile(game.action_counts, [b[0] for b in chunk.blocks])
+        top = len(chunk) if last is None else min(len(chunk), last - done)
+        for start, stop in _chunks(top):
+            rows = [b[start:stop] for b in chunk.blocks]
+            # a profile with the bits of the one before folds to the same rows, so
+            # only changed profiles fold (``_repeats`` compares bits, unlike
+            # ``==``, which equates -0.0 with 0.0 and never a nan with itself)
+            changed = ~_repeats(rows, previous)
+            folds = np.flatnonzero(changed)
+            # row 0 carries the last fold before these rows; the first round
+            # folds, so it never reads that row
+            fold_dev = [np.empty((len(folds) + 1, m)) for m in game.action_counts]
+            fold_realized = np.empty((len(folds) + 1, n))
+            if previous is not None:
+                for d, carried in zip(fold_dev, last_dev):
+                    d[0] = carried
+                fold_realized[0] = last_realized
+            for row, t in enumerate(folds, start=1):
+                profile = [b[t] for b in rows]
+                for i in range(n):
+                    u = fold_dev[i][row] = grad(profile, i)
+                    fold_realized[row, i] = profile[i] @ u
+            last_dev, last_realized = [d[-1] for d in fold_dev], fold_realized[-1]
+            previous = [b[-1].copy() for b in rows]
+            # each round takes the rows of its latest fold
+            source = np.cumsum(changed)
+            sums = [_running_sums(d[source], carry) for d, carry in zip(fold_dev, dev)]
+            realized_sums = _running_sums(fold_realized[source], realized)
+            while wanted and wanted[0] <= done + stop:
+                T = wanted.pop(0)
+                k = T - 1 - done - start
+                gaps[T] = max(float(sums[i][k].max() - realized_sums[k, i]) / T
+                              for i in range(n))
+            dev = [d[-1] for d in sums]
+            realized = realized_sums[-1]
+        done += len(chunk)
+    if checkpoints is None and done:
+        gaps[done] = max(float(dev[i].max() - realized[i]) / done for i in range(n))
+    return done, gaps
 
 
 def _fmt(x) -> str:
@@ -876,55 +908,85 @@ def write_strategies_jsonl(history: PlayHistory, path) -> None:
         StrategiesJsonlWriter(fh).write(history)
 
 
-# the writer's line opens with the round, a JSON integer, before the blocks
-_ROUND_HEAD = re.compile(r'\{"round": (?:0|[1-9][0-9]*), ')
+def iter_strategies_jsonl(path):
+    """Per-round profiles from the writer's format, as ``Rounds`` chunks of
+    ``_CHUNK_ROWS`` lines in order, the last one shorter.
 
-
-def read_strategies_jsonl(path) -> Rounds:
-    """Per-round profiles from the writer's format, stacked into per-block columns.
-
-    Every line must carry the block count and sizes of the first; a bad line
-    names its number.  A line that differs from the line before only in its
-    leading round number parses to the same blocks, which are reused.
+    The ``t``-th non-blank line must hold round ``t`` and the block count
+    and sizes of the first line; a bad line names its number.  A chunk is
+    yielded once its lines are read, so an error in a later line comes after
+    it.  A line that differs from the line before only in its round number
+    parses to the same blocks: a run of such lines is counted and appended
+    once, as those blocks' bytes repeated.
     """
-    buffers = None
-    rest = None
+    size = _CHUNK_ROWS
+    first = None  # the first line's number and block sizes
+    buffers, blocks = [], ()  # the chunk so far, and the last parsed line's blocks as bytes
+    rest = None  # that line's text after its round, when the next line may repeat it
+    t = done = 0  # the lines read, and those appended to a chunk
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            head = _ROUND_HEAD.match(line)
-            if head is not None and rest is not None and line[head.end():] == rest:
-                for b, x in zip(buffers, profile):
-                    b += x
-                continue
-            rest = None if head is None else line[head.end():]
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
-            blocks = doc.get("blocks") if isinstance(doc, dict) else None
-            if not isinstance(blocks, list):
-                raise ValueError(f"{path}:{line_no}: expected an object with a 'blocks' list")
-            if not all(isinstance(b, list) for b in blocks):
-                raise ValueError(f"{path}:{line_no}: blocks are not numeric (each must be a list)")
-            try:
-                profile = [array("d", b) for b in blocks]
-            except (TypeError, OverflowError) as exc:
-                raise ValueError(f"{path}:{line_no}: blocks are not numeric ({exc})") from exc
-            sizes = [len(x) for x in profile]
-            if buffers is None:
-                if not sizes or not all(sizes):
+            t += 1
+            head = '{"round": %d, ' % t
+            if rest is None or line != head + rest:
+                # the lines since the last append repeat the last parsed one
+                for b, x in zip(buffers, blocks):
+                    b.frombytes(x * (t - 1 - done))
+                done = t - 1
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
+                profile = doc.get("blocks") if isinstance(doc, dict) else None
+                if not isinstance(profile, list):
+                    raise ValueError(f"{path}:{line_no}: expected an object with a 'blocks' list")
+                got = doc.get("round")
+                if type(got) is not int or got != t:
+                    raise ValueError(f"{path}:{line_no}: round {json.dumps(got)}, expected {t}")
+                if not all(isinstance(b, list) for b in profile):
                     raise ValueError(
-                        f"{path}:{line_no}: expected non-empty blocks, got sizes {sizes}")
-                buffers = [array("d") for _ in profile]
-                first = (line_no, sizes)
-            elif sizes != first[1]:
-                raise ValueError(f"{path}:{line_no}: block sizes {sizes} differ from "
-                                 f"line {first[0]}'s {first[1]}")
-            for b, x in zip(buffers, profile):
-                b += x
-    if buffers is None:
-        return Rounds([])
-    return Rounds(_column(b, m) for b, m in zip(buffers, first[1]))
+                        f"{path}:{line_no}: blocks are not numeric (each must be a list)")
+                try:
+                    profile = [array("d", b) for b in profile]
+                except (TypeError, OverflowError) as exc:
+                    raise ValueError(f"{path}:{line_no}: blocks are not numeric ({exc})") from exc
+                sizes = [len(x) for x in profile]
+                if first is None:
+                    if not sizes or not all(sizes):
+                        raise ValueError(
+                            f"{path}:{line_no}: expected non-empty blocks, got sizes {sizes}")
+                    first = (line_no, sizes)
+                    buffers = [array("d") for _ in sizes]
+                elif sizes != first[1]:
+                    raise ValueError(f"{path}:{line_no}: block sizes {sizes} differ from "
+                                     f"line {first[0]}'s {first[1]}")
+                blocks = [x.tobytes() for x in profile]
+                # the next line may reuse these blocks only when this text
+                # after the round holds no key but "blocks", so that with
+                # the next round before it the line parses to that round
+                rest = line[len(head):]
+                if not line.startswith(head) or rest.count('"') != 2:
+                    rest = None
+            if t % size == 0:
+                for b, x in zip(buffers, blocks):
+                    b.frombytes(x * (t - done))
+                done = t
+                yield Rounds(_column(b, m) for b, m in zip(buffers, first[1]))
+                buffers = [array("d") for _ in buffers]
+    for b, x in zip(buffers, blocks):
+        b.frombytes(x * (t - done))
+    if t % size:
+        yield Rounds(_column(b, m) for b, m in zip(buffers, first[1]))
+
+
+def read_strategies_jsonl(path) -> Rounds:
+    """The chunks of ``iter_strategies_jsonl`` stacked into one ``Rounds`` of
+    read-only per-block columns."""
+    columns = [np.concatenate(parts) for parts in
+               zip(*(chunk.blocks for chunk in iter_strategies_jsonl(path)))]
+    for column in columns:
+        column.flags.writeable = False
+    return Rounds(columns)

@@ -9,15 +9,19 @@ factorially while the best payoff sits untouched in the middle.
 Two wrappers make the walk start from round one: a padded (m+1) x (m+1)
 matrix whose extra action funnels a pure initial profile onto the first
 payoff, and a 2m x 2m matrix balanced so that uniform initial play does the
-same.  The analyzer reconstructs the walk's phases from a recorded history
-and checks the structural facts the stalling argument rests on, and
-``run_separation`` sets the slow rm walk against fast alternating rm+.
+same.  ``PhaseTracker`` reconstructs the walk's phases from a recorded
+history and checks the structural facts the stalling argument rests on,
+and ``run_separation`` sets the slow rm walk against fast alternating rm+.
 
-The analyzer reads the history's strategy columns whole: each payoff's
-first round comes from one column product, and the walk checks run once
-per stretch of rounds with unchanged supports (the supports change 17
-times in the first 62,000 rounds of the padded m=6 walk), repeating that
-stretch's messages for each of its rounds.
+The tracker takes the strategies in chunks of rounds, as ``dyn.run``'s
+sink and ``dyn.iter_strategies_jsonl`` hand them over, and carries only
+what the next chunk needs, so that apart from the violations it reports
+it holds no more for a longer walk; ``analyze_phases`` feeds it a whole
+history as one chunk.  Within a chunk each payoff's first round comes
+from one column product, and the walk checks run once per stretch of
+rounds with unchanged supports (the supports change 17 times in the first
+62,000 rounds of the padded m=6 walk), repeating that stretch's messages
+for each of its rounds.
 """
 
 from __future__ import annotations
@@ -169,94 +173,119 @@ def _retained(spiral: SpiralMatrix):
     return out
 
 
+class PhaseTracker:
+    """The payoff-walk phases of a recorded run, fed its strategies in
+    ``Rounds`` chunks in round order (``update``); ``report`` gives the
+    ``PhaseReport`` of the rounds fed so far.
+
+    Phase k starts the first round the payoff-k profile carries joint mass
+    above the threshold and ends just before payoff k+1 does.  Histories
+    that stop early yield open phases, not errors.  Structural violations
+    of the walk (two mixed players, non-consecutive supports, an abandoned
+    action coming back) are collected as strings, from the first round
+    payoff 1 has mass on.
+
+    ``skip_rounds`` ignores that many leading rounds; the uniform-start
+    game needs its everything-mixed first round excluded from the walk.
+
+    From chunk to chunk the tracker carries the onsets, the action sets
+    each player ever had and then dropped, the last round's supports and
+    the messages of the stretch of equal supports it ends, and the
+    violations.
+    """
+
+    def __init__(self, spiral: SpiralMatrix, mass_threshold: float = 1e-12,
+                 skip_rounds: int = 0):
+        if skip_rounds < 0:
+            raise ValueError(f"skip_rounds must be nonnegative, got {skip_rounds}")
+        self.spiral, self.mass_threshold, self.skip_rounds = spiral, mass_threshold, skip_rounds
+        self.rounds = 0
+        self.first_seen = {}  # payoff value -> first round its profile has mass
+        self.violations = []
+        self._ever, self._gone = [set(), set()], [set(), set()]
+        self._last = None  # the last checked round's support rows
+        self._found = []  # the messages of the stretch of supports it ends
+        # consecutive row/col pairs a player may legally mix across, keyed by
+        # the moving side: odd payoff steps move player 1, even ones player 2
+        n_pay = spiral.num_payoffs
+        self._legal = ({}, {})
+        for k in range(1, n_pay):
+            (r0, c0), (r1, c1) = spiral.positions[k], spiral.positions[k + 1]
+            if k % 2 == 1:
+                self._legal[0][frozenset((r0, r1))] = (k, c0)
+            else:
+                self._legal[1][frozenset((c0, c1))] = (k, r0)
+        self._pure_profiles = {spiral.positions[k] for k in range(1, n_pay + 1)}
+
+    def update(self, strategies: dyn.Rounds) -> None:
+        """Take the next chunk of rounds."""
+        base, threshold = self.rounds, self.mass_threshold
+        self.rounds += len(strategies)
+        if not len(strategies):
+            return
+        p1, p2 = strategies.blocks[:2]
+        skip = max(self.skip_rounds - base, 0)
+        for k, (row, col) in self.spiral.positions.items():
+            if k not in self.first_seen:
+                hits = np.flatnonzero(p1[skip:, row] * p2[skip:, col] > threshold)
+                if len(hits):
+                    self.first_seen[k] = base + skip + int(hits[0]) + 1
+        if 1 not in self.first_seen:
+            return
+        # The checks read only the two supports and the sets of actions each
+        # player ever had and then dropped, and those sets stop changing after
+        # the first round of a run of equal supports.  So each run is checked
+        # once and its messages repeat for every round of it.
+        start = max(self.first_seen[1] - 1 - base, 0)
+        supports = [b[start:] > threshold for b in (p1, p2)]
+        steps = np.flatnonzero((supports[0][1:] != supports[0][:-1]).any(axis=1)
+                               | (supports[1][1:] != supports[1][:-1]).any(axis=1)) + 1
+        bounds = [0, *steps.tolist(), len(supports[0])]
+        # the chunk's first round continues the stretch of the round before
+        # while its supports are the same
+        fresh = self._last is None or any(
+            not np.array_equal(s[0], last) for s, last in zip(supports, self._last))
+        for a, b in zip(bounds, bounds[1:]):
+            if a or fresh:
+                supp = [tuple(np.flatnonzero(s[a]).tolist()) for s in supports]
+                self._found = _support_violations(supp, self._ever, self._gone,
+                                                  *self._legal, self._pure_profiles)
+            first = base + start + a + 1
+            self.violations.extend(f"round {t}: {msg}" for t in range(first, first + b - a)
+                                   for msg in self._found)
+        self._last = [s[-1].copy() for s in supports]
+
+    def report(self) -> PhaseReport:
+        # payoffs in the order a round-by-round scan meets them
+        first_seen = {k: t for t, k in sorted((t, k) for k, t in self.first_seen.items())}
+        phases = []
+        for k in range(2, self.spiral.num_payoffs + 1):
+            t_low = first_seen.get(k)
+            t_next = first_seen.get(k + 1)
+            t_high = t_next - 1 if t_next is not None else None
+            phases.append(Phase(k=k, t_low=t_low, t_high=t_high))
+        violations = (list(self.violations) if 1 in first_seen
+                      else ["payoff 1 profile never played"])
+        return PhaseReport(
+            m=self.spiral.m,
+            rounds=self.rounds,
+            first_seen=first_seen,
+            phases=phases,
+            retained_actions=_retained(self.spiral),
+            violations=violations,
+        )
+
+
 def analyze_phases(
     history: dyn.PlayHistory,
     spiral: SpiralMatrix,
     mass_threshold: float = 1e-12,
     skip_rounds: int = 0,
 ) -> PhaseReport:
-    """Reconstruct the payoff-walk phases from a recorded run.
-
-    Phase k starts the first round the payoff-k profile carries joint mass
-    above the threshold and ends just before payoff k+1 does.  Histories
-    that stop early yield open phases, not errors.  Structural violations
-    of the walk (two mixed players, non-consecutive supports, an abandoned
-    action coming back) are collected as strings.
-
-    ``skip_rounds`` ignores that many leading rounds; the uniform-start
-    game needs its everything-mixed first round excluded from the walk.
-    """
-    if skip_rounds < 0:
-        raise ValueError(f"skip_rounds must be nonnegative, got {skip_rounds}")
-    n_pay = spiral.num_payoffs
-    rounds = history.rounds
-    # a payoff's first round from its whole joint-mass column, recorded in the
-    # order a round-by-round scan meets them
-    onsets = []
-    if rounds:
-        p1, p2 = (b[skip_rounds:] for b in history.strategies.blocks[:2])
-        for k in range(1, n_pay + 1):
-            row, col = spiral.positions[k]
-            hits = np.flatnonzero(p1[:, row] * p2[:, col] > mass_threshold)
-            if len(hits):
-                onsets.append((int(hits[0]) + skip_rounds + 1, k))
-    first_seen = {k: t for t, k in sorted(onsets)}
-    phases = []
-    for k in range(2, n_pay + 1):
-        t_low = first_seen.get(k)
-        t_next = first_seen.get(k + 1)
-        t_high = t_next - 1 if t_next is not None else None
-        phases.append(Phase(k=k, t_low=t_low, t_high=t_high))
-
-    violations = []
-    if 1 not in first_seen:
-        violations.append("payoff 1 profile never played")
-        return PhaseReport(
-            m=spiral.m,
-            rounds=rounds,
-            first_seen=first_seen,
-            phases=phases,
-            retained_actions=_retained(spiral),
-            violations=violations,
-        )
-
-    # consecutive row/col pairs a player may legally mix across, keyed by
-    # the moving side: odd payoff steps move player 1, even ones player 2
-    legal1 = {}
-    legal2 = {}
-    for k in range(1, n_pay):
-        (r0, c0), (r1, c1) = spiral.positions[k], spiral.positions[k + 1]
-        if k % 2 == 1:
-            legal1[frozenset((r0, r1))] = (k, c0)
-        else:
-            legal2[frozenset((c0, c1))] = (k, r0)
-    pure_profiles = {spiral.positions[k] for k in range(1, n_pay + 1)}
-
-    # The checks read only the two supports and the sets of actions each
-    # player ever had and then dropped, and those sets stop changing after the
-    # first round of a run of equal supports.  So each run is checked once and
-    # its messages repeat for every round of it.
-    start = max(first_seen[1] - 1, skip_rounds)
-    supports = [b[start:] > mass_threshold for b in history.strategies.blocks[:2]]
-    steps = np.flatnonzero((supports[0][1:] != supports[0][:-1]).any(axis=1)
-                           | (supports[1][1:] != supports[1][:-1]).any(axis=1)) + 1
-    bounds = [0, *steps.tolist(), rounds - start]
-    ever = [set(), set()]
-    gone = [set(), set()]
-    for a, b in zip(bounds, bounds[1:]):
-        supp = [tuple(np.flatnonzero(s[a]).tolist()) for s in supports]
-        found = _support_violations(supp, ever, gone, legal1, legal2, pure_profiles)
-        violations.extend(f"round {t}: {msg}" for t in range(start + a + 1, start + b + 1)
-                          for msg in found)
-
-    return PhaseReport(
-        m=spiral.m,
-        rounds=rounds,
-        first_seen=first_seen,
-        phases=phases,
-        retained_actions=_retained(spiral),
-        violations=violations,
-    )
+    """The ``PhaseTracker`` report of a whole recorded run, fed as one chunk."""
+    tracker = PhaseTracker(spiral, mass_threshold, skip_rounds)
+    tracker.update(history.strategies)
+    return tracker.report()
 
 
 def _support_violations(supp, ever, gone, legal1, legal2, pure_profiles):
@@ -343,24 +372,38 @@ def replay_regrets(history: dyn.PlayHistory, init_regrets=None, at_rounds=None):
 
 @dataclass
 class Separation:
-    walk: dyn.RunResult  # plain rm, simultaneous, from the pure start
+    walk: dyn.RunResult  # plain rm, simultaneous, from the pure start; its record is not kept
     report: PhaseReport  # phases of the walk
     rm_rounds: Optional[int]  # first walk round with every gap <= epsilon
+    rounds_above: int  # walk rounds whose largest gap is above epsilon
     contrast: dyn.RunResult  # alternating rm+ from the same start
     contrast_gap: float  # Nash gap of the contrast's final profile
     ratio: float  # rm rounds (the whole walk if it never got there) per rm+ round
 
 
 def run_separation(m: int, max_rounds: int, epsilon: float, rm_plus_max_rounds: int) -> Separation:
-    """The rm walk on the padded game, its phase report, and the rm+ contrast."""
+    """The rm walk on the padded game, its phase report, and the rm+ contrast.
+
+    The walk streams its record to a ``PhaseTracker`` and to the gap counts
+    chunk by chunk, and keeps none of it."""
     game, init = build_padded(m), pure_init_strategies(m)
+    tracker = PhaseTracker(build_spiral(m))
+    rm_rounds, above = None, 0
+
+    def sink(history, traces):
+        nonlocal rm_rounds, above
+        tracker.update(history.strategies)
+        top = traces.br_gaps.max(axis=1)
+        above += int((top > epsilon).sum())
+        reached = np.flatnonzero(top <= epsilon)
+        if rm_rounds is None and len(reached):
+            rm_rounds = traces.rounds[int(reached[0])]
+
     walk = dyn.run(game, dyn.RunConfig(
-        scheme="simultaneous", kind="rm", max_rounds=max_rounds, init_strategies=init))
-    reached = np.flatnonzero(walk.traces.br_gaps.max(axis=1) <= epsilon)
-    rm_rounds = int(reached[0]) + 1 if len(reached) else None
+        scheme="simultaneous", kind="rm", max_rounds=max_rounds, init_strategies=init), sink=sink)
     contrast = dyn.run(game, dyn.RunConfig(
         scheme="alternating", kind="rm+", epsilon=epsilon, max_rounds=rm_plus_max_rounds,
         init_strategies=init))
     rm_cost = rm_rounds if rm_rounds is not None else walk.rounds
-    return Separation(walk, analyze_phases(walk.history, build_spiral(m)), rm_rounds, contrast,
+    return Separation(walk, tracker.report(), rm_rounds, above, contrast,
                       dyn.nash_gap(game, contrast.final_profile), rm_cost / max(contrast.rounds, 1))

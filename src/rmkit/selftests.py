@@ -440,7 +440,7 @@ def suite_hard_separation() -> SuiteResult:
             f"T_k >= ((k-2)/2) T_(k-1) and factorial floor for completed k <= {kmax}"
             + ("" if growth_ok else ": " + "; ".join(failures)))
 
-    above = int((res.traces.br_gaps.max(axis=1) > NASH_CUTOFF).sum())
+    above = sep.rounds_above
     observed_total = sum(T for T in completed.values())
     c.check(above >= observed_total,
             f"max br_gap > 1/14 for {above} rounds >= sum of observed T_k = {observed_total}")
@@ -468,14 +468,23 @@ def suite_uniform_init() -> SuiteResult:
     spiral = hard.build_spiral(m)
     game = hard.build_uniform_init(m)  # construction asserts its own row sums
     c.note("construction invariants (zero sum, round-1 regret pattern) hold at build time")
-    res = dyn.run(game, dyn.RunConfig(
-        scheme="simultaneous", kind="rm", max_rounds=120_000))
-    second = res.history.strategies[1]
-    purity = min(float(second[i][0]) for i in range(2))
-    stray = max(float(np.abs(second[i][1:]).max()) for i in range(2))
+    # the walk streams to the tracker; only round 2's strategies are kept
+    tracker = hard.PhaseTracker(spiral, skip_rounds=1)
+    second = None
+
+    def sink(history, traces):
+        nonlocal second
+        if second is None:
+            second = [b[1].copy() for b in history.strategies.blocks]
+        tracker.update(history.strategies)
+
+    dyn.run(game, dyn.RunConfig(scheme="simultaneous", kind="rm", max_rounds=120_000),
+            sink=sink)
+    purity = min(float(x[0]) for x in second)
+    stray = max(float(np.abs(x[1:]).max()) for x in second)
     c.check(purity >= 1.0 - TOL and stray <= EXACT_TOL,
             f"round 2: both players on action 1 (min mass {purity:.17g}, stray {stray:.1e})")
-    report = hard.analyze_phases(res.history, spiral, skip_rounds=1)
+    report = tracker.report()
     c.check(not report.violations,
             f"walk structure clean after the uniform round "
             f"({len(report.violations)} violations)")
@@ -692,10 +701,9 @@ def suite_gradient_structure() -> SuiteResult:
         for kind in ("rm", "rm+"):
             res = dyn.run(game, dyn.RunConfig(
                 scheme="simultaneous", kind=kind, max_rounds=200))
-            for profile in res.history.strategies:
-                for i in range(1, game.num_players):
-                    if not np.array_equal(profile[0], profile[i]):
-                        lock_ok = False
+            blocks = res.history.strategies.blocks
+            if not all(np.array_equal(blocks[0], b) for b in blocks[1:]):
+                lock_ok = False
     c.check(lock_ok,
             "simultaneous play from a shared start stays bitwise identical across "
             "players on symmetric games")

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -329,6 +330,9 @@ def test_a_streamed_run_holds_no_more_for_ten_times_the_rounds(
                 "--trace", str(tmp_path / "trace.csv"),
                 "--strategies", str(tmp_path / "walk.jsonl"),
                 "--report", str(tmp_path / "report.json")]
+        # a full collection empties CPython's free lists (of tuples, say),
+        # whose growth tracemalloc would count
+        gc.collect()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -341,6 +345,36 @@ def test_a_streamed_run_holds_no_more_for_ten_times_the_rounds(
 
     peak(30)  # first-call allocations
     # the record alone would add about 270 B a round, 700 KB here
+    assert peak(3_000) - peak(300) < 32 * 1024
+
+
+def test_analyze_holds_no_more_for_ten_times_the_rounds(tmp_path, capsys, monkeypatch):
+    # chunks of 32 rounds, so that both recordings stream many chunks in a short test
+    monkeypatch.setattr(dyn, "_CHUNK_ROWS", 32)
+    game = tmp_path / "hard4.json"
+    assert cli.main(["gen-hard", "--m", "4", "--out", str(game)]) == 0
+
+    def peak(rounds):
+        strategies = tmp_path / f"walk{rounds}.jsonl"
+        assert cli.main(["run", "--hard-instance", "m=4", "--algo", "rm",
+                         "--max-rounds", str(rounds), "--strategies", str(strategies)]) == 0
+        capsys.readouterr()
+        argv = ["analyze", "--strategies", str(strategies), "--m", "4", "--game", str(game),
+                "--analyses", "phases,stall_growth,cce"]
+        gc.collect()  # as in the run's test above
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert cli.main(argv) == 0
+            used = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        report = json.loads(capsys.readouterr().out)
+        assert report["rounds"] == rounds and report["phases"]["violations"] == []
+        return used
+
+    peak(30)  # first-call allocations
+    # the whole recording alone would add 80 B a round, 216 KB here
     assert peak(3_000) - peak(300) < 32 * 1024
 
 
@@ -612,22 +646,35 @@ def test_analyze_rejects_an_m_that_does_not_fit_the_recording(hard_run, capsys):
 ])
 def test_analyze_rejects_bad_cce_checkpoints(cce_at, msg, hard_run, capsys):
     strategies, game = hard_run
-    assert cli.main(["analyze", "--strategies", str(strategies), "--analyses", "cce",
-                     "--game", str(game), "--cce-at", cce_at]) == 1
+    out = strategies.parent / "report.json"
+    assert cli.main(["analyze", "--strategies", str(strategies), "--analyses", "phases,cce",
+                     "--m", "4", "--game", str(game), "--cce-at", cce_at,
+                     "--out", str(out)]) == 1
     assert _one_line_error(capsys).strip() == f"error: {msg}"
+    # checked before anything is printed or written
+    assert capsys.readouterr().out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("line, msg", [
-    ("[[1.0, 0.0], [0.0, 1.0]]", "expected an object with a 'blocks' list"),
-    ('{"round": 1}', "expected an object with a 'blocks' list"),
-    ('{"round": 1, "blocks": [["x"], [1.0]]}', "blocks are not numeric"),
-    ('{"round": 1, "blocks": [{}, [1.0]]}', "blocks are not numeric"),
-])
-def test_analyze_rejects_malformed_strategy_lines(line, msg, tmp_path, capsys):
+_LINE = '{"round": %d, "blocks": [[0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0]]}'
+
+
+@pytest.mark.parametrize("lines, msg", [
+    (["[[1.0, 0.0], [0.0, 1.0]]"], "1: expected an object with a 'blocks' list"),
+    (['{"round": 1}'], "1: expected an object with a 'blocks' list"),
+    (['{"round": 1, "blocks": [["x"], [1.0]]}'], "1: blocks are not numeric"),
+    (['{"round": 1, "blocks": [{}, [1.0]]}'], "1: blocks are not numeric"),
+    # the t-th line must be round t
+    ([_LINE % 2, _LINE % 1], "1: round 2, expected 1"),
+    ([_LINE % 1, _LINE % 2, _LINE % 4], "3: round 4, expected 3"),
+    ([_LINE % 1, _LINE % 2, _LINE % 2], "3: round 2, expected 3"),
+    (['{"blocks": [[1.0], [1.0]]}'], "1: round null, expected 1"),
+], ids=["not_an_object", "no_blocks", "a_string_entry", "an_object_block",
+        "swapped_pair", "gap", "repeat", "no_round"])
+def test_analyze_rejects_malformed_strategy_lines(lines, msg, tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
-    path.write_text(line + "\n")
+    path.write_text("\n".join(lines) + "\n")
     assert cli.main(["analyze", "--strategies", str(path), "--m", "4"]) == 1
-    assert f"bad.jsonl:1: {msg}" in _one_line_error(capsys)
+    assert f"bad.jsonl:{msg}" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("analyses", ["cce", "phases"])

@@ -356,6 +356,29 @@ def test_read_strategies_jsonl_reuses_only_lines_that_repeat_after_the_round(tmp
         dyn.read_strategies_jsonl(path)
 
 
+def test_the_reader_yields_chunks_that_stack_to_the_whole_recording(tmp_path, monkeypatch):
+    # the padded m=4 walk repeats its lines across the ends of 7-line chunks
+    res = dyn.run(*_walk(hard.build_padded, 4, 300)("rm", "simultaneous"))
+    path = tmp_path / "walk.jsonl"
+    dyn.write_strategies_jsonl(res.history, path)
+    monkeypatch.setattr(dyn, "_CHUNK_ROWS", 7)
+    chunks = list(dyn.iter_strategies_jsonl(path))
+    assert [len(chunk) for chunk in chunks] == [7] * 42 + [6]
+    whole = dyn.read_strategies_jsonl(path)
+    for i, block in enumerate(res.history.strategies.blocks):
+        parts = np.concatenate([chunk.blocks[i] for chunk in chunks])
+        assert parts.tobytes() == whole.blocks[i].tobytes() == block.tobytes()
+        assert not whole.blocks[i].flags.writeable
+    # a chunk is handed over once its lines are read, before a later bad line
+    lines = path.read_text().splitlines()
+    lines[9] = lines[9].replace('{"round": 10, ', '{"round": 11, ')
+    path.write_text("\n".join(lines) + "\n")
+    reader = dyn.iter_strategies_jsonl(path)
+    assert len(next(reader)) == 7
+    with pytest.raises(ValueError, match="walk.jsonl:10: round 11, expected 10"):
+        next(reader)
+
+
 # ---------------------------------------------------------------------------
 # the run record: columns behind per-round views
 # ---------------------------------------------------------------------------
@@ -1233,6 +1256,27 @@ def test_cce_gaps_over_repeated_profiles_give_the_bits_of_a_full_replay():
     checkpoints = list(range(1, len(rows) + 1))
     assert dyn.cce_gaps(game, history, checkpoints) == [
         _cce_gap_by_hand(game, history, T) for T in checkpoints]
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+def test_cce_replay_over_chunks_gives_the_bits_of_one_chunk(size):
+    # the padded m=4 walk: stretches of repeated profiles cross the chunk ends
+    game, config = _walk(hard.build_padded, 4, 4200)("rm", "simultaneous")
+    history = dyn.run(game, config).history
+    checkpoints = [4200, 1, 7, 8, 4096, 4097, 4100, 7]
+    want = [_bits(gap) for gap in dyn.cce_gaps(game, history, checkpoints)]
+
+    def chunks():
+        return (history.strategies[a:a + size] for a in range(0, 4200, size))
+
+    rounds, gaps = dyn.replay_cce(game, chunks(), checkpoints)
+    assert rounds == 4200 and [_bits(gaps[T]) for T in checkpoints] == want
+    # every chunk is read, past the largest checkpoint too
+    rounds, gaps = dyn.replay_cce(game, chunks(), [4096])
+    assert rounds == 4200 and list(gaps) == [4096] and _bits(gaps[4096]) == want[4]
+    # with no checkpoints, the gap at the last round
+    rounds, gaps = dyn.replay_cce(game, chunks())
+    assert rounds == 4200 and list(gaps) == [4200] and _bits(gaps[4200]) == want[0]
 
 
 def test_cce_gap_refuses_alternating_histories_unless_asked():

@@ -1,5 +1,10 @@
 """Unit tests for the spiral games, the walk analyzer, and its lemma checks."""
 
+import importlib.util
+import json
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -276,6 +281,92 @@ def test_report_json_dict_round_trips_the_phase_fields():
     assert doc["first_seen"] == {"1": 1, "2": 2, "3": 3}
     assert doc["phases"][0] == {"k": 2, "t_low": 2, "t_high": 2, "T": 1}
     assert doc["retained_actions"]["3"] == {"player1": [1], "player2": [1]}
+
+
+# ---------------------------------------------------------------------------
+# the tracker fed in chunks
+# ---------------------------------------------------------------------------
+
+
+def _m6_walk():
+    res = dyn.run(hard.build_padded(6), RunConfig(
+        kind="rm", max_rounds=8_000, init_strategies=hard.pure_init_strategies(6)))
+    return res.history, 6, {}
+
+
+def _stretches(*runs):
+    """A history of m=2 pairs, each held for its count of rounds."""
+    return _fake_history(2, [pair for pair, count in runs for _ in range(count)]), 2
+
+
+_MIX = [0.5, 0.5]
+
+
+def _supports_change_at_chunk_edges():
+    e = _E[2]
+    # changes at rounds 8 and 4,096 (edges of 7-round chunks) and at 4,097
+    return (*_stretches(((e[0], e[0]), 7), ((_MIX, e[0]), 4088), ((e[1], e[0]), 1),
+                        ((e[1], _MIX), 104)), {})
+
+
+def _violations_across_chunk_edges():
+    e = _E[2]
+    # both mixed in rounds 2-9, and action 0 regained in rounds 4,095-4,100
+    return (*_stretches(((e[0], e[0]), 1), ((_MIX, _MIX), 8), ((e[1], e[0]), 4085),
+                        ((e[0], e[0]), 6)), {})
+
+
+def _skip_past_the_first_chunk():
+    e = _E[2]
+    return (*_stretches(((_MIX, _MIX), 4100), ((e[0], e[0]), 50), ((e[1], e[0]), 50)),
+            {"skip_rounds": 4100})
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+@pytest.mark.parametrize("case, first_seen, violations", [
+    (_m6_walk, {1: 2, 2: 3, 3: 5, 4: 12, 5: 44, 6: 202, 7: 1155, 8: 7827}, []),
+    (_supports_change_at_chunk_edges, {1: 1, 2: 8, 3: 4097}, []),
+    (_violations_across_chunk_edges, {1: 1, 2: 2, 3: 2},
+     [f"round {t}: both players mixed" for t in range(2, 10)]
+     + [f"round {t}: player 1 regained abandoned actions [0]" for t in range(4095, 4101)]),
+    (_skip_past_the_first_chunk, {1: 4101, 2: 4151}, []),
+], ids=["m6_walk", "supports_change_at_edges", "violations_across_edges", "skip_past_chunk"])
+def test_a_tracker_fed_in_chunks_gives_the_whole_record_report(
+        case, first_seen, violations, size):
+    history, m, kwargs = case()
+    spiral = hard.build_spiral(m)
+    whole = hard.analyze_phases(history, spiral, **kwargs)
+    assert whole.first_seen == first_seen and whole.violations == violations
+    tracker = hard.PhaseTracker(spiral, **kwargs)
+    for a in range(0, history.rounds, size):
+        tracker.update(history.strategies[a:a + size])
+    chunked = tracker.report()
+    assert chunked == whole
+    assert json.dumps(chunked.to_json_dict()) == json.dumps(whole.to_json_dict())
+
+
+def test_run_separation_streams_the_walk_and_keeps_no_record():
+    epsilon = 1.0 / 14.0
+    sep = hard.run_separation(4, 3_000, epsilon, 1_000)
+    assert sep.walk.history.rounds == 0 and len(sep.walk.traces) == 0
+    whole = dyn.run(hard.build_padded(4), RunConfig(
+        kind="rm", max_rounds=3_000, init_strategies=hard.pure_init_strategies(4)))
+    assert sep.report == hard.analyze_phases(whole.history, hard.build_spiral(4))
+    top = whole.traces.br_gaps.max(axis=1)
+    assert sep.rounds_above == int((top > epsilon).sum()) > 0
+    reached = np.flatnonzero(top <= epsilon)
+    assert sep.rm_rounds == (int(reached[0]) + 1 if len(reached) else None)
+
+
+def test_the_separation_script_prints_phases_that_never_opened(capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        "separation_experiment.py")
+    spec = importlib.util.spec_from_file_location("separation_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    # payoff 7 of the m=4 walk first has mass past round 300
+    assert script.main(["--m", "4", "--max-rounds", "300"]) == 0
+    assert re.search(r"^ +7 +- +- +open +-$", capsys.readouterr().out, re.M)
 
 
 # ---------------------------------------------------------------------------
