@@ -35,8 +35,7 @@ potential twice, not four times; the other blocks fold axis-moved copies
 made once per run and dropped with it.  Any other gradient or value
 callable, a wrapped or rescaled one included, is called per call.
 ``replay_cce`` replays a recording once for any number of checkpoints, and
-folds a recorded profile only where its bits differ from the round before;
-the writers and the reader likewise reuse the text of a repeated round.
+folds a recorded profile only where its bits differ from the round before.
 
 One rule decides what a repeated round may skip.  It applies when the
 gradient and the value both come from the kernel's pair, functions of the
@@ -108,7 +107,9 @@ as ``Rounds`` chunks of ``_CHUNK_ROWS`` lines, and ``replay_cce`` and
 from the reader or from a sink, carrying from one chunk to the next only
 what the next needs.  ``read_strategies_jsonl`` and ``cce_gaps`` are the
 reader and the replay with the chunks stacked into, or fed as, one whole
-record.
+record.  The text of a stretch of repeated rounds, which differ only in
+their numbers, comes from one kernel, ``_numbered``: the writers write it,
+and the reader compares a window of the file with it.
 """
 
 from __future__ import annotations
@@ -231,7 +232,9 @@ class Traces(Sequence):
     The float block holds, per round, the n gaps, the kkt gap, the n regret
     l2 norms, the n l1 norms and the value; the bool block the n updated
     flags.  Indexing builds a ``TraceRecord``; the attributes of the same
-    names are the columns, read whole.
+    names are the columns, read whole.  ``rounds`` numbers the rows, 1, 2, ...
+    by default; ``TraceCsvWriter`` takes only a step-1 ``range``, so that it
+    can number the rows of a write from the first one.
     """
 
     def __init__(self, columns, updated, rounds=None):
@@ -369,6 +372,13 @@ _REUSE_ENTRIES = 4096
 
 # at most this many bytes of repeated CSV rounds or JSONL lines go to one write
 _BATCH_BYTES = 1 << 16
+
+# 10^18, ..., 10, 1: the digit columns of a round number, by integer division
+_POWERS_OF_TEN = 10 ** np.arange(18, -1, -1)
+
+# while the JSONL reader checks repeated lines, it holds at most this many
+# characters of the file, and reads on once fewer than half are left
+_WINDOW = 1 << 13
 
 # a stretch is covered in look-ahead chunks of 16, 32, ... rows up to the cap,
 # so that a short stretch wastes little and a long one holds few rows at once
@@ -798,6 +808,30 @@ def _repeats(columns, previous) -> np.ndarray:
     return same
 
 
+def _numbered(parts, first: int, count: int) -> str:
+    """The text of rounds ``first`` to ``first + count - 1``, each
+    ``str(t).join(parts)``.  Per digit count the rounds are one uint8 array:
+    the template row repeated, with the digit columns filled in at once."""
+    parts = [p.encode() for p in parts]
+    text = []
+    while count > 0:
+        d = len(str(first))
+        k = min(count, 10 ** d - first)
+        row = np.frombuffer((b"0" * d).join(parts), np.uint8)
+        rows = np.empty((k, len(row)), np.uint8)
+        rows[:] = row
+        digits = np.arange(first, first + k)[:, None] // _POWERS_OF_TEN[-d:]
+        digits %= 10
+        digits += 48
+        at = len(parts[0])
+        for part in parts[1:]:
+            rows[:, at:at + d] = digits
+            at += d + len(part)
+        text.append(rows.tobytes().decode())
+        first, count = first + k, count - k
+    return "".join(text)
+
+
 def _trace_lines(row, updated, n: int) -> List[str]:
     """One round's CSV lines without their leading round number."""
     gaps, kkt, l2, l1, value = _trace_fields(row, n)
@@ -810,90 +844,91 @@ def _trace_lines(row, updated, n: int) -> List[str]:
     return lines
 
 
-class TraceCsvWriter:
+class _RoundsWriter:
+    """The text of a run's rounds, fed chunk by chunk in round order.
+
+    ``_parts`` gives the text of each round whose rows are new, split at its
+    round numbers.  A round with the bits of the round before, in its chunk
+    or the last one written, reuses that text under its own number, and a
+    stretch of such rounds goes out as ``_numbered`` text, in writes of up to
+    ``_BATCH_BYTES``.  ``fh`` is an open text file.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._last = None  # the rows of the last round written
+        self._text = None  # its text, split at its round numbers
+
+    def _write(self, columns, first: int, rounds: int) -> None:
+        """Write rounds ``first`` to ``first + rounds - 1``, whose rows are
+        those of the (rounds, width) ``columns``."""
+        parts = self._text
+        for start, stop in _chunks(rounds):
+            chunk = [c[start:stop] for c in columns]
+            new = np.flatnonzero(~_repeats(chunk, self._last))
+            # each new row opens the rounds that share its text; the rounds
+            # before the first one continue the text of the last chunk
+            bounds = [first + start + a for a in (0, *new.tolist(), stop - start)]
+            texts = self._parts([c[new].tolist() for c in chunk])
+            for a, b, parts in zip(bounds, bounds[1:], [parts, *texts]):
+                if a == b:
+                    continue
+                # the longest round number sets the bytes of a round
+                size = (len(parts) - 1) * len(str(b - 1)) + sum(map(len, parts))
+                batch = max(1, _BATCH_BYTES // size)
+                for lo in range(a, b, batch):
+                    self._fh.write(_numbered(parts, lo, min(batch, b - lo)))
+            self._last = [c[-1].copy() for c in chunk]
+        self._text = parts
+
+
+class TraceCsvWriter(_RoundsWriter):
     """The trace CSV of a run fed chunk by chunk, in round order.
 
     One row per (round, player) plus a summary row with player -1.  The
     summary aggregates: max gap, the round's kkt gap, max norms, the round's
-    value, and the number of updated players.  A round with the bits of the
-    round before, in its chunk or the last one written, reuses its text
-    under its own round number, and such rounds go out in writes of up to
-    ``_BATCH_BYTES``.  ``fh`` is an open text file; the header is written on
-    construction.
+    value, and the number of updated players.  The header is written on
+    construction; a write takes ``Traces`` whose ``rounds`` are a step-1
+    ``range``.
     """
 
     def __init__(self, fh):
-        self._fh = fh
-        self._last = None  # the trace and updated rows of the last round written
-        self._tails = None  # its lines, each without its leading round number
+        super().__init__(fh)
         fh.write(TRACE_HEADER + "\n")
 
     def write(self, traces: Traces) -> None:
-        n = traces.updated.shape[1]
-        fh, tails = self._fh, self._tails
-        for start, stop in _chunks(len(traces)):
-            columns = (traces.columns[start:stop], traces.updated[start:stop])
-            new = np.flatnonzero(~_repeats(columns, self._last))
-            rows, flags = columns[0][new].tolist(), columns[1][new].tolist()
-            rounds = traces.rounds[start:stop]
-            # each new row opens the rounds that share its text; the rounds
-            # before the first one continue the text of the last chunk
-            bounds = [0, *new.tolist(), stop - start]
-            for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-                if k:
-                    tails = ["," + line + "\n"
-                             for line in _trace_lines(rows[k - 1], flags[k - 1], n)]
-                if a == b:
-                    continue
-                # the longest round number sets the bytes of a round
-                size = len(tails) * len(str(rounds[b - 1])) + sum(map(len, tails))
-                batch = max(1, _BATCH_BYTES // size)
-                for lo in range(a, b, batch):
-                    heads = map(str, rounds[lo:min(lo + batch, b)])
-                    fh.write("".join([head + tail for head in heads for tail in tails]))
-            self._last = [c[-1].copy() for c in columns]
-        self._tails = tails
+        rounds = traces.rounds
+        if not (isinstance(rounds, range) and rounds.step == 1):
+            raise ValueError(f"the rounds of a trace write must be a step-1 range, "
+                             f"not {rounds!r}")
+        self._write((traces.columns, traces.updated), rounds.start, len(rounds))
+
+    @staticmethod
+    def _parts(rows):
+        return [["", *("," + line + "\n" for line in _trace_lines(row, flags, len(flags)))]
+                for row, flags in zip(*rows)]
 
 
-class StrategiesJsonlWriter:
+class StrategiesJsonlWriter(_RoundsWriter):
     """The strategies JSONL of a run fed chunk by chunk, in round order.
 
-    One line per round: the strategies entering that round, all blocks,
-    numbered from 1 on across the chunks.  A round with the bits of the
-    round before, in its chunk or the last one written, reuses its blocks'
-    text, and such lines go out in writes of up to ``_BATCH_BYTES``.
-    ``fh`` is an open text file.
+    One line per round, ``json.dumps({"round": t, "blocks": ...})``: the
+    strategies entering round t, all blocks, numbered from 1 on across the
+    chunks.
     """
 
     def __init__(self, fh):
-        self._fh = fh
+        super().__init__(fh)
         self._rounds = 0
-        self._last = None  # the block rows of the last round written
-        self._blocks = None  # their JSON text
 
     def write(self, history: PlayHistory) -> None:
-        fh, blocks = self._fh, self._blocks
-        for start, stop in _chunks(history.rounds):
-            columns = [b[start:stop] for b in history.strategies.blocks]
-            new = np.flatnonzero(~_repeats(columns, self._last))
-            rows = [c[new].tolist() for c in columns]
-            # each new row opens the lines that share its text; the lines
-            # before the first one continue the text of the last chunk
-            bounds = [0, *new.tolist(), stop - start]
-            first = self._rounds + 1
-            for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-                if k:
-                    blocks = json.dumps([row[k - 1] for row in rows])
-                # the bytes of json.dumps({"round": ..., "blocks": ...}), at
-                # most _BATCH_BYTES to a write
-                end = ', "blocks": %s}\n' % blocks
-                batch = max(1, _BATCH_BYTES // len(end))
-                for lo in range(first + a, first + b, batch):
-                    numbers = map(str, range(lo, min(lo + batch, first + b)))
-                    fh.write('{"round": ' + (end + '{"round": ').join(numbers) + end)
-            self._rounds += stop - start
-            self._last = [c[-1].copy() for c in columns]
-        self._blocks = blocks
+        self._write(history.strategies.blocks, self._rounds + 1, history.rounds)
+        self._rounds += history.rounds
+
+    @staticmethod
+    def _parts(rows):
+        return [['{"round": ', ', "blocks": %s}\n' % json.dumps(profile)]
+                for profile in zip(*rows)]
 
 
 def write_trace_csv(traces: Traces, path) -> None:
@@ -912,26 +947,67 @@ def iter_strategies_jsonl(path):
     """Per-round profiles from the writer's format, as ``Rounds`` chunks of
     ``_CHUNK_ROWS`` lines in order, the last one shorter.
 
-    The ``t``-th non-blank line must hold round ``t`` and the block count
-    and sizes of the first line; a bad line names its number.  A chunk is
-    yielded once its lines are read, so an error in a later line comes after
-    it.  A line that differs from the line before only in its round number
-    parses to the same blocks: a run of such lines is counted and appended
-    once, as those blocks' bytes repeated.
+    The ``t``-th non-blank line must hold round ``t``, finite entries, and
+    the block count and sizes of the first line; a bad line names its
+    number.  A chunk is yielded once its lines are read, so an error in a
+    later line comes after it.  A line that differs from the line before
+    only in its round number parses to the same blocks: a run of such lines
+    is counted and appended once, as those blocks' bytes repeated.  After
+    such a line, the reader compares the next k lines with their
+    ``_numbered`` text at once, in a window of up to ``_WINDOW`` characters;
+    k doubles on a match and halves on a miss, down to the line-by-line
+    check.
     """
     size = _CHUNK_ROWS
     first = None  # the first line's number and block sizes
     buffers, blocks = [], ()  # the chunk so far, and the last parsed line's blocks as bytes
     rest = None  # that line's text after its round, when the next line may repeat it
-    t = done = 0  # the lines read, and those appended to a chunk
+    t = done = line_no = 0  # the lines read, those appended to a chunk, and the file's lines
+    repeat = False  # the last line read repeats the last parsed one
+    text, pos, k = "", 0, 1  # the window, how far it is read, and k
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
+        while True:
+            if t % size == 0 and t > done:
+                for b, x in zip(buffers, blocks):
+                    b.frombytes(x * (t - done))
+                done = t
+                yield Rounds(_column(b, m) for b, m in zip(buffers, first[1]))
+                buffers = [array("d") for _ in buffers]
+            if repeat:
+                if len(text) - pos < _WINDOW // 2:
+                    text, pos = text[pos:] + fh.read(_WINDOW - len(text) + pos), 0
+                end = text.find("\n", pos)
+                # the characters of the writer's line of round t + 1, "\n" included
+                width = len(rest) + 13 + len(str(t + 1))
+                if end + 1 - pos == width and text.endswith(rest, pos, end):
+                    # the next line has the length and the tail of a repeat:
+                    # compare the next k lines with the writer's text at once
+                    k = max(1, min(k, size - t % size, (len(text) - pos) // width))
+                    repeats = _numbered(['{"round": ', ", " + rest + "\n"], t + 1, k)
+                    if text.startswith(repeats, pos):
+                        pos, t, line_no, k = pos + len(repeats), t + k, line_no + k, 2 * k
+                        continue
+                    k //= 2
+                    if k:
+                        continue
+            # the next line, from the window while it holds any
+            if pos < len(text):
+                end = text.find("\n", pos) + 1 or len(text)
+                line, pos = text[pos:end], end
+                if not line.endswith("\n"):
+                    line += fh.readline()
+            else:
+                line = fh.readline()
+                if not line:
+                    break
             line = line.strip()
+            line_no += 1
             if not line:
                 continue
             t += 1
             head = '{"round": %d, ' % t
-            if rest is None or line != head + rest:
+            repeat = rest is not None and line == head + rest
+            if not repeat:
                 # the lines since the last append repeat the last parsed one
                 for b, x in zip(buffers, blocks):
                     b.frombytes(x * (t - 1 - done))
@@ -963,19 +1039,17 @@ def iter_strategies_jsonl(path):
                 elif sizes != first[1]:
                     raise ValueError(f"{path}:{line_no}: block sizes {sizes} differ from "
                                      f"line {first[0]}'s {first[1]}")
+                # finite entries have a finite sum unless it overflows
+                if not (math.isfinite(sum(map(sum, profile)))
+                        or all(math.isfinite(v) for x in profile for v in x)):
+                    raise ValueError(f"{path}:{line_no}: blocks are not finite")
                 blocks = [x.tobytes() for x in profile]
                 # the next line may reuse these blocks only when this text
                 # after the round holds no key but "blocks", so that with
                 # the next round before it the line parses to that round
-                rest = line[len(head):]
+                rest, k = line[len(head):], 1
                 if not line.startswith(head) or rest.count('"') != 2:
                     rest = None
-            if t % size == 0:
-                for b, x in zip(buffers, blocks):
-                    b.frombytes(x * (t - done))
-                done = t
-                yield Rounds(_column(b, m) for b, m in zip(buffers, first[1]))
-                buffers = [array("d") for _ in buffers]
     for b, x in zip(buffers, blocks):
         b.frombytes(x * (t - done))
     if t % size:

@@ -668,8 +668,11 @@ _LINE = '{"round": %d, "blocks": [[0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0
     ([_LINE % 1, _LINE % 2, _LINE % 4], "3: round 4, expected 3"),
     ([_LINE % 1, _LINE % 2, _LINE % 2], "3: round 2, expected 3"),
     (['{"blocks": [[1.0], [1.0]]}'], "1: round null, expected 1"),
+    # Python's json reads NaN and Infinity, which no strategy holds
+    ([_LINE % 1, _LINE.replace("1.0]]", "NaN]]") % 2], "2: blocks are not finite"),
+    ([_LINE.replace("[[0.0,", "[[-Infinity,") % 1], "1: blocks are not finite"),
 ], ids=["not_an_object", "no_blocks", "a_string_entry", "an_object_block",
-        "swapped_pair", "gap", "repeat", "no_round"])
+        "swapped_pair", "gap", "repeat", "no_round", "nan", "inf"])
 def test_analyze_rejects_malformed_strategy_lines(lines, msg, tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n")

@@ -325,6 +325,13 @@ def test_read_strategies_jsonl_rejects_bad_lines(tmp_path):
     path.write_text('{"round": 1, "blocks": [[1.0, 0.0]]}\n{oops\n')
     with pytest.raises(ValueError, match="bad.jsonl:2"):
         dyn.read_strategies_jsonl(path)
+    # finite entries whose sum overflows are read; a number past the
+    # largest float is infinite
+    path.write_text('{"round": 1, "blocks": [[1e308, 1e308]]}\n')
+    assert dyn.read_strategies_jsonl(path).blocks[0].tolist() == [[1e308, 1e308]]
+    path.write_text('{"round": 1, "blocks": [[1e308, 1e309]]}\n')
+    with pytest.raises(ValueError, match="bad.jsonl:1: blocks are not finite"):
+        dyn.read_strategies_jsonl(path)
 
 
 def test_read_strategies_jsonl_rejects_blocks_that_change_between_lines(tmp_path):
@@ -1073,6 +1080,123 @@ def test_writers_fed_in_pieces_write_the_bytes_of_one_whole_write(tmp_path, monk
     assert all(len(text) <= 500 for text, k in zip(csv_writes, rounds_per_write) if k > 1)
     # a piece that opens on a repeat of the piece before reuses its text too
     assert len(formatted) == whole_formatted < 300
+
+
+@pytest.mark.parametrize("parts", [
+    ["x"], ['{"round": ', ', "blocks": [[1.0]]}\n'],
+    ["", ",0,0.5,1\n", ",1,0.25,0\n", ",-1,0.5,1\n"], ["a", "", "bc", "\n"],
+], ids=["one_piece", "two_pieces", "csv_empty_first", "four_pieces"])
+def test_numbered_text_is_each_round_joined_into_its_parts(parts):
+    def want(first, count):
+        return "".join(str(t).join(parts) for t in range(first, first + count))
+
+    for edge in (10 ** d for d in range(1, 7)):  # 9 -> 10 up to 999,999 -> 1,000,000
+        for first, count in ((edge - 1, 1), (edge, 1), (edge - 1, 2), (edge - 5, 12)):
+            assert dyn._numbered(parts, first, count) == want(first, count)
+    # counts that span two edges: 9 -> 10 -> 100, 999 -> 1,000 -> 10,000
+    for first, count in ((8, 95), (1, 100), (998, 9_010)):
+        assert dyn._numbered(parts, first, count) == want(first, count)
+
+
+def test_the_trace_writer_refuses_rounds_that_are_not_consecutive(tmp_path):
+    traces = dyn.run(_corner_game(), RunConfig(kind="rm", max_rounds=6)).traces
+    listed = dyn.Traces(traces.columns, traces.updated, list(traces.rounds))
+    for bad in (traces[::2], listed):
+        with pytest.raises(ValueError, match="must be a step-1 range"):
+            dyn.write_trace_csv(bad, tmp_path / "trace.csv")
+
+
+def test_repeated_rounds_across_digit_edges_write_the_bytes_of_each_line(tmp_path, monkeypatch):
+    # writes of a few rounds, so that they end on both sides of each edge
+    monkeypatch.setattr(dyn, "_BATCH_BYTES", 500)
+    res = dyn.run(_corner_game(), RunConfig(kind="rm", max_rounds=2))
+    row, flags = res.traces.columns[1], res.traces.updated[1]
+    for rounds in (range(9_990, 10_010), range(99_990, 100_010)):
+        traces = dyn.Traces(np.array([row] * len(rounds)), np.array([flags] * len(rounds)),
+                            rounds)
+        path = tmp_path / "trace.csv"
+        dyn.write_trace_csv(traces, path)
+        # each round's lines after the round number, formatted once
+        lines = dyn._trace_lines(row.tolist(), flags.tolist(), 2)
+        assert path.read_text() == dyn.TRACE_HEADER + "\n" + "".join(
+            f"{t},{line}\n" for t in rounds for line in lines)
+
+    # one profile up to round 50,000 and another after it, fed in pieces
+    # whose cuts fall next to 9,999 -> 10,000 and 99,999 -> 100,000
+    profiles = [[[1.0, 0.0], [0.25, 0.75]], [[0.5, 0.5], [0.0, 1.0]]]
+    rounds = 100_010
+    history = dyn.PlayHistory(Scheme.SIMULTANEOUS, dyn.Rounds(
+        np.repeat(np.array([p[i] for p in profiles]), [50_000, rounds - 50_000], axis=0)
+        for i in range(2)))
+    path = tmp_path / "strategies.jsonl"
+    cuts = [0, 9_997, 10_002, 50_000, 99_998, 100_001, rounds]
+    with open(path, "w") as fh:
+        writer = dyn.StrategiesJsonlWriter(fh)
+        for a, b in zip(cuts, cuts[1:]):
+            writer.write(dyn.PlayHistory(Scheme.SIMULTANEOUS, history.strategies[a:b]))
+    assert path.read_text() == "".join(
+        json.dumps({"round": t, "blocks": profiles[t > 50_000]}) + "\n"
+        for t in range(1, rounds + 1))
+    # and the reader's bulk checks cross the same edges
+    got = dyn.read_strategies_jsonl(path)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.blocks, history.strategies.blocks))
+
+
+# a recording of 10,000 lines: three stretches of repeated rounds, then
+# 200 rounds that each move, which the reader reads one line at a time
+_PROFILES = ([[[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]] * 3_000
+             + [[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]] * 4_000
+             + [[[0.0, 0.0, 1.0], [0.25, 0.25, 0.5]]] * 2_800
+             + [[[t / 256, 1.0 - t / 256, 0.0], [0.5, 0.5, 0.0]] for t in range(200)])
+
+
+def _edited_recording(defect, line):
+    """The text of the recording with ``defect`` at 1-based ``line``, and
+    the profile of each round the reader accepts."""
+    profiles = list(_PROFILES)
+    lines = [json.dumps({"round": t, "blocks": p}) for t, p in enumerate(profiles, 1)]
+    ends = ["\n"] * len(lines)
+    i = line - 1
+    if defect == "wrong_round":
+        lines[i] = lines[i].replace(f'"round": {line},', f'"round": {line + 1},')
+    elif defect == "extra_key":
+        lines[i] = lines[i][:-1] + ', "note": 1}'
+    elif defect == "blank_line":
+        lines.insert(i, "")
+        ends.insert(i, "\n")
+    elif defect == "trailing_spaces":
+        lines[i] += "   "
+    elif defect == "crlf":
+        ends[i] = "\r\n"
+    elif defect == "no_final_newline":
+        del lines[line:], ends[line:], profiles[line:]
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends)), profiles
+
+
+@pytest.mark.parametrize("defect", ["wrong_round", "extra_key", "blank_line", "trailing_spaces",
+                                    "crlf", "no_final_newline"])
+@pytest.mark.parametrize("where", ["mid_stretch", "window_edge", "chunk_end", "chunk_start"])
+def test_the_reader_checks_a_stretch_at_once_with_the_result_of_each_line(
+        defect, where, tmp_path, monkeypatch):
+    line = {"chunk_end": 4_900, "chunk_start": 4_901}.get(where, 5_003)
+    if where.startswith("chunk"):
+        monkeypatch.setattr(dyn, "_CHUNK_ROWS", 7)
+    if where == "window_edge":
+        # a window of two lines and a part of the next, so that each compare
+        # and each line read meets its end
+        monkeypatch.setattr(dyn, "_WINDOW", 150)
+    text, profiles = _edited_recording(defect, line)
+    path = tmp_path / "walk.jsonl"
+    path.write_bytes(text.encode())
+    if defect == "wrong_round":
+        with pytest.raises(ValueError) as info:
+            dyn.read_strategies_jsonl(path)
+        assert str(info.value) == f"{path}:{line}: round {line + 1}, expected {line}"
+        return
+    got = dyn.read_strategies_jsonl(path)
+    for i, block in enumerate(got.blocks):
+        assert block.tobytes() == np.array([p[i] for p in profiles]).tobytes()
 
 
 def _bits(x):
