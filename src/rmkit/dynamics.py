@@ -109,11 +109,12 @@ what the next needs.  ``read_strategies_jsonl`` and ``cce_gaps`` are the
 reader and the replay with the chunks stacked into, or fed as, one whole
 record.  The text of a stretch of repeated rounds, which differ only in
 their numbers, comes from one kernel, ``_numbered``: the writers write it,
-and the reader compares a window of the file with it.
+and the reader compares the file's text with it.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
@@ -376,9 +377,13 @@ _BATCH_BYTES = 1 << 16
 # 10^18, ..., 10, 1: the digit columns of a round number, by integer division
 _POWERS_OF_TEN = 10 ** np.arange(18, -1, -1)
 
-# while the JSONL reader checks repeated lines, it holds at most this many
-# characters of the file, and reads on once fewer than half are left
-_WINDOW = 1 << 13
+# below this many rounds, joining each round's text beats the array fill's
+# fixed cost of about 12 us a call
+_FILL_ROUNDS = 100
+
+# the JSONL reader checks repeated lines in bulk once this many in a row
+# passed line by line, reading at most ``_WINDOW`` characters at a time
+_BULK_AFTER, _WINDOW = 64, 1 << 13
 
 # a stretch is covered in look-ahead chunks of 16, 32, ... rows up to the cap,
 # so that a short stretch wastes little and a long one holds few rows at once
@@ -810,8 +815,11 @@ def _repeats(columns, previous) -> np.ndarray:
 
 def _numbered(parts, first: int, count: int) -> str:
     """The text of rounds ``first`` to ``first + count - 1``, each
-    ``str(t).join(parts)``.  Per digit count the rounds are one uint8 array:
-    the template row repeated, with the digit columns filled in at once."""
+    ``str(t).join(parts)``.  From ``_FILL_ROUNDS`` rounds on, the rounds of
+    one digit count are one uint8 array: the template row repeated, with the
+    digit columns filled in at once."""
+    if count < _FILL_ROUNDS:
+        return "".join([str(t).join(parts) for t in range(first, first + count)])
     parts = [p.encode() for p in parts]
     text = []
     while count > 0:
@@ -871,7 +879,9 @@ class _RoundsWriter:
             bounds = [first + start + a for a in (0, *new.tolist(), stop - start)]
             texts = self._parts([c[new].tolist() for c in chunk])
             for a, b, parts in zip(bounds, bounds[1:], [parts, *texts]):
-                if a == b:
+                if b - a < 2:  # no round, or one, whose text is joined at once
+                    if a < b:
+                        self._fh.write(str(a).join(parts))
                     continue
                 # the longest round number sets the bytes of a round
                 size = (len(parts) - 1) * len(str(b - 1)) + sum(map(len, parts))
@@ -953,19 +963,19 @@ def iter_strategies_jsonl(path):
     later line comes after it.  A line that differs from the line before
     only in its round number parses to the same blocks: a run of such lines
     is counted and appended once, as those blocks' bytes repeated.  After
-    such a line, the reader compares the next k lines with their
-    ``_numbered`` text at once, in a window of up to ``_WINDOW`` characters;
-    k doubles on a match and halves on a miss, down to the line-by-line
-    check.
+    ``_BULK_AFTER`` such lines in a row, the reader reads the characters of
+    as many more lines as fit in ``_WINDOW`` at once and compares them with
+    those lines' ``_numbered`` text; the text of a miss is read again line
+    by line.
     """
     size = _CHUNK_ROWS
     first = None  # the first line's number and block sizes
     buffers, blocks = [], ()  # the chunk so far, and the last parsed line's blocks as bytes
     rest = None  # that line's text after its round, when the next line may repeat it
     t = done = line_no = 0  # the lines read, those appended to a chunk, and the file's lines
-    repeat = False  # the last line read repeats the last parsed one
-    text, pos, k = "", 0, 1  # the window, how far it is read, and k
+    run = 0  # the lines in a row that repeat the last parsed one
     with open(path) as fh:
+        lines = fh  # where the next line comes from: the file, or the text of a miss
         while True:
             if t % size == 0 and t > done:
                 for b, x in zip(buffers, blocks):
@@ -973,83 +983,85 @@ def iter_strategies_jsonl(path):
                 done = t
                 yield Rounds(_column(b, m) for b, m in zip(buffers, first[1]))
                 buffers = [array("d") for _ in buffers]
-            if repeat:
-                if len(text) - pos < _WINDOW // 2:
-                    text, pos = text[pos:] + fh.read(_WINDOW - len(text) + pos), 0
-                end = text.find("\n", pos)
+            if run >= _BULK_AFTER and lines is fh:
                 # the characters of the writer's line of round t + 1, "\n" included
                 width = len(rest) + 13 + len(str(t + 1))
-                if end + 1 - pos == width and text.endswith(rest, pos, end):
-                    # the next line has the length and the tail of a repeat:
-                    # compare the next k lines with the writer's text at once
-                    k = max(1, min(k, size - t % size, (len(text) - pos) // width))
-                    repeats = _numbered(['{"round": ', ", " + rest + "\n"], t + 1, k)
-                    if text.startswith(repeats, pos):
-                        pos, t, line_no, k = pos + len(repeats), t + k, line_no + k, 2 * k
-                        continue
-                    k //= 2
-                    if k:
-                        continue
-            # the next line, from the window while it holds any
-            if pos < len(text):
-                end = text.find("\n", pos) + 1 or len(text)
-                line, pos = text[pos:end], end
-                if not line.endswith("\n"):
-                    line += fh.readline()
-            else:
-                line = fh.readline()
+                k = max(1, min(size - t % size, _WINDOW // width))
+                repeats = _numbered(['{"round": ', ", " + rest + "\n"], t + 1, k)
+                text = fh.read(len(repeats))
+                if text == repeats:
+                    t, line_no = t + k, line_no + k
+                    continue
+                # one of the k lines differs: read them again line by line, the
+                # last one whole, and count the repeats anew
+                if text and text[-1] != "\n":
+                    text += fh.readline()
+                lines, run = io.StringIO(text), 0
+            for line_no, line in enumerate(lines, line_no + 1):
+                line = line.strip()
                 if not line:
-                    break
-            line = line.strip()
-            line_no += 1
-            if not line:
-                continue
-            t += 1
-            head = '{"round": %d, ' % t
-            repeat = rest is not None and line == head + rest
-            if not repeat:
-                # the lines since the last append repeat the last parsed one
-                for b, x in zip(buffers, blocks):
-                    b.frombytes(x * (t - 1 - done))
-                done = t - 1
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
-                profile = doc.get("blocks") if isinstance(doc, dict) else None
-                if not isinstance(profile, list):
-                    raise ValueError(f"{path}:{line_no}: expected an object with a 'blocks' list")
-                got = doc.get("round")
-                if type(got) is not int or got != t:
-                    raise ValueError(f"{path}:{line_no}: round {json.dumps(got)}, expected {t}")
-                if not all(isinstance(b, list) for b in profile):
-                    raise ValueError(
-                        f"{path}:{line_no}: blocks are not numeric (each must be a list)")
-                try:
-                    profile = [array("d", b) for b in profile]
-                except (TypeError, OverflowError) as exc:
-                    raise ValueError(f"{path}:{line_no}: blocks are not numeric ({exc})") from exc
-                sizes = [len(x) for x in profile]
-                if first is None:
-                    if not sizes or not all(sizes):
+                    continue
+                t += 1
+                head = '{"round": %d, ' % t
+                if rest is not None and line == head + rest:
+                    run += 1
+                else:
+                    run = 0
+                    # the lines since the last append repeat the last parsed one
+                    for b, x in zip(buffers, blocks):
+                        b.frombytes(x * (t - 1 - done))
+                    done = t - 1
+                    try:
+                        doc = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
+                    profile = doc.get("blocks") if isinstance(doc, dict) else None
+                    if not isinstance(profile, list):
                         raise ValueError(
-                            f"{path}:{line_no}: expected non-empty blocks, got sizes {sizes}")
-                    first = (line_no, sizes)
-                    buffers = [array("d") for _ in sizes]
-                elif sizes != first[1]:
-                    raise ValueError(f"{path}:{line_no}: block sizes {sizes} differ from "
-                                     f"line {first[0]}'s {first[1]}")
-                # finite entries have a finite sum unless it overflows
-                if not (math.isfinite(sum(map(sum, profile)))
-                        or all(math.isfinite(v) for x in profile for v in x)):
-                    raise ValueError(f"{path}:{line_no}: blocks are not finite")
-                blocks = [x.tobytes() for x in profile]
-                # the next line may reuse these blocks only when this text
-                # after the round holds no key but "blocks", so that with
-                # the next round before it the line parses to that round
-                rest, k = line[len(head):], 1
-                if not line.startswith(head) or rest.count('"') != 2:
-                    rest = None
+                            f"{path}:{line_no}: expected an object with a 'blocks' list")
+                    got = doc.get("round")
+                    if type(got) is not int or got != t:
+                        raise ValueError(
+                            f"{path}:{line_no}: round {json.dumps(got)}, expected {t}")
+                    if not all(isinstance(b, list) for b in profile):
+                        raise ValueError(
+                            f"{path}:{line_no}: blocks are not numeric (each must be a list)")
+                    try:
+                        profile = [array("d", b) for b in profile]
+                    except (TypeError, OverflowError) as exc:
+                        raise ValueError(
+                            f"{path}:{line_no}: blocks are not numeric ({exc})") from exc
+                    sizes = [len(x) for x in profile]
+                    if first is None:
+                        if not sizes or not all(sizes):
+                            raise ValueError(
+                                f"{path}:{line_no}: expected non-empty blocks, got sizes {sizes}")
+                        first = (line_no, sizes)
+                        buffers = [array("d") for _ in sizes]
+                    elif sizes != first[1]:
+                        raise ValueError(f"{path}:{line_no}: block sizes {sizes} differ from "
+                                         f"line {first[0]}'s {first[1]}")
+                    # an entry that is not finite is spelled NaN or Infinity,
+                    # or overflows, which takes an exponent or 309 digits;
+                    # finite entries have a finite sum unless it overflows
+                    if (("N" in line or "I" in line or "e" in line or "E" in line
+                         or len(line) > 308)
+                            and not (math.isfinite(sum(map(sum, profile)))
+                                     or all(math.isfinite(v) for x in profile for v in x))):
+                        raise ValueError(f"{path}:{line_no}: blocks are not finite")
+                    blocks = [x.tobytes() for x in profile]
+                    # the next line may reuse these blocks only when this text
+                    # after the round holds no key but "blocks", so that with
+                    # the next round before it the line parses to that round
+                    rest = line[len(head):]
+                    if not line.startswith(head) or rest.count('"') != 2:
+                        rest = None
+                if t % size == 0 or run >= _BULK_AFTER and lines is fh:
+                    break
+            else:
+                if lines is fh:
+                    break
+                lines = fh
     for b, x in zip(buffers, blocks):
         b.frombytes(x * (t - done))
     if t % size:

@@ -1086,16 +1086,19 @@ def test_writers_fed_in_pieces_write_the_bytes_of_one_whole_write(tmp_path, monk
     ["x"], ['{"round": ', ', "blocks": [[1.0]]}\n'],
     ["", ",0,0.5,1\n", ",1,0.25,0\n", ",-1,0.5,1\n"], ["a", "", "bc", "\n"],
 ], ids=["one_piece", "two_pieces", "csv_empty_first", "four_pieces"])
-def test_numbered_text_is_each_round_joined_into_its_parts(parts):
+def test_numbered_text_is_each_round_joined_into_its_parts(parts, monkeypatch):
     def want(first, count):
         return "".join(str(t).join(parts) for t in range(first, first + count))
 
-    for edge in (10 ** d for d in range(1, 7)):  # 9 -> 10 up to 999,999 -> 1,000,000
-        for first, count in ((edge - 1, 1), (edge, 1), (edge - 1, 2), (edge - 5, 12)):
+    # the array fill for every count, then for long stretches only
+    for fill_rounds in (1, dyn._FILL_ROUNDS):
+        monkeypatch.setattr(dyn, "_FILL_ROUNDS", fill_rounds)
+        for edge in (10 ** d for d in range(1, 7)):  # 9 -> 10 up to 999,999 -> 1,000,000
+            for first, count in ((edge - 1, 1), (edge, 1), (edge - 1, 2), (edge - 5, 12)):
+                assert dyn._numbered(parts, first, count) == want(first, count)
+        # counts that span two edges: 9 -> 10 -> 100, 999 -> 1,000 -> 10,000
+        for first, count in ((8, 95), (1, 100), (998, 9_010)):
             assert dyn._numbered(parts, first, count) == want(first, count)
-    # counts that span two edges: 9 -> 10 -> 100, 999 -> 1,000 -> 10,000
-    for first, count in ((8, 95), (1, 100), (998, 9_010)):
-        assert dyn._numbered(parts, first, count) == want(first, count)
 
 
 def test_the_trace_writer_refuses_rounds_that_are_not_consecutive(tmp_path):
@@ -1107,8 +1110,10 @@ def test_the_trace_writer_refuses_rounds_that_are_not_consecutive(tmp_path):
 
 
 def test_repeated_rounds_across_digit_edges_write_the_bytes_of_each_line(tmp_path, monkeypatch):
-    # writes of a few rounds, so that they end on both sides of each edge
+    # writes of a few rounds, so that they end on both sides of each edge,
+    # each filled in as an array
     monkeypatch.setattr(dyn, "_BATCH_BYTES", 500)
+    monkeypatch.setattr(dyn, "_FILL_ROUNDS", 1)
     res = dyn.run(_corner_game(), RunConfig(kind="rm", max_rounds=2))
     row, flags = res.traces.columns[1], res.traces.updated[1]
     for rounds in (range(9_990, 10_010), range(99_990, 100_010)):
@@ -1183,8 +1188,7 @@ def test_the_reader_checks_a_stretch_at_once_with_the_result_of_each_line(
     if where.startswith("chunk"):
         monkeypatch.setattr(dyn, "_CHUNK_ROWS", 7)
     if where == "window_edge":
-        # a window of two lines and a part of the next, so that each compare
-        # and each line read meets its end
+        # bulk reads of two lines, so that a defect meets the end of one
         monkeypatch.setattr(dyn, "_WINDOW", 150)
     text, profiles = _edited_recording(defect, line)
     path = tmp_path / "walk.jsonl"
@@ -1194,6 +1198,21 @@ def test_the_reader_checks_a_stretch_at_once_with_the_result_of_each_line(
             dyn.read_strategies_jsonl(path)
         assert str(info.value) == f"{path}:{line}: round {line + 1}, expected {line}"
         return
+    got = dyn.read_strategies_jsonl(path)
+    for i, block in enumerate(got.blocks):
+        assert block.tobytes() == np.array([p[i] for p in profiles]).tobytes()
+
+
+def test_the_reader_reads_stretches_of_each_length_around_the_bulk_check(tmp_path, monkeypatch):
+    # stretches of 1 to 12 lines, and one of 40, around a check that starts
+    # after 4 repeats in a row and reads 3 lines at a time
+    monkeypatch.setattr(dyn, "_BULK_AFTER", 4)
+    monkeypatch.setattr(dyn, "_WINDOW", 3 * 60)
+    lengths = [*range(1, 13), 40, *range(12, 0, -1)]
+    profiles = [[[i / 64, 1.0 - i / 64], [0.5, 0.5]] for i, n in enumerate(lengths) for _ in range(n)]
+    path = tmp_path / "walk.jsonl"
+    path.write_text("".join(json.dumps({"round": t, "blocks": p}) + "\n"
+                            for t, p in enumerate(profiles, 1)))
     got = dyn.read_strategies_jsonl(path)
     for i, block in enumerate(got.blocks):
         assert block.tobytes() == np.array([p[i] for p in profiles]).tobytes()
