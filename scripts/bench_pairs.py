@@ -7,14 +7,16 @@ For each gated workload of BENCHMARK.json and each of N seeds, runs
 
 (``<s>`` is BENCHMARK.json's ``run_seconds``, the same on both sides)
 
-once in a checkout of the parent revision and once in this source tree, one
-right after the other.  The side that runs first alternates from pair to
-pair, so that drift in the machine's speed falls on both sides alike.  The
-parent checkout is the revision's committed files exported with
-``git archive`` into a temporary directory (removed afterwards), so nothing
-is registered in the repository.  The change side is the working tree as it
-is, committed or not.  The result is written to BENCH_<pr>.json at the root
-of the repository.
+once in a checkout of the parent revision and once in a checkout of the
+change, one right after the other.  The side that runs first alternates from
+pair to pair, so that drift in the machine's speed falls on both sides
+alike.  Both checkouts are fresh temporary directories (removed afterwards),
+so neither side runs with the other's paths or compiled caches, and nothing
+is registered in the repository: the parent's is the revision's committed
+files exported with ``git archive``, and the change's is a copy of the files
+of the working tree that git tracks or would add, as they are on disk,
+committed or not.  The result is written to BENCH_<pr>.json at the root of
+the repository.
 
 The output has the schema of the earlier BENCH files: per workload and
 end-to-end metric the median and quartiles of each side (numpy.percentile,
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -60,6 +63,19 @@ def export(revision: str, into: str) -> None:
         archive.seek(0)
         with tarfile.open(fileobj=archive) as tar:
             tar.extractall(into)
+
+
+def copy_working_tree(into: str) -> None:
+    """The working tree's files that git tracks or would add, as they are on
+    disk, copied under ``into``."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=ROOT, capture_output=True,
+                           check=True).stdout.decode().split("\0")
+    for name in names:
+        source = os.path.join(ROOT, name)
+        if name and os.path.isfile(source):  # a deleted tracked file is left out
+            os.makedirs(os.path.dirname(os.path.join(into, name)), exist_ok=True)
+            shutil.copy2(source, os.path.join(into, name))
 
 
 def bench(tree: str, workload: str, seed: int, seconds: int) -> dict:
@@ -114,8 +130,10 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     parent_rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                                 capture_output=True, text=True, check=True).stdout.strip()
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir:
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_dir:
         export(args.parent, parent_dir)
+        copy_working_tree(change_dir)
         doc_workloads, digests_equal, machine = {}, True, None
         for workload in (w["name"] for w in spec["workloads"]):
             seeds = list(range(args.seed0, args.seed0 + args.pairs))
@@ -124,7 +142,7 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 pair = {}
                 for side in order:
-                    tree = parent_dir if side == "parent" else ROOT
+                    tree = parent_dir if side == "parent" else change_dir
                     pair[side] = bench(tree, workload, seed, seconds)
                     shown = {n: round(v, 4) for n, v in pair[side]["metrics"].items()}
                     print(f"{workload} seed {seed} {side}: {json.dumps(shown)} "

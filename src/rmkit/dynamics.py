@@ -109,12 +109,12 @@ what the next needs.  ``read_strategies_jsonl`` and ``cce_gaps`` are the
 reader and the replay with the chunks stacked into, or fed as, one whole
 record.  The text of a stretch of repeated rounds, which differ only in
 their numbers, comes from one kernel, ``_numbered``: the writers write it,
-and the reader compares the file's text with it.
+and the reader, which reads the file's bytes through one handle, compares
+the bytes of the lines ahead with it and seeks back where they differ.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -163,8 +163,8 @@ class RunConfig:
         self.init = InitPolicy(self.init)
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be positive")
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive when set")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite when set, got {self.epsilon}")
         if self.scheme is Scheme.LAZY_ALTERNATING and self.epsilon is None:
             raise ValueError("lazy scheme needs epsilon")
         if self.kind is ln.Kind.DRM_PLUS and self.discount is None:
@@ -382,7 +382,7 @@ _POWERS_OF_TEN = 10 ** np.arange(18, -1, -1)
 _FILL_ROUNDS = 100
 
 # the JSONL reader checks repeated lines in bulk once this many in a row
-# passed line by line, reading at most ``_WINDOW`` characters at a time
+# passed line by line, reading at most ``_WINDOW`` bytes at a time
 _BULK_AFTER, _WINDOW = 64, 1 << 13
 
 # a stretch is covered in look-ahead chunks of 16, 32, ... rows up to the cap,
@@ -957,114 +957,107 @@ def iter_strategies_jsonl(path):
     """Per-round profiles from the writer's format, as ``Rounds`` chunks of
     ``_CHUNK_ROWS`` lines in order, the last one shorter.
 
-    The ``t``-th non-blank line must hold round ``t``, finite entries, and
-    the block count and sizes of the first line; a bad line names its
-    number.  A chunk is yielded once its lines are read, so an error in a
-    later line comes after it.  A line that differs from the line before
-    only in its round number parses to the same blocks: a run of such lines
-    is counted and appended once, as those blocks' bytes repeated.  After
-    ``_BULK_AFTER`` such lines in a row, the reader reads the characters of
-    as many more lines as fit in ``_WINDOW`` at once and compares them with
-    those lines' ``_numbered`` text; the text of a miss is read again line
-    by line.
+    The file is UTF-8 bytes, and a line ends in ``\\n``.  The ``t``-th
+    non-blank line must hold round ``t``, finite entries, and the block
+    count and sizes of the first line; a bad line names its number.  A chunk
+    is yielded once its lines are read, so an error in a later line comes
+    after it.  A line that differs from the line before only in its round
+    number parses to the same blocks: a run of such lines is counted and
+    appended once, as those blocks' bytes repeated.  After ``_BULK_AFTER``
+    such lines in a row, the reader reads the bytes of as many more lines as
+    fit in ``_WINDOW`` at once and compares them with those lines'
+    ``_numbered`` text, each ending as the line before did; on a miss it
+    seeks back and reads on line by line.
     """
     size = _CHUNK_ROWS
     first = None  # the first line's number and block sizes
     buffers, blocks = [], ()  # the chunk so far, and the last parsed line's blocks as bytes
-    rest = None  # that line's text after its round, when the next line may repeat it
+    rest = None  # that line's bytes after its round, when the next line may repeat it
     t = done = line_no = 0  # the lines read, those appended to a chunk, and the file's lines
     run = 0  # the lines in a row that repeat the last parsed one
-    with open(path) as fh:
-        lines = fh  # where the next line comes from: the file, or the text of a miss
-        while True:
-            if t % size == 0 and t > done:
+    with open(path, "rb") as fh:
+        for raw in fh:
+            line_no += 1
+            line = raw.strip()
+            if not line:
+                continue
+            t += 1
+            head = b'{"round": %d, ' % t
+            if rest is not None and line == head + rest:
+                run += 1
+                if run >= _BULK_AFTER and t % size:
+                    # the next k lines as the writer writes them, each ending
+                    # as this one did; on a miss, they are read line by line
+                    k = max(1, min(size - t % size, _WINDOW // (len(line) + 2)))
+                    tail = (b", " + rest + raw[len(raw.rstrip()):]).decode()
+                    repeats = _numbered(['{"round": ', tail], t + 1, k).encode()
+                    at = fh.tell()
+                    if fh.read(len(repeats)) == repeats:
+                        t, line_no = t + k, line_no + k
+                    else:
+                        fh.seek(at)
+                        run = 0
+            else:
+                run = 0
+                # the lines since the last append repeat the last parsed one
+                for b, x in zip(buffers, blocks):
+                    b.frombytes(x * (t - 1 - done))
+                done = t - 1
+                try:
+                    text = line.decode()
+                    doc = json.loads(text)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
+                profile = doc.get("blocks") if isinstance(doc, dict) else None
+                if not isinstance(profile, list):
+                    raise ValueError(
+                        f"{path}:{line_no}: expected an object with a 'blocks' list")
+                got = doc.get("round")
+                if type(got) is not int or got != t:
+                    raise ValueError(
+                        f"{path}:{line_no}: round {json.dumps(got)}, expected {t}")
+                if not all(isinstance(b, list) for b in profile):
+                    raise ValueError(
+                        f"{path}:{line_no}: blocks are not numeric (each must be a list)")
+                try:
+                    profile = [array("d", b) for b in profile]
+                except (TypeError, OverflowError) as exc:
+                    raise ValueError(
+                        f"{path}:{line_no}: blocks are not numeric ({exc})") from exc
+                sizes = [len(x) for x in profile]
+                if first is None:
+                    if not sizes or not all(sizes):
+                        raise ValueError(
+                            f"{path}:{line_no}: expected non-empty blocks, got sizes {sizes}")
+                    first = (line_no, sizes)
+                    buffers = [array("d") for _ in sizes]
+                elif sizes != first[1]:
+                    raise ValueError(f"{path}:{line_no}: block sizes {sizes} differ from "
+                                     f"line {first[0]}'s {first[1]}")
+                # an entry that is not finite is spelled NaN or Infinity,
+                # or overflows, which takes an exponent or 309 digits;
+                # finite entries have a finite sum unless it overflows
+                if (("N" in text or "I" in text or "e" in text or "E" in text
+                     or len(text) > 308)
+                        and not (math.isfinite(sum(map(sum, profile)))
+                                 or all(math.isfinite(v) for x in profile for v in x))):
+                    raise ValueError(f"{path}:{line_no}: blocks are not finite")
+                blocks = [x.tobytes() for x in profile]
+                # the next line may reuse these blocks only when this text
+                # after the round holds no key but "blocks", so that with
+                # the next round before it the line parses to that round
+                rest = line[len(head):]
+                if not line.startswith(head) or rest.count(b'"') != 2:
+                    rest = None
+            if t % size == 0:
                 for b, x in zip(buffers, blocks):
                     b.frombytes(x * (t - done))
                 done = t
                 yield Rounds(_column(b, m) for b, m in zip(buffers, first[1]))
                 buffers = [array("d") for _ in buffers]
-            if run >= _BULK_AFTER and lines is fh:
-                # the characters of the writer's line of round t + 1, "\n" included
-                width = len(rest) + 13 + len(str(t + 1))
-                k = max(1, min(size - t % size, _WINDOW // width))
-                repeats = _numbered(['{"round": ', ", " + rest + "\n"], t + 1, k)
-                text = fh.read(len(repeats))
-                if text == repeats:
-                    t, line_no = t + k, line_no + k
-                    continue
-                # one of the k lines differs: read them again line by line, the
-                # last one whole, and count the repeats anew
-                if text and text[-1] != "\n":
-                    text += fh.readline()
-                lines, run = io.StringIO(text), 0
-            for line_no, line in enumerate(lines, line_no + 1):
-                line = line.strip()
-                if not line:
-                    continue
-                t += 1
-                head = '{"round": %d, ' % t
-                if rest is not None and line == head + rest:
-                    run += 1
-                else:
-                    run = 0
-                    # the lines since the last append repeat the last parsed one
-                    for b, x in zip(buffers, blocks):
-                        b.frombytes(x * (t - 1 - done))
-                    done = t - 1
-                    try:
-                        doc = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(f"{path}:{line_no}: not valid JSON ({exc})") from exc
-                    profile = doc.get("blocks") if isinstance(doc, dict) else None
-                    if not isinstance(profile, list):
-                        raise ValueError(
-                            f"{path}:{line_no}: expected an object with a 'blocks' list")
-                    got = doc.get("round")
-                    if type(got) is not int or got != t:
-                        raise ValueError(
-                            f"{path}:{line_no}: round {json.dumps(got)}, expected {t}")
-                    if not all(isinstance(b, list) for b in profile):
-                        raise ValueError(
-                            f"{path}:{line_no}: blocks are not numeric (each must be a list)")
-                    try:
-                        profile = [array("d", b) for b in profile]
-                    except (TypeError, OverflowError) as exc:
-                        raise ValueError(
-                            f"{path}:{line_no}: blocks are not numeric ({exc})") from exc
-                    sizes = [len(x) for x in profile]
-                    if first is None:
-                        if not sizes or not all(sizes):
-                            raise ValueError(
-                                f"{path}:{line_no}: expected non-empty blocks, got sizes {sizes}")
-                        first = (line_no, sizes)
-                        buffers = [array("d") for _ in sizes]
-                    elif sizes != first[1]:
-                        raise ValueError(f"{path}:{line_no}: block sizes {sizes} differ from "
-                                         f"line {first[0]}'s {first[1]}")
-                    # an entry that is not finite is spelled NaN or Infinity,
-                    # or overflows, which takes an exponent or 309 digits;
-                    # finite entries have a finite sum unless it overflows
-                    if (("N" in line or "I" in line or "e" in line or "E" in line
-                         or len(line) > 308)
-                            and not (math.isfinite(sum(map(sum, profile)))
-                                     or all(math.isfinite(v) for x in profile for v in x))):
-                        raise ValueError(f"{path}:{line_no}: blocks are not finite")
-                    blocks = [x.tobytes() for x in profile]
-                    # the next line may reuse these blocks only when this text
-                    # after the round holds no key but "blocks", so that with
-                    # the next round before it the line parses to that round
-                    rest = line[len(head):]
-                    if not line.startswith(head) or rest.count('"') != 2:
-                        rest = None
-                if t % size == 0 or run >= _BULK_AFTER and lines is fh:
-                    break
-            else:
-                if lines is fh:
-                    break
-                lines = fh
-    for b, x in zip(buffers, blocks):
-        b.frombytes(x * (t - done))
     if t % size:
+        for b, x in zip(buffers, blocks):
+            b.frombytes(x * (t - done))
         yield Rounds(_column(b, m) for b, m in zip(buffers, first[1]))
 
 

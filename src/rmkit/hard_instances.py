@@ -238,15 +238,12 @@ class PhaseTracker:
         # once and its messages repeat for every round of it.
         start = max(self.first_seen[1] - 1 - base, 0)
         supports = [b[start:] > threshold for b in (p1, p2)]
-        steps = np.flatnonzero((supports[0][1:] != supports[0][:-1]).any(axis=1)
-                               | (supports[1][1:] != supports[1][:-1]).any(axis=1)) + 1
-        bounds = [0, *steps.tolist(), len(supports[0])]
-        # the chunk's first round continues the stretch of the round before
-        # while its supports are the same
-        fresh = self._last is None or any(
-            not np.array_equal(s[0], last) for s, last in zip(supports, self._last))
-        for a, b in zip(bounds, bounds[1:]):
-            if a or fresh:
+        # each round whose supports differ from the round before opens a
+        # stretch; the rounds before the first one continue the last chunk's
+        new = np.flatnonzero(~dyn._repeats(supports, self._last)).tolist()
+        bounds = [0, *new, len(supports[0])]
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            if i:
                 supp = [tuple(np.flatnonzero(s[a]).tolist()) for s in supports]
                 self._found = _support_violations(supp, self._ever, self._gone,
                                                   *self._legal, self._pure_profiles)

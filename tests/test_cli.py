@@ -87,6 +87,18 @@ def test_run_validates_gamma(capsys):
     assert "must lie in (0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_run_refuses_an_epsilon_that_is_not_finite(epsilon, capsys, tmp_path):
+    msg = f"epsilon must be positive and finite when set, got {epsilon}"
+    assert cli.main(["run", "--objective", "cycle_poly", "--epsilon", epsilon]) == 1
+    assert msg in _one_line_error(capsys)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"objective": "cycle_poly", "epsilon": %s}'
+                   % {"nan": "NaN", "inf": "Infinity"}[epsilon])
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    assert msg in _one_line_error(capsys)
+
+
 def test_run_reports_unknown_objectives(capsys):
     assert cli.main(["run", "--objective", "nonsense"]) == 1
     assert "neither a builtin" in capsys.readouterr().err
@@ -678,6 +690,16 @@ def test_analyze_rejects_malformed_strategy_lines(lines, msg, tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert cli.main(["analyze", "--strategies", str(path), "--m", "4"]) == 1
     assert f"bad.jsonl:{msg}" in _one_line_error(capsys)
+
+
+def test_analyze_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    lines = [(_LINE % t).encode() for t in (1, 2, 3)]
+    lines[2] = lines[2].replace(b"]]}", b"]]\xff}")
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert cli.main(["analyze", "--strategies", str(path), "--m", "4"]) == 1
+    assert (f"bad.jsonl:3: not valid JSON ('utf-8' codec can't decode byte 0xff"
+            in _one_line_error(capsys))
 
 
 @pytest.mark.parametrize("analyses", ["cce", "phases"])

@@ -49,6 +49,8 @@ def test_run_config_coerces_strings():
         (dict(kind="drm+"), "drm\\+ needs a discount"),
         (dict(init="custom"), "custom init needs init_regrets"),
         (dict(init_regrets=[[1.0, 0.0]]), "only applies to custom init"),
+        (dict(epsilon=math.nan), "epsilon must be positive and finite when set, got nan"),
+        (dict(epsilon=math.inf), "epsilon must be positive and finite when set, got inf"),
     ],
 )
 def test_run_config_rejects(kwargs, msg):
@@ -1216,6 +1218,41 @@ def test_the_reader_reads_stretches_of_each_length_around_the_bulk_check(tmp_pat
     got = dyn.read_strategies_jsonl(path)
     for i, block in enumerate(got.blocks):
         assert block.tobytes() == np.array([p[i] for p in profiles]).tobytes()
+
+
+def test_a_crlf_recording_reads_with_the_bits_and_the_bulk_checks_of_the_lf_one(
+        tmp_path, monkeypatch):
+    checks, numbered_text = [], dyn._numbered
+
+    def numbered(parts, first, count):
+        checks.append((parts[1][-2:], first, count))
+        return numbered_text(parts, first, count)
+
+    monkeypatch.setattr(dyn, "_numbered", numbered)
+    text, _ = _edited_recording(None, 1)
+    got = {}
+    for end in ("\n", "\r\n"):
+        path = tmp_path / "walk.jsonl"
+        path.write_bytes(text.replace("\n", end).encode())
+        got[end] = dyn.read_strategies_jsonl(path)
+    for lf, crlf in zip(got["\n"].blocks, got["\r\n"].blocks):
+        assert crlf.tobytes() == lf.tobytes()
+    # the CRLF lines are checked in the same bulk reads, each ending in CRLF;
+    # a miss would start the next check 64 lines later
+    lf = [(first, count) for end, first, count in checks if end == "}\n"]
+    crlf = [(first, count) for end, first, count in checks if end == "\r\n"]
+    assert crlf == lf and len(crlf) + len(lf) == len(checks)
+    assert sum(count for _, count in crlf) > 9_500
+
+
+@pytest.mark.parametrize("end", ["\r", "\u00a0\n"], ids=["lone_cr", "no_break_space"])
+def test_the_reader_refuses_lines_that_end_in_other_whitespace(end, tmp_path):
+    # only "\n" ends a line, and only ASCII whitespace is stripped around it
+    text, _ = _edited_recording(None, 1)
+    path = tmp_path / "walk.jsonl"
+    path.write_bytes(text.replace("\n", end).encode())
+    with pytest.raises(ValueError, match=r"walk.jsonl:1: not valid JSON \(Extra data"):
+        dyn.read_strategies_jsonl(path)
 
 
 def _bits(x):
