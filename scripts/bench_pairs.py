@@ -21,8 +21,9 @@ the repository.
 The output has the schema of the earlier BENCH files: per workload and
 end-to-end metric the median and quartiles of each side (numpy.percentile,
 linear), the pairs the change wins, the ratio of the medians and the
-change's spread over the parent's median, plus the output checks of each
-side and whether every record digest of a pair matched.
+change's spread over the parent's median and a verdict (``verdict``), plus
+the output checks of each side and whether every record digest of a pair
+matched.
 
 Example (10 pairs per workload, about 50 minutes):
 
@@ -103,6 +104,27 @@ def spread(values) -> dict:
             "iqr_over_median": float((q3 - q1) / median) if median else None}
 
 
+def verdict(parent, change, better: str, bound: float) -> str:
+    """The first that holds for the runs of one metric, paired in order:
+    ``worse`` (the change's median worse by more than ``bound`` x the
+    parent's), ``unresolved`` (the change's q3 - q1 over the parent's median
+    above ``bound``, and not every change run better than every parent run),
+    ``gain`` (better in 9 of 10 pairs or more, ties for neither side, and
+    the median better by more than the parent's q3 - q1), ``within_bound``."""
+    sign = -1.0 if better == "lower" else 1.0  # sign * value grows as a run reads better
+    p, c = spread(parent), spread(change)
+    gained = sign * (c["median"] - p["median"])
+    if -gained > bound * p["median"]:
+        return "worse"
+    apart = min(sign * x for x in change) > max(sign * x for x in parent)
+    if c["q3"] - c["q1"] > bound * p["median"] and not apart:
+        return "unresolved"
+    wins = sum(sign * b > sign * a for a, b in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and gained > p["q3"] - p["q1"]:
+        return "gain"
+    return "within_bound"
+
+
 def summarize(spec_metrics, runs) -> dict:
     """Per metric the two sides' spreads and how the change compares."""
     out = {}
@@ -119,6 +141,7 @@ def summarize(spec_metrics, runs) -> dict:
             "change_over_parent": c["median"] / p["median"] if p["median"] else None,
             "change_iqr_over_parent_median":
                 (c["q3"] - c["q1"]) / p["median"] if p["median"] else None,
+            "verdict": verdict(parent, change, m["better"], m["bound"]),
         }
     return out
 
@@ -170,7 +193,8 @@ def main(argv=None) -> int:
                   "numpy.percentile (linear) at 50, 25 and 75 over the runs of a side. "
                   "change_wins counts pairs where the change reads better. iqr_over_median "
                   "is (q3 - q1) / median. change_iqr_over_parent_median is (q3 - q1) of the "
-                  "change over the parent's median, the quantity the spread bound applies to.",
+                  "change over the parent's median, the quantity the spread bound applies to. "
+                  "verdict is the rule of bench_pairs.verdict.",
         "parent": parent_rev,
         "workloads": doc_workloads,
         "record_digests_equal": digests_equal,
@@ -184,7 +208,7 @@ def main(argv=None) -> int:
         for name, m in entry["metrics"].items():
             print(f"{workload:14s} {name:14s} {m['parent']['median']:14.6g} -> "
                   f"{m['change']['median']:14.6g} {m['unit']:4s} "
-                  f"wins {m['change_wins']}/{entry['pairs']}")
+                  f"wins {m['change_wins']}/{entry['pairs']} {m['verdict']}")
     print(f"wrote {os.path.relpath(out, ROOT)}; record digests equal: {digests_equal}")
     return 0
 

@@ -9,6 +9,8 @@ the observed round counts with the guarantees
     drm+  : 1 + m * Phi_range / (eps^2 * sqrt(gamma))
 
 where m is the largest action count and Phi_range the potential's span.
+The games and runs come from ``rmkit.selftests.potential_rates``, which also
+drives ``rmkit selftest potential_convergence`` (50 games at its own seed).
 
 Example:
     python3 scripts/potential_rates.py --games 20 --epsilon 0.05 --gamma 0.25
@@ -18,13 +20,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
-from rmkit import dynamics as dyn
-from rmkit import games as gm
+from rmkit import selftests as st
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -50,35 +50,22 @@ def main(argv=None) -> int:
         print("error: --gamma must lie in (0, 1)", file=sys.stderr)
         return 1
     rng = np.random.default_rng(ns.seed)
-    rows = []
+    rows, over = [], []
     print(f"{'game':>4}  {'shape':>12}  {'Phi_rng':>8}  "
           f"{'rm+ T':>7}  {'budget':>10}  {'drm+ T':>7}  {'budget':>10}")
-    for idx in range(ns.games):
-        n = int(rng.integers(1, ns.max_players + 1))
-        sizes = tuple(int(s) for s in rng.integers(2, ns.max_actions + 1, n))
-        game = gm.normalize_game(
-            gm.random_potential_game(n, sizes, seed=int(rng.integers(2**31))))
-        m = max(sizes)
-        phi_range = float(np.ptp(game.potential))
-        bound_rmp = 1.0 + (m * phi_range) ** 2 / ns.epsilon**4
-        bound_drm = 1.0 + m * phi_range / (ns.epsilon**2 * math.sqrt(ns.gamma))
-
-        res_p = dyn.run(game, dyn.RunConfig(
-            scheme="lazy", kind="rm+", epsilon=ns.epsilon,
-            max_rounds=min(int(bound_rmp) + 1, ns.round_cap)))
-        res_d = dyn.run(game, dyn.RunConfig(
-            scheme="lazy", kind="drm+", epsilon=ns.epsilon,
-            discount=1.0 - ns.gamma,
-            max_rounds=min(int(bound_drm) + 1, ns.round_cap)))
-
+    plan = st.potential_rates(rng, ns.games, ns.epsilon, ns.gamma, ns.max_players,
+                              ns.max_actions, ns.round_cap)
+    for idx, (sizes, phi_range, res_p, bound_rmp, res_d, bound_drm) in enumerate(plan):
         shape = "x".join(str(s) for s in sizes)
         flag_p = "" if res_p.converged and res_p.rounds <= bound_rmp else "  !! over budget"
         flag_d = "" if res_d.converged and res_d.rounds <= bound_drm else "  !! over budget"
         print(f"{idx:>4}  {shape:>12}  {phi_range:8.3f}  "
               f"{res_p.rounds:>7}  {bound_rmp:>10.3g}  "
               f"{res_d.rounds:>7}  {bound_drm:>10.3g}{flag_p}{flag_d}")
+        if flag_p or flag_d:
+            over.append(idx)
         rows.append({
-            "game": idx, "players": n, "actions": list(sizes),
+            "game": idx, "players": len(sizes), "actions": list(sizes),
             "phi_range": phi_range,
             "rm_plus_rounds": res_p.rounds, "rm_plus_budget": bound_rmp,
             "rm_plus_converged": res_p.converged,
@@ -88,10 +75,6 @@ def main(argv=None) -> int:
 
     worst_p = max((r["rm_plus_rounds"] for r in rows), default=0)
     worst_d = max((r["drm_plus_rounds"] for r in rows), default=0)
-    over = [r["game"] for r in rows
-            if not (r["rm_plus_converged"] and r["rm_plus_rounds"] <= r["rm_plus_budget"]
-                    and r["drm_plus_converged"]
-                    and r["drm_plus_rounds"] <= r["drm_plus_budget"])]
     print(f"\nworst rounds: rm+ {worst_p}, drm+ {worst_d}; "
           f"games over budget: {over if over else 'none'}")
 

@@ -273,7 +273,7 @@ def _execute_run(cfg: dict) -> int:
 
 
 def _run_one_config(payload) -> int:
-    # Pool worker: isolated execution of one merged config
+    # one merged config, here or in a Pool worker; an error ends it alone, in one line
     try:
         return _execute_run(payload)
     except (CliError, ValueError, OSError) as exc:
@@ -301,11 +301,8 @@ def cmd_run(ns: argparse.Namespace) -> int:
                 )
     if ns.jobs > 1 and len(configs) > 1:
         with Pool(processes=min(ns.jobs, len(configs))) as pool:
-            codes = pool.map(_run_one_config, configs)
-        return max(codes)
-    codes = [_run_one_config(cfg) if len(configs) > 1 else _execute_run(cfg)
-             for cfg in configs]
-    return max(codes)
+            return max(pool.map(_run_one_config, configs))
+    return max(map(_run_one_config, configs))
 
 
 def cmd_gen_hard(ns: argparse.Namespace) -> int:

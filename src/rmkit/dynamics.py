@@ -97,20 +97,22 @@ over buffers that the run then replaces with empty ones, so the sink may
 keep them.  The result's record is then empty; its round count, stop
 reason, initial gaps and final states are those of the same run without a
 sink.  ``TraceCsvWriter`` and ``StrategiesJsonlWriter`` write such chunks
-with the bytes of one whole write, carrying the last round written for the
-repeat check; ``write_trace_csv`` and ``write_strategies_jsonl`` are those
-writers fed one whole record.
+with the bytes of one whole write; ``write_trace_csv`` and
+``write_strategies_jsonl`` are those writers fed one whole record.
 
 A recording is read back the same way: ``iter_strategies_jsonl`` yields it
 as ``Rounds`` chunks of ``_CHUNK_ROWS`` lines, and ``replay_cce`` and
 ``hard_instances.PhaseTracker`` take such chunks in round order, whether
-from the reader or from a sink, carrying from one chunk to the next only
-what the next needs.  ``read_strategies_jsonl`` and ``cce_gaps`` are the
-reader and the replay with the chunks stacked into, or fed as, one whole
-record.  The text of a stretch of repeated rounds, which differ only in
-their numbers, comes from one kernel, ``_numbered``: the writers write it,
-and the reader, which reads the file's bytes through one handle, compares
-the bytes of the lines ahead with it and seeks back where they differ.
+from the reader or from a sink.  Only running sums, onsets, dropped action
+sets, violations and round counters cross a chunk edge: the writers, the
+replay and the tracker take a chunk's first round as new, and a repeated
+round has the bits of the one before, so its text, fold and checks too.
+``read_strategies_jsonl`` and ``cce_gaps`` are the reader and the replay
+with the chunks stacked into, or fed as, one whole record.  The text of a
+stretch of repeated rounds, which differ only in their numbers, comes from
+one kernel, ``_numbered``: the writers write it, and the reader, which
+reads the file's bytes through one handle, compares the bytes of the lines
+ahead with it and seeks back where they differ.
 """
 
 from __future__ import annotations
@@ -415,15 +417,12 @@ def _rm_look_ahead(regrets, steps, free, k: int):
     """
     rows, l1 = [], []
     for r, g, f in zip(regrets, steps, free):
-        sums = np.empty((k + 1, len(r)))
-        sums[0] = r
-        sums[1:] = g
-        np.cumsum(sums, axis=0, out=sums)
-        theta = np.maximum(sums[1:], 0.0)
+        sums = _running_sums(np.broadcast_to(g, (k, len(r))), r)
+        theta = np.maximum(sums, 0.0)
         moved = theta[:, f].view(np.int64).any(axis=1) | np.isinf(theta).any(axis=1)
         if moved.any():
             k = min(k, int(moved.argmax()))
-        rows.append(sums[1:])
+        rows.append(sums)
         l1.append(np.add.reduce(theta, axis=1))
     l1 = np.stack([total[:k] for total in l1], axis=1)
     return [sums[:k] for sums in rows], l1, np.sqrt(l1 * l1)
@@ -724,9 +723,10 @@ def replay_cce(game: GameSpec, chunks, checkpoints=None):
     or, when ``checkpoints`` is ``None``, at the last round.
 
     Every chunk is read, but rounds past the largest checkpoint are not
-    folded.  The replay runs ``_CHUNK_ROWS`` rounds at a time and carries the
-    running sums from one to the next, so what it holds does not grow with
-    the rounds, and the sums, sequential ``cumsum``s, do not depend on
+    folded.  The replay runs ``_CHUNK_ROWS`` rounds at a time, folding the
+    first and each whose bits differ from the round before, and carries only
+    the running sums from one to the next, so what it holds does not grow
+    with the rounds, and the sums, sequential ``cumsum``s, do not depend on
     where a chunk ends.
     """
     n = game.num_players
@@ -734,11 +734,8 @@ def replay_cce(game: GameSpec, chunks, checkpoints=None):
     wanted = None if checkpoints is None else sorted(set(checkpoints))
     last = None if checkpoints is None else max(checkpoints, default=0)
     gaps = {}
-    # the running sums before the rows to come, the rows of the last fold,
-    # and the last profile replayed
-    dev, last_dev = [np.zeros(m) for m in game.action_counts], [None] * n
-    realized, last_realized = np.zeros(n), None
-    previous = None
+    # the running sums before the rows to come
+    dev, realized = [np.zeros(m) for m in game.action_counts], np.zeros(n)
     done = 0
     for chunk in chunks:
         if not done:
@@ -750,25 +747,17 @@ def replay_cce(game: GameSpec, chunks, checkpoints=None):
             # a profile with the bits of the one before folds to the same rows, so
             # only changed profiles fold (``_repeats`` compares bits, unlike
             # ``==``, which equates -0.0 with 0.0 and never a nan with itself)
-            changed = ~_repeats(rows, previous)
+            changed = ~_repeats(rows)
             folds = np.flatnonzero(changed)
-            # row 0 carries the last fold before these rows; the first round
-            # folds, so it never reads that row
-            fold_dev = [np.empty((len(folds) + 1, m)) for m in game.action_counts]
-            fold_realized = np.empty((len(folds) + 1, n))
-            if previous is not None:
-                for d, carried in zip(fold_dev, last_dev):
-                    d[0] = carried
-                fold_realized[0] = last_realized
-            for row, t in enumerate(folds, start=1):
+            fold_dev = [np.empty((len(folds), m)) for m in game.action_counts]
+            fold_realized = np.empty((len(folds), n))
+            for row, t in enumerate(folds):
                 profile = [b[t] for b in rows]
                 for i in range(n):
                     u = fold_dev[i][row] = grad(profile, i)
                     fold_realized[row, i] = profile[i] @ u
-            last_dev, last_realized = [d[-1] for d in fold_dev], fold_realized[-1]
-            previous = [b[-1].copy() for b in rows]
             # each round takes the rows of its latest fold
-            source = np.cumsum(changed)
+            source = np.cumsum(changed) - 1
             sums = [_running_sums(d[source], carry) for d, carry in zip(fold_dev, dev)]
             realized_sums = _running_sums(fold_realized[source], realized)
             while wanted and wanted[0] <= done + stop:
@@ -796,20 +785,15 @@ def _chunks(rows: int):
         yield start, min(start + _CHUNK_ROWS, rows)
 
 
-def _repeats(columns, previous) -> np.ndarray:
+def _repeats(columns) -> np.ndarray:
     """Per row of the ``columns``, (rows, width) arrays of one length, whether
-    every column has the bits of the row before it; the first row is
-    compared with ``previous``, one row per column, or with none when that is
-    ``None``.  Float columns compare as int64, so -0.0 is not 0.0."""
-    def bits(rows):
-        return rows.view(np.int64) if rows.dtype == np.float64 else rows
-
-    same = np.ones(len(columns[0]), dtype=bool)
-    same[0] = previous is not None
-    for j, column in enumerate(map(bits, columns)):
+    every column has the bits of the row before it; the first row never
+    does.  Float columns compare as int64, so -0.0 is not 0.0."""
+    same = np.arange(len(columns[0])) > 0
+    for column in columns:
+        if column.dtype == np.float64:
+            column = column.view(np.int64)
         same[1:] &= (column[1:] == column[:-1]).all(axis=1)
-        if previous is not None:
-            same[0] &= bool((column[0] == bits(previous[j])).all())
     return same
 
 
@@ -856,40 +840,33 @@ class _RoundsWriter:
     """The text of a run's rounds, fed chunk by chunk in round order.
 
     ``_parts`` gives the text of each round whose rows are new, split at its
-    round numbers.  A round with the bits of the round before, in its chunk
-    or the last one written, reuses that text under its own number, and a
-    stretch of such rounds goes out as ``_numbered`` text, in writes of up to
-    ``_BATCH_BYTES``.  ``fh`` is an open text file.
+    round numbers: the first of each ``_CHUNK_ROWS`` rows, and each with
+    other bits than the round before.  A repeated round reuses that text
+    under its own number, and a stretch of them goes out as ``_numbered``
+    text, in writes of up to ``_BATCH_BYTES``.  ``fh`` is an open text file.
     """
 
     def __init__(self, fh):
         self._fh = fh
-        self._last = None  # the rows of the last round written
-        self._text = None  # its text, split at its round numbers
 
     def _write(self, columns, first: int, rounds: int) -> None:
         """Write rounds ``first`` to ``first + rounds - 1``, whose rows are
         those of the (rounds, width) ``columns``."""
-        parts = self._text
         for start, stop in _chunks(rounds):
             chunk = [c[start:stop] for c in columns]
-            new = np.flatnonzero(~_repeats(chunk, self._last))
-            # each new row opens the rounds that share its text; the rounds
-            # before the first one continue the text of the last chunk
-            bounds = [first + start + a for a in (0, *new.tolist(), stop - start)]
+            new = np.flatnonzero(~_repeats(chunk))
+            # each new row opens the rounds that share its text
+            bounds = [first + start + a for a in (*new.tolist(), stop - start)]
             texts = self._parts([c[new].tolist() for c in chunk])
-            for a, b, parts in zip(bounds, bounds[1:], [parts, *texts]):
-                if b - a < 2:  # no round, or one, whose text is joined at once
-                    if a < b:
-                        self._fh.write(str(a).join(parts))
+            for a, b, parts in zip(bounds, bounds[1:], texts):
+                if b - a == 1:
+                    self._fh.write(str(a).join(parts))
                     continue
                 # the longest round number sets the bytes of a round
                 size = (len(parts) - 1) * len(str(b - 1)) + sum(map(len, parts))
                 batch = max(1, _BATCH_BYTES // size)
                 for lo in range(a, b, batch):
                     self._fh.write(_numbered(parts, lo, min(batch, b - lo)))
-            self._last = [c[-1].copy() for c in chunk]
-        self._text = parts
 
 
 class TraceCsvWriter(_RoundsWriter):

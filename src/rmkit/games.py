@@ -45,6 +45,8 @@ class GameSpec:
 
     def __post_init__(self):
         self.action_counts = tuple(int(m) for m in self.action_counts)
+        if not self.action_counts:
+            raise ValueError("a game needs at least one player")
         if any(m < 1 for m in self.action_counts):
             raise ValueError(f"action counts must be positive, got {self.action_counts}")
         if len(self.utilities) != self.num_players:
@@ -383,17 +385,23 @@ def save_game(game: GameSpec, path) -> None:
 
 
 def load_game(path) -> GameSpec:
-    """Read a game file, validating shapes and (when present) the potential."""
+    """Read a game file, validating shapes and (when present) the potential;
+    a refusal is a ``ValueError`` whose message starts with ``path``."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     for key in ("players", "actions", "kind"):
         if key not in doc:
             raise ValueError(f"{path}: missing field '{key}'")
-    n = int(doc["players"])
-    actions = tuple(int(m) for m in doc["actions"])
+    try:
+        n = int(doc["players"])
+        actions = tuple(int(m) for m in doc["actions"])
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: 'players' must be an integer, 'actions' integers") from None
     if len(actions) != n:
         raise ValueError(f"{path}: field 'actions' has {len(actions)} entries for {n} players")
     kind = doc["kind"]
@@ -407,32 +415,30 @@ def load_game(path) -> GameSpec:
     if doc.get("symmetric"):
         tags.add(TAG_SYMMETRIC)
 
+    potential = None
     if "payoff_matrix" in doc:
         if n != 2 or kind != "identical_interest":
             raise ValueError(f"{path}: 'payoff_matrix' is the 2-player identical-interest shortcut")
-        a = np.asarray(doc["payoff_matrix"], dtype=np.float64)
+        a = _numbers(path, "'payoff_matrix'", doc["payoff_matrix"])
         if a.shape != actions:
             raise ValueError(f"{path}: 'payoff_matrix' has shape {a.shape}, want {actions}")
         utilities = [a, a.copy()]
-        potential = None
     else:
         if "utilities" not in doc:
             raise ValueError(f"{path}: missing field 'utilities'")
         flats = doc["utilities"]
+        if not isinstance(flats, list):
+            raise ValueError(f"{path}: field 'utilities' is a {type(flats).__name__}, not a list")
         if len(flats) != n:
             raise ValueError(f"{path}: field 'utilities' has {len(flats)} tensors for {n} players")
-        size = int(np.prod(actions))
-        utilities = []
-        for i, flat in enumerate(flats):
-            if len(flat) != size:
-                raise ValueError(f"{path}: utilities[{i}] has {len(flat)} entries, want {size}")
-            utilities.append(np.asarray(flat, dtype=np.float64).reshape(actions))
-        potential = None
+        utilities = [_numbers(path, f"utilities[{i}]", flat, actions)
+                     for i, flat in enumerate(flats)]
         if "potential" in doc:
-            if len(doc["potential"]) != size:
-                raise ValueError(f"{path}: 'potential' has {len(doc['potential'])} entries, want {size}")
-            potential = np.asarray(doc["potential"], dtype=np.float64).reshape(actions)
-    game = GameSpec(actions, utilities, potential=potential, tags=frozenset(tags))
+            potential = _numbers(path, "'potential'", doc["potential"], actions)
+    try:
+        game = GameSpec(actions, utilities, potential=potential, tags=frozenset(tags))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if game.potential is not None:
         ok, witness = verify_potential(game)
         if not ok:
@@ -440,3 +446,17 @@ def load_game(path) -> GameSpec:
     if kind == "potential" and game.potential is None:
         raise ValueError(f"{path}: kind 'potential' but no potential tensor")
     return game
+
+
+def _numbers(path, name, values, shape=None) -> np.ndarray:
+    """A game file's JSON list of numbers, or of such lists, as a float64
+    array; with ``shape``, a flat list in C order, as that shape."""
+    if not isinstance(values, list):
+        raise ValueError(f"{path}: {name} must be a list, got {type(values).__name__}")
+    if shape is not None and len(values) != int(np.prod(shape)):
+        raise ValueError(f"{path}: {name} has {len(values)} entries, want {int(np.prod(shape))}")
+    try:
+        a = np.asarray(values, dtype=np.float64)
+        return a if shape is None else a.reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {name} is not numbers ({exc})") from None

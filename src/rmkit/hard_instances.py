@@ -15,13 +15,13 @@ and ``run_separation`` sets the slow rm walk against fast alternating rm+.
 
 The tracker takes the strategies in chunks of rounds, as ``dyn.run``'s
 sink and ``dyn.iter_strategies_jsonl`` hand them over, and carries only
-what the next chunk needs, so that apart from the violations it reports
-it holds no more for a longer walk; ``analyze_phases`` feeds it a whole
-history as one chunk.  Within a chunk each payoff's first round comes
-from one column product, and the walk checks run once per stretch of
-rounds with unchanged supports (the supports change 17 times in the first
-62,000 rounds of the padded m=6 walk), repeating that stretch's messages
-for each of its rounds.
+the onsets, the dropped action sets and the violations from one chunk to
+the next, so that apart from the violations it holds no more for a longer
+walk; ``analyze_phases`` feeds it a whole history as one chunk.  Within a
+chunk each payoff's first round comes from one column product, and the
+walk checks run on a chunk's first round and once per stretch of rounds
+with unchanged supports (the supports change 17 times in the first 62,000
+rounds of the padded m=6 walk), repeating their messages for each round.
 """
 
 from __future__ import annotations
@@ -188,10 +188,8 @@ class PhaseTracker:
     ``skip_rounds`` ignores that many leading rounds; the uniform-start
     game needs its everything-mixed first round excluded from the walk.
 
-    From chunk to chunk the tracker carries the onsets, the action sets
-    each player ever had and then dropped, the last round's supports and
-    the messages of the stretch of equal supports it ends, and the
-    violations.
+    From chunk to chunk the tracker carries only the onsets, the action sets
+    each player ever had and then dropped, and the violations.
     """
 
     def __init__(self, spiral: SpiralMatrix, mass_threshold: float = 1e-12,
@@ -203,8 +201,6 @@ class PhaseTracker:
         self.first_seen = {}  # payoff value -> first round its profile has mass
         self.violations = []
         self._ever, self._gone = [set(), set()], [set(), set()]
-        self._last = None  # the last checked round's support rows
-        self._found = []  # the messages of the stretch of supports it ends
         # consecutive row/col pairs a player may legally mix across, keyed by
         # the moving side: odd payoff steps move player 1, even ones player 2
         n_pay = spiral.num_payoffs
@@ -238,19 +234,48 @@ class PhaseTracker:
         # once and its messages repeat for every round of it.
         start = max(self.first_seen[1] - 1 - base, 0)
         supports = [b[start:] > threshold for b in (p1, p2)]
-        # each round whose supports differ from the round before opens a
-        # stretch; the rounds before the first one continue the last chunk's
-        new = np.flatnonzero(~dyn._repeats(supports, self._last)).tolist()
-        bounds = [0, *new, len(supports[0])]
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            if i:
-                supp = [tuple(np.flatnonzero(s[a]).tolist()) for s in supports]
-                self._found = _support_violations(supp, self._ever, self._gone,
-                                                  *self._legal, self._pure_profiles)
+        # each round whose supports differ from the round before opens a stretch
+        new = np.flatnonzero(~dyn._repeats(supports)).tolist()
+        bounds = [*new, len(supports[0])]
+        for a, b in zip(bounds, bounds[1:]):
+            found = self._support_violations([tuple(np.flatnonzero(s[a]).tolist())
+                                              for s in supports])
             first = base + start + a + 1
             self.violations.extend(f"round {t}: {msg}" for t in range(first, first + b - a)
-                                   for msg in self._found)
-        self._last = [s[-1].copy() for s in supports]
+                                   for msg in found)
+
+    def _support_violations(self, supp):
+        """The walk checks of one round with supports ``supp``, without the
+        round prefix; updates the played and abandoned action sets, which the
+        same supports checked again leave as they are."""
+        found = []
+        for j in range(2):
+            back = self._gone[j].intersection(supp[j])
+            if back:
+                found.append(f"player {j + 1} regained abandoned actions {sorted(back)}")
+            self._gone[j].update(self._ever[j].difference(supp[j]))
+            self._ever[j].update(supp[j])
+        mixed = [j for j in range(2) if len(supp[j]) > 1]
+        if len(mixed) > 1:
+            found.append("both players mixed")
+            return found
+        if not mixed:
+            if (supp[0][0], supp[1][0]) not in self._pure_profiles:
+                found.append(f"pure profile {(supp[0][0], supp[1][0])} is not on the spiral")
+            return found
+        j = mixed[0]
+        if len(supp[j]) > 2:
+            found.append(f"player {j + 1} mixes {len(supp[j])} actions")
+            return found
+        key = frozenset(supp[j])
+        if key not in self._legal[j]:
+            found.append(f"player {j + 1} mixes non-consecutive pair {sorted(supp[j])}")
+            return found
+        _, other_action = self._legal[j][key]
+        if supp[1 - j][0] != other_action:
+            found.append(f"player {2 - j} should sit on action {other_action}, "
+                         f"plays {supp[1 - j][0]}")
+        return found
 
     def report(self) -> PhaseReport:
         # payoffs in the order a round-by-round scan meets them
@@ -283,40 +308,6 @@ def analyze_phases(
     tracker = PhaseTracker(spiral, mass_threshold, skip_rounds)
     tracker.update(history.strategies)
     return tracker.report()
-
-
-def _support_violations(supp, ever, gone, legal1, legal2, pure_profiles):
-    """The walk checks of one round with supports ``supp``, without the round
-    prefix; updates the ``ever`` played and ``gone`` (abandoned) action sets."""
-    found = []
-    for j in range(2):
-        back = gone[j].intersection(supp[j])
-        if back:
-            found.append(f"player {j + 1} regained abandoned actions {sorted(back)}")
-        gone[j].update(ever[j].difference(supp[j]))
-        ever[j].update(supp[j])
-    mixed = [j for j in range(2) if len(supp[j]) > 1]
-    if len(mixed) > 1:
-        found.append("both players mixed")
-        return found
-    if not mixed:
-        if (supp[0][0], supp[1][0]) not in pure_profiles:
-            found.append(f"pure profile {(supp[0][0], supp[1][0])} is not on the spiral")
-        return found
-    j = mixed[0]
-    if len(supp[j]) > 2:
-        found.append(f"player {j + 1} mixes {len(supp[j])} actions")
-        return found
-    legal = legal1 if j == 0 else legal2
-    key = frozenset(supp[j])
-    if key not in legal:
-        found.append(f"player {j + 1} mixes non-consecutive pair {sorted(supp[j])}")
-        return found
-    _, other_action = legal[key]
-    if supp[1 - j][0] != other_action:
-        found.append(f"player {2 - j} should sit on action {other_action}, "
-                     f"plays {supp[1 - j][0]}")
-    return found
 
 
 def check_stall_growth(report: PhaseReport):
@@ -352,19 +343,15 @@ def replay_regrets(history: dyn.PlayHistory, init_regrets=None, at_rounds=None):
     blocks = history.strategies.blocks
     if init_regrets is None:
         init_regrets = [np.zeros(b.shape[1]) for b in blocks]
-    sums = []
-    for X, U, r in zip(blocks, history.utilities.blocks, init_regrets):
-        # rows [r, g_1, g_2, ...]: cumsum adds them in round order, as the
-        # online r + g does; x @ u stays per row, where a batched product
-        # could round differently
-        rows = np.empty((T + 1, X.shape[1]))
-        rows[0] = r
-        rows[1:] = U - np.array([float(x @ u) for x, u in zip(X, U)])[:, None]
-        sums.append(np.cumsum(rows, axis=0, out=rows))
+    # the running sums of g_1, g_2, ... from r add in round order, as the
+    # online r + g does; x @ u stays per row, where a batched product could
+    # round differently
+    sums = [dyn._running_sums(U - np.array([float(x @ u) for x, u in zip(X, U)])[:, None], r)
+            for X, U, r in zip(blocks, history.utilities.blocks, init_regrets)]
     if at_rounds is None:
-        return [[s[t] for s in sums] for t in range(1, T + 1)]
+        return [list(row) for row in zip(*sums)]
     wanted = set(at_rounds)
-    return {t: [s[t] for s in sums] for t in range(1, T + 1) if t in wanted}
+    return {t: [s[t - 1] for s in sums] for t in range(1, T + 1) if t in wanted}
 
 
 @dataclass

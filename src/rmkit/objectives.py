@@ -246,8 +246,11 @@ def normalize_objective(obj: ObjectiveHandle, scale: Optional[float] = None) -> 
 
 
 def load_objective(spec, base_dir: str = ".") -> ObjectiveHandle:
-    """Build an objective from a JSON file path or an already-parsed dict."""
+    """Build an objective from a JSON file path or an already-parsed dict.
+    A refusal of a file names its path first."""
+    where = ""
     if isinstance(spec, (str, os.PathLike)):
+        where = f"{spec}: "
         base_dir = os.path.dirname(os.fspath(spec)) or "."
         with open(spec) as fh:
             try:
@@ -256,16 +259,16 @@ def load_objective(spec, base_dir: str = ".") -> ObjectiveHandle:
                 raise ValueError(f"{spec}: not valid JSON ({exc})") from exc
     else:
         doc = spec
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise ValueError("objective spec needs a 'type' field")
+    if not isinstance(doc, dict) or not isinstance(doc.get("type"), str):
+        raise ValueError(f"{where}objective spec needs a 'type' field, a string")
     keys = {"cycle_poly": {"type"}, "multilinear": {"type", "game"}}.get(doc["type"])
     if keys is None:
-        raise ValueError(f"unknown objective type '{doc['type']}'")
+        raise ValueError(f"{where}unknown objective type '{doc['type']}'")
     unknown = set(doc) - keys
     if unknown:
-        raise ValueError(f"objective spec: unknown keys {sorted(unknown)}")
+        raise ValueError(f"{where}objective spec: unknown keys {sorted(unknown)}")
     if doc["type"] == "cycle_poly":
         return make_cycle_polynomial()
-    if "game" not in doc:
-        raise ValueError("multilinear objective needs a 'game' file field")
+    if not isinstance(doc.get("game"), str):
+        raise ValueError(f"{where}multilinear objective needs a 'game' file field, a path")
     return make_multilinear(games_mod.load_game(os.path.join(base_dir, doc["game"])))

@@ -305,6 +305,31 @@ def suite_one_step_lemmas() -> SuiteResult:
 # 4. round bounds on potential games
 
 
+def potential_rates(rng, games: int, eps: float, gamma: float, max_players: int = 3,
+                    max_actions: int = 6, round_cap: int = 200_000):
+    """Per sampled potential game (utilities spanning at most 1), lazy rm+ and
+    drm+ (alpha = 1 - gamma) run to gaps <= ``eps`` within their budgets or
+    ``round_cap``: yields ``(sizes, Phi_range, rm+ run, budget, drm+ run,
+    budget)``, the plan of ``suite_potential_convergence``."""
+    for _ in range(games):
+        n = int(rng.integers(1, max_players + 1))
+        sizes = tuple(int(s) for s in rng.integers(2, max_actions + 1, n))
+        game = gm.normalize_game(
+            gm.random_potential_game(n, sizes, seed=int(rng.integers(2**31)))
+        )
+        m = max(sizes)
+        phi_range = float(np.ptp(game.potential))
+        bound_rmp = 1.0 + (m * phi_range) ** 2 / eps**4
+        bound_drm = 1.0 + m * phi_range / (eps**2 * math.sqrt(gamma))
+        res = dyn.run(game, dyn.RunConfig(
+            scheme="lazy", kind="rm+", epsilon=eps,
+            max_rounds=min(int(bound_rmp) + 1, round_cap)))
+        res_d = dyn.run(game, dyn.RunConfig(
+            scheme="lazy", kind="drm+", epsilon=eps, discount=1.0 - gamma,
+            max_rounds=min(int(bound_drm) + 1, round_cap)))
+        yield sizes, phi_range, res, bound_rmp, res_d, bound_drm
+
+
 def suite_potential_convergence() -> SuiteResult:
     """Lazy alternating rm+ and drm+ round bounds, plus monotone potential."""
     t0 = time.perf_counter()
@@ -315,20 +340,7 @@ def suite_potential_convergence() -> SuiteResult:
     worst_rmp_rounds = worst_drm_rounds = 0
     rmp_ok = drm_ok = mono_ok = True
     mono_worst = np.inf
-    for _ in range(50):
-        n = int(rng.integers(1, 4))
-        sizes = tuple(int(s) for s in rng.integers(2, 7, n))
-        game = gm.normalize_game(
-            gm.random_potential_game(n, sizes, seed=int(rng.integers(2**31)))
-        )
-        m = max(sizes)
-        phi_range = float(np.ptp(game.potential))
-        bound_rmp = 1.0 + (m * phi_range) ** 2 / eps**4
-        bound_drm = 1.0 + m * phi_range / (eps**2 * math.sqrt(gamma))
-
-        res = dyn.run(game, dyn.RunConfig(
-            scheme="lazy", kind="rm+", epsilon=eps,
-            max_rounds=min(int(bound_rmp) + 1, 200_000)))
+    for _, _, res, bound_rmp, res_d, bound_drm in potential_rates(rng, 50, eps, gamma):
         worst_rmp_rounds = max(worst_rmp_rounds, res.rounds)
         if not (res.converged and res.rounds <= bound_rmp):
             rmp_ok = False
@@ -338,10 +350,6 @@ def suite_potential_convergence() -> SuiteResult:
             mono_worst = min(mono_worst, step_min)
             if step_min < -EXACT_TOL:
                 mono_ok = False
-
-        res_d = dyn.run(game, dyn.RunConfig(
-            scheme="lazy", kind="drm+", epsilon=eps, discount=1.0 - gamma,
-            max_rounds=min(int(bound_drm) + 1, 200_000)))
         worst_drm_rounds = max(worst_drm_rounds, res_d.rounds)
         if not (res_d.converged and res_d.rounds <= bound_drm):
             drm_ok = False

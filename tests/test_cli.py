@@ -551,6 +551,39 @@ def test_verify_flags_false_symmetry_claims(tmp_path, capsys):
     assert "not exchangeable" in capsys.readouterr().out
 
 
+_GOOD_GAME = {"players": 2, "actions": [2, 2], "kind": "general",
+              "utilities": [[1.0, 0.0, 0.0, 0.0]] * 2}
+_BAD_GAMES = {
+    "number": 5,
+    "null": None,
+    "utilities_not_a_list": {**_GOOD_GAME, "utilities": 5},
+    "potential_not_a_list": {**_GOOD_GAME, "kind": "potential", "potential": 5},
+    "no_players": {"players": 0, "actions": [], "kind": "general", "utilities": []},
+}
+_BAD_OBJECTIVES = {
+    "type_a_list": {"type": ["x"]},
+    "game_a_number": {"type": "multilinear", "game": 5},
+}
+_BAD_INPUTS = [
+    *((["verify"], name, doc) for name, doc in _BAD_GAMES.items()),
+    *((["run", "--game"], name, doc) for name, doc in _BAD_GAMES.items()),
+    *((["run", "--objective"], name, doc) for name, doc in _BAD_OBJECTIVES.items()),
+]
+
+
+@pytest.mark.parametrize("argv, name, doc", _BAD_INPUTS,
+                         ids=[f"{argv[-1].lstrip('-')}-{name}" for argv, name, _ in _BAD_INPUTS])
+def test_a_malformed_game_or_objective_file_is_refused_in_one_line(
+        argv, name, doc, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([*argv, str(path)]) == 1
+    out, err = capsys.readouterr()
+    lines = (out + err).splitlines()
+    # "INVALID: <path>: ..." from verify, "error: <path>: ..." from run
+    assert len(lines) == 1 and lines[0].split(": ", 1)[1].startswith(f"{path}: ")
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

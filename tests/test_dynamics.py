@@ -1080,8 +1080,14 @@ def test_writers_fed_in_pieces_write_the_bytes_of_one_whole_write(tmp_path, monk
     rounds_per_write = [text.count("\n") // 3 for text in csv_writes]
     assert max(rounds_per_write) >= 3 and len(csv_writes) < 300 // 2
     assert all(len(text) <= 500 for text, k in zip(csv_writes, rounds_per_write) if k > 1)
-    # a piece that opens on a repeat of the piece before reuses its text too
-    assert len(formatted) == whole_formatted < 300
+    # each write formats the first row of each 7-row slice and every row whose
+    # bits differ from the row before it, and reuses the text of the others
+    def formats(traces):
+        rows = [c.tobytes() + u.tobytes() for c, u in zip(traces.columns, traces.updated)]
+        return sum(t % 7 == 0 or rows[t] != rows[t - 1] for t in range(len(rows)))
+
+    assert whole_formatted == formats(res.traces) < 300
+    assert len(formatted) == sum(formats(res.traces[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
 @pytest.mark.parametrize("parts", [
@@ -1457,6 +1463,33 @@ def test_cce_replay_over_chunks_gives_the_bits_of_one_chunk(size):
     # with no checkpoints, the gap at the last round
     rounds, gaps = dyn.replay_cce(game, chunks())
     assert rounds == 4200 and list(gaps) == [4200] and _bits(gaps[4200]) == want[0]
+
+
+@pytest.mark.parametrize("size", [1, 7, 300])
+def test_cce_replay_folds_each_slice_s_first_round_and_each_changed_profile(
+        size, monkeypatch):
+    # slices of 5 rounds within each chunk fed
+    monkeypatch.setattr(dyn, "_CHUNK_ROWS", 5)
+    game, config = _walk(hard.build_padded, 4, 300)("rm", "simultaneous")
+    history = dyn.run(game, config).history
+    want = _bits(dyn.cce_gap(game, history))
+    hoisted, calls = gm.BlockGradients.hoisted, []
+
+    def counted(self):
+        grad, value = hoisted(self)
+        return (lambda profile, i: calls.append(i) or grad(profile, i)), value
+
+    monkeypatch.setattr(gm.BlockGradients, "hoisted", counted)
+    chunks = [history.strategies[a:a + size] for a in range(0, 300, size)]
+    rounds, gaps = dyn.replay_cce(game, iter(chunks))
+    assert rounds == 300 and _bits(gaps[300]) == want
+
+    def folds(chunk):
+        rows = [b"".join(b[t].tobytes() for b in chunk.blocks) for t in range(len(chunk))]
+        return sum(t % 5 == 0 or rows[t] != rows[t - 1] for t in range(len(rows)))
+
+    # a fold observes both blocks
+    assert len(calls) == 2 * sum(map(folds, chunks))
 
 
 def test_cce_gap_refuses_alternating_histories_unless_asked():
