@@ -59,10 +59,16 @@ Otherwise, for rm, the regrets move by the same g each round, and ``cumsum``
 over ``[r, g, g, ...]`` adds in round order, giving the bits of the loop's
 ``r + g``.  Play stays while no regret other than the played action's turns
 positive, so the positive part has at most one nonzero entry and its l1 and
-l2 norms are exact in any order.  The round that would move play is stepped
-by the loop.  The jumped rounds are appended chunk by chunk to the same
-record, with ``progress`` called at every multiple of ``PROGRESS_EVERY``
-they cross, so those calls come in bursts, not at the pace of the rounds.
+l2 norms are exact in any order.  The round that would move play is stepped.
+
+``run`` is one loop, and each pass appends one stretch of rounds to the
+record through one ``append``: a stepped round, or a look-ahead chunk of
+jumped rounds.  ``append`` writes the stretch's strategies, gradients, trace
+rows and updated flags, hands a full chunk to the sink, and then calls
+``progress`` at every multiple of ``PROGRESS_EVERY`` the stretch reaches, so
+at a chunk edge the sink gets the chunk before ``progress`` gets the round,
+and the calls for a jumped stretch come in bursts, not at the pace of the
+rounds.
 
 Everything else steps and observes every round: drm+, the lazy scheme and
 runs with ``on_step`` step each round, and a gradient callable that is not
@@ -80,7 +86,7 @@ folded (seeds 1-10, as a game and as an objective, on a 2-core VM).
 The record a run returns is float64 columns, not per-round objects: per
 block the entering strategies and the observed gradients (``Rounds``), and
 one block of trace columns plus one of updated flags (``Traces``).  The
-run appends each round's bytes to ``array.array`` buffers, which grow
+run appends each stretch's bytes to ``array.array`` buffers, which grow
 geometrically by reallocation, and views them as read-only
 columns when it ends.  Per-round indexing and iteration build lists
 of block rows and ``TraceRecord``s on access; the writers, the reader and
@@ -439,8 +445,8 @@ def run(
 
     ``on_step`` is called as ``on_step(round, block, state_before, g,
     state_after)`` for every realized learner update.  ``progress`` is
-    called with the round number every ``PROGRESS_EVERY`` rounds; the calls
-    for a jumped stretch come together.
+    called with the round number every ``PROGRESS_EVERY`` rounds, after the
+    sink at a chunk edge; the calls for a jumped stretch come together.
     ``sink``, when given, is called as ``sink(history, traces)`` with the
     record of every ``_CHUNK_ROWS`` rounds, in round order, and with the
     rounds left over when the run ends; the result then keeps an empty
@@ -499,8 +505,9 @@ def run(
     flush_at = _CHUNK_ROWS if sink is not None else config.max_rounds + 1
     initial_gaps: List[float] = []
     stop_reason = "max_rounds"
+    t = 0  # the rounds appended
 
-    def record(t):
+    def record():
         """The buffered rounds, which end with round ``t``, as (history, traces)."""
         return (PlayHistory(config.scheme,
                             Rounds(_column(b, m) for b, m in zip(strategies, sizes)),
@@ -508,73 +515,57 @@ def run(
                 Traces(_column(trace, 3 * n + 2), _column(flags, n, np.bool_),
                        range(t + 1 - len(flags) // n, t + 1)))
 
-    def flush(t):
-        nonlocal strategies, utilities, trace, flags, flush_at
-        sink(*record(t))
-        strategies, utilities, trace, flags = empty()
-        flush_at = t + _CHUNK_ROWS
+    def append(k, rows):
+        """Append ``k`` rounds that enter ``entering``, observe ``observed``,
+        set ``updated`` and trace ``rows``, packed; hand a full chunk to the
+        sink, then call ``progress`` at each multiple of ``PROGRESS_EVERY``
+        reached."""
+        nonlocal t, strategies, utilities, trace, flags, flush_at
+        for i in range(n):
+            strategies[i].frombytes(entering[i] * k)
+            utilities[i].frombytes(observed[i].tobytes() * k)
+        trace.frombytes(rows)
+        flags.frombytes(bytes(updated) * k)
+        t += k
+        if t == flush_at:
+            sink(*record())
+            strategies, utilities, trace, flags = empty()
+            flush_at = t + _CHUNK_ROWS
+        if progress is not None:
+            for p in range((t - k) // PROGRESS_EVERY * PROGRESS_EVERY + PROGRESS_EVERY, t + 1,
+                           PROGRESS_EVERY):
+                progress(p)
 
-    def cover(t, row, before, observed, steps):
-        """Append the rounds after round ``t`` for as long as they repeat it,
-        and return the last round appended.
-
-        Round ``t`` (its trace ``row`` packed) left every block's strategy
-        with its bits, so the next round folds the same inputs and repeats its
-        strategies, gradients, gaps and value.  If it left the regrets too,
-        the state is a fixed point and every later round repeats it whole;
-        otherwise rm's regrets move by the same g each round
-        (``_rm_look_ahead``).  A look-ahead chunk ends at ``flush_at``, where
-        the buffers go to the sink.
-        """
-        fixed = all(r.tobytes() == b.tobytes() for r, b in zip(regrets, before))
-        if not fixed and kind is not ln.Kind.RM:
-            return t
-        free = [_free_entries(x) for x in profile]
-        entering = [x.tobytes() for x in profile]
-        gradients = [u.tobytes() for u in observed]
-        size = _FIRST_CHUNK
-        while t < config.max_rounds:
+    # each block's last observation (gradient, x @ u, gap) and the last value,
+    # reused while the inputs they fold keep their bits (module docstring)
+    observed, xus, gaps = [None] * n, [0.0] * n, [0.0] * n
+    kept = False  # the round before left every block's strategy with its bits
+    size = 0  # rows of the next look-ahead chunk; 0 steps the next round
+    while t < config.max_rounds:
+        if size:
+            # a look-ahead chunk of rounds that repeat the last stepped one
+            # (module docstring): whole at a fixed point, else rm's regrets
+            # move by the same g each round, up to the round that moves play
             k = wanted = min(size, config.max_rounds - t, flush_at - t)
             if fixed:
                 rows = row * k
             else:
                 regret_rows, l1_rows, l2_rows = _rm_look_ahead(regrets, steps, free, k)
                 k = len(l1_rows)
-                if not k:
-                    break
-                regrets[:] = [r[-1].copy() for r in regret_rows]
+                if k:
+                    regrets[:] = [r[-1].copy() for r in regret_rows]
                 rows = np.empty((k, 3 * n + 2))
                 rows[:] = np.frombuffer(row)
                 rows[:, n + 1 : 2 * n + 1] = l2_rows
                 rows[:, 2 * n + 1 : 3 * n + 1] = l1_rows
                 rows = rows.tobytes()
-            for i in range(n):
-                strategies[i].frombytes(entering[i] * k)
-                utilities[i].frombytes(gradients[i] * k)
-            trace.frombytes(rows)
-            flags.frombytes(b"\x01" * (n * k))
-            if progress is not None:
-                for p in range(t - t % PROGRESS_EVERY + PROGRESS_EVERY, t + k + 1,
-                               PROGRESS_EVERY):
-                    progress(p)
-            t += k
-            if t == flush_at:
-                flush(t)
-            if k < wanted:
-                break
-            size = min(2 * size, _CHUNK_CAP)
-        return t
+            append(k, rows)
+            size = min(2 * size, _CHUNK_CAP) if k == wanted else 0
+            continue
 
-    # each block's last observation (gradient, x @ u, gap) and the last value,
-    # reused while the inputs they fold keep their bits (module docstring)
-    observed, xus, gaps = [None] * n, [0.0] * n, [0.0] * n
-    kept = False  # the round before left every block's strategy with its bits
-    t = 0
-    while t < config.max_rounds:
-        t += 1
+        # step round t + 1
         before = list(regrets)
-        for i in range(n):
-            strategies[i].frombytes(profile[i].tobytes())
+        entering = [x.tobytes() for x in profile]
         fresh = not (reuse and kept)
         if simultaneous and fresh:
             observed = [observe(i) for i in range(n)]
@@ -589,7 +580,6 @@ def run(
                 observed[i], xus[i] = u, float(x @ u)
                 gaps[i] = float(u.max()) - xus[i]
             u, xu = observed[i], xus[i]
-            utilities[i].frombytes(u.tobytes())
             skip = lazy and gaps[i] <= eps
             if skip and not config.lazy_regret_updates:
                 continue
@@ -601,7 +591,7 @@ def run(
                 played[i] = ln.play(r, x)[2]
             else:
                 if on_step is not None:
-                    on_step(t, i, ln.RegretState(kind, regrets[i], x, discount), g,
+                    on_step(t + 1, i, ln.RegretState(kind, regrets[i], x, discount), g,
                             ln.RegretState(kind, r, x_next, discount))
                 profile[i] = played[i] = x_next
                 updated[i] = True
@@ -613,26 +603,26 @@ def run(
             l1[i] = total
             l2[i] = math.sqrt(theta.dot(theta))
 
-        if t == 1:
+        if t == 0:
             initial_gaps = list(gaps)
-        if t == 1 or not (reuse and kept):
+        if t == 0 or not (reuse and kept):
             v = value(profile)
         row = trace_row(*gaps, float(sum(gaps)), *l2, *l1, v)
-        trace.frombytes(row)
-        flags.frombytes(bytes(updated))
-        if t == flush_at:
-            flush(t)
-        if progress is not None and t % PROGRESS_EVERY == 0:
-            progress(t)
+        append(1, row)
         if eps is not None and all(gap <= eps for gap in gaps):
             stop_reason = "converged"
             break
         if jump and kept:
-            t = cover(t, row, before, observed, steps)
+            # the state is a fixed point when the regrets kept their bits too
+            fixed = all(r.tobytes() == b.tobytes() for r, b in zip(regrets, before))
+            if fixed or kind is ln.Kind.RM:
+                size = _FIRST_CHUNK
+                free = [_free_entries(x) for x in profile]
 
     if sink is not None and len(flags):
-        flush(t)
-    history, traces = record(t)
+        sink(*record())
+        strategies, utilities, trace, flags = empty()
+    history, traces = record()
     return RunResult(
         config=config,
         history=history,

@@ -228,8 +228,8 @@ def verify_potential(game: GameSpec):
         dev = rest[:i] + (hi,) + rest[i:]
         witness = {
             "player": i,
-            "action": base,
-            "deviation": dev,
+            "action": tuple(map(int, base)),
+            "deviation": tuple(map(int, dev)),
             "potential_diff": float(game.potential[dev] - game.potential[base]),
             "utility_diff": float(game.utilities[i][dev] - game.utilities[i][base]),
         }
@@ -385,8 +385,9 @@ def save_game(game: GameSpec, path) -> None:
 
 
 def load_game(path) -> GameSpec:
-    """Read a game file, validating shapes and (when present) the potential;
-    a refusal is a ``ValueError`` whose message starts with ``path``."""
+    """Read a game file, validating its fields' JSON types, the shapes, and
+    (when present) the potential identity and the symmetric tag; a refusal
+    is a ``ValueError`` whose message starts with ``path``."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -397,11 +398,14 @@ def load_game(path) -> GameSpec:
     for key in ("players", "actions", "kind"):
         if key not in doc:
             raise ValueError(f"{path}: missing field '{key}'")
-    try:
-        n = int(doc["players"])
-        actions = tuple(int(m) for m in doc["actions"])
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: 'players' must be an integer, 'actions' integers") from None
+    # JSON integers only: a bool is an int in Python, and 2.9 would truncate
+    n, actions = doc["players"], doc["actions"]
+    if type(n) is not int:
+        raise ValueError(f"{path}: field 'players' must be an integer, got {json.dumps(n)}")
+    if not (isinstance(actions, list) and all(type(m) is int for m in actions)):
+        raise ValueError(
+            f"{path}: field 'actions' must be a list of integers, got {json.dumps(actions)}")
+    actions = tuple(actions)
     if len(actions) != n:
         raise ValueError(f"{path}: field 'actions' has {len(actions)} entries for {n} players")
     kind = doc["kind"]
@@ -412,7 +416,10 @@ def load_game(path) -> GameSpec:
         tags.add(TAG_IDENTICAL)
     if kind in ("identical_interest", "potential"):
         tags.add(TAG_POTENTIAL)
-    if doc.get("symmetric"):
+    if "symmetric" in doc:
+        if doc["symmetric"] is not True:
+            raise ValueError(f"{path}: field 'symmetric' must be true when present, "
+                             f"got {json.dumps(doc['symmetric'])}")
         tags.add(TAG_SYMMETRIC)
 
     potential = None
@@ -445,6 +452,8 @@ def load_game(path) -> GameSpec:
             raise ValueError(f"{path}: potential identity fails: {witness}")
     if kind == "potential" and game.potential is None:
         raise ValueError(f"{path}: kind 'potential' but no potential tensor")
+    if TAG_SYMMETRIC in game.tags and not check_symmetric(game):
+        raise ValueError(f"{path}: symmetric tag but utilities are not exchangeable")
     return game
 
 

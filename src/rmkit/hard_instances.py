@@ -240,9 +240,10 @@ class PhaseTracker:
         for a, b in zip(bounds, bounds[1:]):
             found = self._support_violations([tuple(np.flatnonzero(s[a]).tolist())
                                               for s in supports])
-            first = base + start + a + 1
-            self.violations.extend(f"round {t}: {msg}" for t in range(first, first + b - a)
-                                   for msg in found)
+            if found:
+                first = base + start + a + 1
+                self.violations.extend(f"round {t}: {msg}" for t in range(first, first + b - a)
+                                       for msg in found)
 
     def _support_violations(self, supp):
         """The walk checks of one round with supports ``supp``, without the

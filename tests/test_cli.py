@@ -559,6 +559,11 @@ _BAD_GAMES = {
     "utilities_not_a_list": {**_GOOD_GAME, "utilities": 5},
     "potential_not_a_list": {**_GOOD_GAME, "kind": "potential", "potential": 5},
     "no_players": {"players": 0, "actions": [], "kind": "general", "utilities": []},
+    "not_integers": {**_GOOD_GAME, "players": 2.9, "actions": [2, 2.5], "symmetric": "no"},
+    "actions_not_integers": {**_GOOD_GAME, "actions": [2, 2.5]},
+    "symmetric_not_true": {**_GOOD_GAME, "symmetric": "no"},
+    "not_exchangeable": {**_GOOD_GAME, "utilities": [[1, 2, 3, 4], [5, 1, 7, 2]],
+                         "symmetric": True},
 }
 _BAD_OBJECTIVES = {
     "type_a_list": {"type": ["x"]},

@@ -1048,6 +1048,22 @@ def test_a_sink_gets_the_record_in_chunks_with_the_bits_of_the_whole(case, per_r
         assert x.strategy.tobytes() == y.strategy.tobytes()
 
 
+@pytest.mark.parametrize("per_round", [True, False], ids=["stepped", "jumped"])
+def test_at_a_chunk_edge_the_sink_gets_the_chunk_before_progress_gets_the_round(
+        per_round, monkeypatch):
+    if per_round:
+        monkeypatch.setattr(dyn, "_REUSE_ENTRIES", 0)
+    monkeypatch.setattr(dyn, "PROGRESS_EVERY", 4096)
+    # the payoff-8 stretch from round 7,827 on covers the ends of chunks 2 and 3
+    target, config = _padded_m6(3 * 4096 + 100)
+    calls = []
+    dyn.run(target, config, progress=lambda t: calls.append(("progress", t)),
+            sink=lambda history, traces: calls.append(("sink", traces.rounds[-1])))
+    edges = [4096, 2 * 4096, 3 * 4096]
+    assert calls == [call for t in edges for call in (("sink", t), ("progress", t))] + [
+        ("sink", 3 * 4096 + 100)]
+
+
 def test_writers_fed_in_pieces_write_the_bytes_of_one_whole_write(tmp_path, monkeypatch):
     # rows formatted 7 at a time, so that pieces and tolist chunks end apart
     monkeypatch.setattr(dyn, "_CHUNK_ROWS", 7)

@@ -396,6 +396,19 @@ def test_load_game_uses_c_order_for_flat_tensors(tmp_path):
         ),
         (lambda d: d.update(potential=[1.0, 2.0]), "'potential' has 2 entries, want 4"),
         (lambda d: d.update(kind="potential"), "no potential tensor"),
+        # JSON integers only, and a symmetric tag that is true and holds
+        (lambda d: d.update(players=2.9), "field 'players' must be an integer, got 2.9$"),
+        (lambda d: d.update(players=True), "field 'players' must be an integer, got true$"),
+        (lambda d: d.update(actions=[2, 2.5]),
+         r"field 'actions' must be a list of integers, got \[2, 2.5\]$"),
+        (lambda d: d.update(actions=[2, True]),
+         r"field 'actions' must be a list of integers, got \[2, true\]$"),
+        (lambda d: d.update(symmetric="no"),
+         "field 'symmetric' must be true when present, got \"no\"$"),
+        (lambda d: d.update(symmetric=False),
+         "field 'symmetric' must be true when present, got false$"),
+        (lambda d: d.update(symmetric=True, utilities=[[1, 2, 3, 4], [5, 1, 7, 2]]),
+         "symmetric tag but utilities are not exchangeable$"),
     ],
 )
 def test_load_game_field_errors(mutate, msg, tmp_path):
@@ -424,6 +437,18 @@ def test_load_game_rejects_broken_potential(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="potential identity fails"):
         gm.load_game(path)
+
+
+def test_a_broken_potential_s_witness_names_plain_integers(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "players": 2, "actions": [2, 2], "kind": "potential",
+        "utilities": [[1.0, 0.0, 0.0, 0.0]] * 2, "potential": [0.0, 0.0, 0.0, 1.0]}))
+    with pytest.raises(ValueError) as refusal:
+        gm.load_game(path)
+    assert str(refusal.value) == (
+        f"{path}: potential identity fails: {{'player': 0, 'action': (1, 0), "
+        f"'deviation': (0, 0), 'potential_diff': 0.0, 'utility_diff': 1.0}}")
 
 
 def test_load_game_payoff_matrix_rules(tmp_path):
