@@ -57,9 +57,13 @@ gaps, kkt gap and value repeat those bits.  A round that also leaves the
 regrets with their bits is a fixed point: the rest of the run repeats it.
 Otherwise, for rm, the regrets move by the same g each round, and ``cumsum``
 over ``[r, g, g, ...]`` adds in round order, giving the bits of the loop's
-``r + g``.  Play stays while no regret other than the played action's turns
-positive, so the positive part has at most one nonzero entry and its l1 and
-l2 norms are exact in any order.  The round that would move play is stepped.
+``r + g``.  Such a stretch opens only where the stepped round's own regrets
+already hold play: every free entry's positive part is +0.0 (every entry but
+j at a pure e_j) and the played entry is finite.  At e_j, ``x @ u`` is
+exactly u_j, so g_j is a zero and the held regret keeps its bits, and the
+free entries stay at +0.0 up to the round that would move play, which is
+stepped.  So a jumped round has the stepped round's l1 and l2 norms too: a
+jumped stretch is k copies of its trace row.
 
 ``run`` is one loop, and each pass appends one stretch of rounds to the
 record through one ``append``: a stepped round, or a look-ahead chunk of
@@ -390,8 +394,9 @@ _POWERS_OF_TEN = 10 ** np.arange(18, -1, -1)
 _FILL_ROUNDS = 100
 
 # the JSONL reader checks repeated lines in bulk once this many in a row
-# passed line by line, reading at most ``_WINDOW`` bytes at a time
-_BULK_AFTER, _WINDOW = 64, 1 << 13
+# passed line by line, reading at most ``_WINDOW`` bytes at a time: about 640
+# lines of the m=6 walk, so that their text takes ``_numbered``'s array fill
+_BULK_AFTER, _WINDOW = 64, 1 << 16
 
 # a stretch is covered in look-ahead chunks of 16, 32, ... rows up to the cap,
 # so that a short stretch wastes little and a long one holds few rows at once
@@ -408,30 +413,32 @@ def _free_entries(x: np.ndarray) -> np.ndarray:
     return free
 
 
+def _moves(regrets: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Whether ``regrets`` (a row, or rows) may move play: the positive part
+    of a ``free`` entry is not +0.0, or an entry is +inf.  Otherwise ``play``
+    returns e_j or its fallback, the strategy itself."""
+    theta = np.maximum(regrets, 0.0)
+    return theta[..., free].view(np.int64).any(axis=-1) | np.isinf(theta).any(axis=-1)
+
+
 def _rm_look_ahead(regrets, steps, free, k: int):
-    """The next ``k`` rm rounds of a stretch, cut before the first one whose
-    regrets move the profile.
+    """How many of the next ``k`` rm rounds of a stretch keep play, and the
+    regrets after the last of them.
 
     A block's regrets after each round are the running sums of ``[r, g, g,
     ...]``; ``cumsum`` adds in round order, so they have the bits of the round
-    loop's ``r + g``.  Play stays while every ``free`` entry of the positive
-    part is +0.0 and the played entry is finite: ``play`` then returns e_j
-    or its fallback, the strategy itself.  Such a positive part has at most
-    one nonzero entry, so its sum and ``theta.dot(theta)`` are exact in any
-    order.  Returns per block the regrets after each covered round, and the
-    (rounds, blocks) l1 and l2 norms of their positive parts.
+    loop's ``r + g``.  The stretch is cut before the first round whose
+    regrets ``_moves`` play.  Returns the count of covered rounds, and per
+    block the regrets after the last one (``regrets`` when none is covered).
     """
-    rows, l1 = [], []
+    rows = []
     for r, g, f in zip(regrets, steps, free):
         sums = _running_sums(np.broadcast_to(g, (k, len(r))), r)
-        theta = np.maximum(sums, 0.0)
-        moved = theta[:, f].view(np.int64).any(axis=1) | np.isinf(theta).any(axis=1)
+        moved = _moves(sums, f)
         if moved.any():
             k = min(k, int(moved.argmax()))
         rows.append(sums)
-        l1.append(np.add.reduce(theta, axis=1))
-    l1 = np.stack([total[:k] for total in l1], axis=1)
-    return [sums[:k] for sums in rows], l1, np.sqrt(l1 * l1)
+    return k, [sums[k - 1].copy() for sums in rows] if k else regrets
 
 
 def run(
@@ -547,19 +554,9 @@ def run(
             # (module docstring): whole at a fixed point, else rm's regrets
             # move by the same g each round, up to the round that moves play
             k = wanted = min(size, config.max_rounds - t, flush_at - t)
-            if fixed:
-                rows = row * k
-            else:
-                regret_rows, l1_rows, l2_rows = _rm_look_ahead(regrets, steps, free, k)
-                k = len(l1_rows)
-                if k:
-                    regrets[:] = [r[-1].copy() for r in regret_rows]
-                rows = np.empty((k, 3 * n + 2))
-                rows[:] = np.frombuffer(row)
-                rows[:, n + 1 : 2 * n + 1] = l2_rows
-                rows[:, 2 * n + 1 : 3 * n + 1] = l1_rows
-                rows = rows.tobytes()
-            append(k, rows)
+            if not fixed:
+                k, regrets = _rm_look_ahead(regrets, steps, free, k)
+            append(k, row * k)
             size = min(2 * size, _CHUNK_CAP) if k == wanted else 0
             continue
 
@@ -613,11 +610,13 @@ def run(
             stop_reason = "converged"
             break
         if jump and kept:
-            # the state is a fixed point when the regrets kept their bits too
+            # the state is a fixed point when the regrets kept their bits too;
+            # else rm's stretch opens only where its regrets already hold play
             fixed = all(r.tobytes() == b.tobytes() for r, b in zip(regrets, before))
             if fixed or kind is ln.Kind.RM:
-                size = _FIRST_CHUNK
                 free = [_free_entries(x) for x in profile]
+                if fixed or not any(map(_moves, regrets, free)):
+                    size = _FIRST_CHUNK
 
     if sink is not None and len(flags):
         sink(*record())

@@ -909,6 +909,17 @@ def _drifting_regrets(kind, scheme):
         scheme=scheme, kind=kind, max_rounds=300)
 
 
+def _positive_part_that_vanishes(kind, scheme):
+    # uniform x @ u rounds one ulp above five equal payoffs: round 1 leaves a
+    # positive part of half an ulp on every regret, which still plays uniform,
+    # and round 2 falls back to uniform with l1 0, so no stretch may open on
+    # round 1's regrets and repeat its l1
+    c = 0.7840034569635694
+    return gm.GameSpec((5,), [np.full(5, c)]), RunConfig(
+        scheme=scheme, kind=kind, max_rounds=300, init="custom",
+        init_regrets=[np.full(5, 1.5 * np.spacing(c))])
+
+
 def _assert_same_bits(a, b):
     _assert_same_run(a, b)
     assert a.history == b.history
@@ -944,7 +955,9 @@ def _both_paths(target, config, monkeypatch):
     _walk(hard.build_uniform_init, 6, 3_000),
     _fixed_point_game,
     _drifting_regrets,
-], ids=["padded_m4", "padded_m6", "uniform_init_m6", "potential_3x16", "drifting_regrets"])
+    _positive_part_that_vanishes,
+], ids=["padded_m4", "padded_m6", "uniform_init_m6", "potential_3x16", "drifting_regrets",
+        "positive_part_that_vanishes"])
 def test_repeated_profiles_are_jumped_with_the_bits_of_single_steps(
         case, kind, scheme, monkeypatch):
     target, config = case(kind, scheme)
@@ -1265,6 +1278,26 @@ def test_a_crlf_recording_reads_with_the_bits_and_the_bulk_checks_of_the_lf_one(
     crlf = [(first, count) for end, first, count in checks if end == "\r\n"]
     assert crlf == lf and len(crlf) + len(lf) == len(checks)
     assert sum(count for _, count in crlf) > 9_500
+
+
+def test_the_reader_checks_a_walk_s_repeated_lines_with_the_array_fill(tmp_path, monkeypatch):
+    # a window holds enough of the m=6 walk's lines, about 100 bytes each,
+    # for ``_numbered`` to build their text as one array
+    target, config = _padded_m6(20_000)
+    res = dyn.run(target, config)
+    path = tmp_path / "walk.jsonl"
+    dyn.write_strategies_jsonl(res.history, path)
+    counts, numbered_text = [], dyn._numbered
+
+    def numbered(parts, first, count):
+        counts.append(count)
+        return numbered_text(parts, first, count)
+
+    monkeypatch.setattr(dyn, "_numbered", numbered)
+    got = dyn.read_strategies_jsonl(path)
+    for x, y in zip(got.blocks, res.history.strategies.blocks):
+        assert x.tobytes() == y.tobytes()
+    assert max(counts) >= dyn._FILL_ROUNDS
 
 
 @pytest.mark.parametrize("end", ["\r", "\u00a0\n"], ids=["lone_cr", "no_break_space"])

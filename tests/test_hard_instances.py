@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import re
 
@@ -11,6 +12,8 @@ import pytest
 from rmkit import dynamics as dyn
 from rmkit import games as gm
 from rmkit import hard_instances as hard
+from rmkit import learners as ln
+from rmkit import selftests
 from rmkit.dynamics import PlayHistory, RunConfig, Scheme
 
 _E = {m: np.eye(m) for m in (2, 4)}
@@ -367,6 +370,93 @@ def test_the_separation_script_prints_phases_that_never_opened(capsys):
     # payoff 7 of the m=4 walk first has mass past round 300
     assert script.main(["--m", "4", "--max-rounds", "300"]) == 0
     assert re.search(r"^ +7 +- +- +open +-$", capsys.readouterr().out, re.M)
+
+
+# ---------------------------------------------------------------------------
+# long walks: the jump at scale, and the first visits with and without
+# alternation
+# ---------------------------------------------------------------------------
+
+_WALKS = {
+    "m6_simultaneous": (hard.build_padded, 6, "simultaneous", 200_000),
+    "m6_alternating": (hard.build_padded, 6, "alternating", 200_000),
+    "m8_simultaneous": (hard.build_padded, 8, "simultaneous", 600_000),
+    "m8_alternating": (hard.build_padded, 8, "alternating", 600_000),
+    "uniform_init_m6": (hard.build_uniform_init, 6, "simultaneous", 120_000),
+}
+
+
+@pytest.fixture(scope="module")
+def long_walks():
+    """Each walk of ``_WALKS`` run once with its record streamed into a
+    ``PhaseTracker``: per walk the tracker and every look-ahead call, as
+    (entering regrets, steps, covered count, regrets after)."""
+    look_ahead, walks = dyn._rm_look_ahead, {}
+
+    def logged(regrets, steps, free, k):
+        entering = [r.copy() for r in regrets]
+        covered, after = look_ahead(regrets, steps, free, k)
+        calls.append((entering, list(steps), covered, list(after)))
+        return covered, after
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyn, "_rm_look_ahead", logged)
+        for name, (build, m, scheme, rounds) in _WALKS.items():
+            padded = build is hard.build_padded
+            tracker = hard.PhaseTracker(hard.build_spiral(m), skip_rounds=0 if padded else 1)
+            calls = []
+            dyn.run(build(m), RunConfig(
+                scheme=scheme, kind="rm", max_rounds=rounds,
+                init_strategies=hard.pure_init_strategies(m) if padded else None),
+                sink=lambda history, traces: tracker.update(history.strategies))
+            walks[name] = tracker, calls
+    return walks
+
+
+def _norm_bits(regrets):
+    """The l1 and l2 norms of the positive part of ``regrets``, computed as
+    ``learners.play`` and ``dynamics.run`` compute them, as hex strings."""
+    theta, total, _ = ln.play(regrets, None)
+    return total.hex(), math.sqrt(theta.dot(theta)).hex()
+
+
+@pytest.mark.parametrize("name", list(_WALKS))
+def test_every_jumped_round_has_the_norms_its_stretch_entered_with(long_walks, name):
+    _, calls = long_walks[name]
+    jumped = 0
+    for entering, steps, k, after in calls:
+        jumped += k
+        if not k:
+            continue
+        for r, g, last in zip(entering, steps, after):
+            # the covered rounds' regrets, each with the bits of the loop's r + g
+            rows = dyn._running_sums(np.broadcast_to(g, (k, len(r))), r)
+            assert rows[-1].tobytes() == last.tobytes()
+            # rows with equal positive parts have equal norms: check each once
+            theta = np.ascontiguousarray(np.maximum(rows, 0.0))
+            distinct = np.unique(theta.view(f"V{theta.itemsize * len(r)}"))
+            want = _norm_bits(r)
+            for row in distinct.view(np.float64).reshape(-1, len(r)):
+                assert _norm_bits(row) == want
+    # nearly every round of each walk is jumped
+    assert jumped > 0.99 * _WALKS[name][3]
+
+
+_M6_ALTERNATING = {1: 2, 2: 3, 3: 4, 4: 8, 5: 27, 6: 124, 7: 703, 8: 4762, 9: 37236}
+
+
+@pytest.mark.parametrize("name, first_seen", [
+    ("m8_simultaneous", {**selftests._M6_FIRST_SEEN, 10: 541_647}),
+    ("m6_alternating", _M6_ALTERNATING),
+    ("m8_alternating", {**_M6_ALTERNATING, 10: 329_506}),
+])
+def test_rm_visits_the_spiral_payoffs_at_the_frozen_rounds_with_or_without_alternation(
+        long_walks, name, first_seen):
+    report = long_walks[name][0].report()
+    assert report.first_seen == first_seen
+    assert report.violations == []
+    ok, failures = hard.check_stall_growth(report)
+    assert ok, failures
 
 
 # ---------------------------------------------------------------------------
