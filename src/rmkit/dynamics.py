@@ -65,6 +65,17 @@ free entries stay at +0.0 up to the round that would move play, which is
 stepped.  So a jumped round has the stepped round's l1 and l2 norms too: a
 jumped stretch is k copies of its trace row.
 
+That round is found by search, not by a scan of every sum.  A stretch opens
+or goes on only where every free entry's positive part is +0.0, so each free
+regret r_e is at most 0.  A free entry with g_e <= 0 has every running sum
+at most r_e <= 0: it never moves play and never reaches +inf, and a -0.0
+sum comes only from -0.0 + -0.0, so it was there at the opening, which
+accepted it (``np.maximum(-0.0, 0.0)`` is +0.0).  A free entry with g_e > 0
+has sums that never decrease, since fl(s + g) >= s, so its positive part
+turns nonzero at its first sum above 0, which ``searchsorted`` finds; no sum
+is NaN.  The held entry has g_j a zero, so its sum keeps its finite value.
+The stretch ends at the least such index over the free entries with g_e > 0.
+
 ``run`` is one loop, and each pass appends one stretch of rounds to the
 record through one ``append``: a stepped round, or a look-ahead chunk of
 jumped rounds.  ``append`` writes the stretch's strategies, gradients, trace
@@ -413,12 +424,12 @@ def _free_entries(x: np.ndarray) -> np.ndarray:
     return free
 
 
-def _moves(regrets: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Whether ``regrets`` (a row, or rows) may move play: the positive part
-    of a ``free`` entry is not +0.0, or an entry is +inf.  Otherwise ``play``
-    returns e_j or its fallback, the strategy itself."""
+def _moves(regrets: np.ndarray, free: np.ndarray) -> bool:
+    """Whether ``regrets`` may move play: the positive part of a ``free``
+    entry is not +0.0, or an entry is +inf.  Otherwise ``play`` returns e_j
+    or its fallback, the strategy itself."""
     theta = np.maximum(regrets, 0.0)
-    return theta[..., free].view(np.int64).any(axis=-1) | np.isinf(theta).any(axis=-1)
+    return bool(theta[free].view(np.int64).any() or np.isinf(theta).any())
 
 
 def _rm_look_ahead(regrets, steps, free, k: int):
@@ -428,15 +439,24 @@ def _rm_look_ahead(regrets, steps, free, k: int):
     A block's regrets after each round are the running sums of ``[r, g, g,
     ...]``; ``cumsum`` adds in round order, so they have the bits of the round
     loop's ``r + g``.  The stretch is cut before the first round whose
-    regrets ``_moves`` play.  Returns the count of covered rounds, and per
-    block the regrets after the last one (``regrets`` when none is covered).
+    regrets would move play, found with no scan of the sums (module
+    docstring).  A chunk starts on regrets that hold play, so every free
+    entry's regret is at most 0.  A free entry with g <= 0 then never moves
+    play or reaches +inf: its sums stay at most r, and a -0.0 sum is -0.0 +
+    -0.0, the bits the opening accepted.  The held entry's g is a zero, so
+    its finite sum stays.  A free entry with g > 0 has sums that never
+    decrease (fl(s + g) >= s, and none is NaN), so its positive part turns
+    nonzero at its first sum above 0: ``searchsorted``'s index, with 0.0
+    itself sorted before it.
+
+    Returns the count of covered rounds, and per block the regrets after the
+    last one (``regrets`` when none is covered).
     """
     rows = []
     for r, g, f in zip(regrets, steps, free):
         sums = _running_sums(np.broadcast_to(g, (k, len(r))), r)
-        moved = _moves(sums, f)
-        if moved.any():
-            k = min(k, int(moved.argmax()))
+        for e in np.flatnonzero(f & (g > 0.0)):
+            k = min(k, int(np.searchsorted(sums[:, e], 0.0, side="right")))
         rows.append(sums)
     return k, [sums[k - 1].copy() for sums in rows] if k else regrets
 
@@ -779,10 +799,14 @@ def _repeats(columns) -> np.ndarray:
     every column has the bits of the row before it; the first row never
     does.  Float columns compare as int64, so -0.0 is not 0.0."""
     same = np.arange(len(columns[0])) > 0
+    rest = same[1:]
+    # one compare per column of each block: rows are only a few entries wide,
+    # so a reduction along them costs more than the compares
     for column in columns:
         if column.dtype == np.float64:
             column = column.view(np.int64)
-        same[1:] &= (column[1:] == column[:-1]).all(axis=1)
+        for j in range(column.shape[1]):
+            rest &= column[1:, j] == column[:-1, j]
     return same
 
 

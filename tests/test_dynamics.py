@@ -920,6 +920,17 @@ def _positive_part_that_vanishes(kind, scheme):
         init_regrets=[np.full(5, 1.5 * np.spacing(c))])
 
 
+def _free_regret_that_lands_on_zero(kind, scheme):
+    # e_0 holds play while action 1's regret climbs -3, -2, -1, +0.0 by exact
+    # steps of 1.0; the round after the +0.0 moves play, so a stretch covers
+    # the +0.0 round and stops before the next.  Play then settles on e_1.
+    # rm+ starts from nonnegative regrets, so its regret starts at +0.0.
+    start = -3.0 if kind == "rm" else 0.0
+    return gm.GameSpec((2,), [np.array([0.0, 1.0])]), RunConfig(
+        scheme=scheme, kind=kind, max_rounds=300, init="custom",
+        init_regrets=[np.array([1.0, start])])
+
+
 def _assert_same_bits(a, b):
     _assert_same_run(a, b)
     assert a.history == b.history
@@ -956,8 +967,9 @@ def _both_paths(target, config, monkeypatch):
     _fixed_point_game,
     _drifting_regrets,
     _positive_part_that_vanishes,
+    _free_regret_that_lands_on_zero,
 ], ids=["padded_m4", "padded_m6", "uniform_init_m6", "potential_3x16", "drifting_regrets",
-        "positive_part_that_vanishes"])
+        "positive_part_that_vanishes", "free_regret_that_lands_on_zero"])
 def test_repeated_profiles_are_jumped_with_the_bits_of_single_steps(
         case, kind, scheme, monkeypatch):
     target, config = case(kind, scheme)
@@ -969,6 +981,44 @@ def test_repeated_profiles_are_jumped_with_the_bits_of_single_steps(
     repeats = sum(all(b[t].tobytes() == b[t - 1].tobytes() for b in blocks)
                   for t in range(1, jumped.rounds))
     assert repeats > jumped.rounds // 3
+
+
+def test_a_stretch_covers_the_round_whose_free_regret_lands_on_zero(monkeypatch):
+    target, config = _free_regret_that_lands_on_zero("rm", "simultaneous")
+    look_aheads = []
+    look_ahead = dyn._rm_look_ahead
+
+    def logged(*args):
+        k, after = look_ahead(*args)
+        # the run keeps and updates the list it gets back
+        look_aheads.append((k, after[0].tobytes()))
+        return k, after
+
+    monkeypatch.setattr(dyn, "_rm_look_ahead", logged)
+    res = dyn.run(target, config)
+    # round 1 steps to -2; the first chunk covers -1 and +0.0 and ends before
+    # the round that turns the regret positive, which is stepped
+    assert look_aheads[0] == (2, np.array([1.0, 0.0]).tobytes())
+    assert res.traces.updated[:5].tolist() == [[True]] * 5
+    strategies = res.history.strategies.blocks[0]
+    assert strategies[:5].tolist() == [[1.0, 0.0]] * 4 + [[0.5, 0.5]]
+
+
+def test_moves_takes_signed_zero_regrets_to_hold_play():
+    # the search for a stretch's exit counts on a -0.0 free regret holding
+    # play as +0.0 does: its positive part is +0.0, and play falls back
+    x = np.array([0.0, 1.0, 0.0])
+    free = np.array([True, False, True])
+    held, zero = np.array([-0.0, 2.0, -0.0]), np.array([-0.0, -1.0, -0.0])
+    for regrets in (held, zero):
+        assert np.maximum(regrets, 0.0).view(np.int64).tolist()[::2] == [0, 0]
+        assert not dyn._moves(regrets, free)
+    assert ln.play(held, x)[2].tobytes() == x.tobytes()
+    theta, total, played = ln.play(zero, x)
+    assert theta.view(np.int64).tolist() == [0, 0, 0] and total == 0.0 and played is x
+    # the smallest positive free regret, or +inf anywhere, moves play
+    assert dyn._moves(np.array([-0.0, 2.0, 5e-324]), free)
+    assert dyn._moves(np.array([-0.0, np.inf, -1.0]), free)
 
 
 def test_the_potential_game_reaches_a_fixed_point_under_rm_plus():

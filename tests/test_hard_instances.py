@@ -390,13 +390,14 @@ _WALKS = {
 def long_walks():
     """Each walk of ``_WALKS`` run once with its record streamed into a
     ``PhaseTracker``: per walk the tracker and every look-ahead call, as
-    (entering regrets, steps, covered count, regrets after)."""
+    (entering regrets, steps, covered count, regrets after, free entries,
+    rows asked for)."""
     look_ahead, walks = dyn._rm_look_ahead, {}
 
     def logged(regrets, steps, free, k):
         entering = [r.copy() for r in regrets]
         covered, after = look_ahead(regrets, steps, free, k)
-        calls.append((entering, list(steps), covered, list(after)))
+        calls.append((entering, list(steps), covered, list(after), list(free), k))
         return covered, after
 
     with pytest.MonkeyPatch.context() as mp:
@@ -424,7 +425,7 @@ def _norm_bits(regrets):
 def test_every_jumped_round_has_the_norms_its_stretch_entered_with(long_walks, name):
     _, calls = long_walks[name]
     jumped = 0
-    for entering, steps, k, after in calls:
+    for entering, steps, k, after, *_ in calls:
         jumped += k
         if not k:
             continue
@@ -440,6 +441,27 @@ def test_every_jumped_round_has_the_norms_its_stretch_entered_with(long_walks, n
                 assert _norm_bits(row) == want
     # nearly every round of each walk is jumped
     assert jumped > 0.99 * _WALKS[name][3]
+
+
+@pytest.mark.parametrize("name", list(_WALKS))
+def test_every_look_ahead_exit_is_the_first_round_whose_regrets_move_play(long_walks, name):
+    # the reference scans every row: the running sums' positive parts, cut
+    # before the first row with a free bit set or an entry at +inf.  The
+    # count must be equal, not only no larger: a stretch cut a round early
+    # steps that round and writes the same bytes, so no output shows it
+    _, calls = long_walks[name]
+    for entering, steps, covered, after, free, wanted in calls:
+        k, rows = wanted, []
+        for r, g, f in zip(entering, steps, free):
+            sums = dyn._running_sums(np.broadcast_to(g, (wanted, len(r))), r)
+            theta = np.maximum(sums, 0.0)
+            moved = theta[:, f].view(np.int64).any(axis=1) | np.isinf(theta).any(axis=1)
+            if moved.any():
+                k = min(k, int(moved.argmax()))
+            rows.append(sums)
+        assert covered == k
+        want = [sums[k - 1] for sums in rows] if k else entering
+        assert [x.tobytes() for x in after] == [x.tobytes() for x in want]
 
 
 _M6_ALTERNATING = {1: 2, 2: 3, 3: 4, 4: 8, 5: 27, 6: 124, 7: 703, 8: 4762, 9: 37236}
