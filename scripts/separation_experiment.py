@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
 """Reproduce the rm-vs-rm+ separation on the padded spiral game.
 
-Runs plain regret matching (simultaneous updates, pure-strategy start) on the
-padded m x m spiral game and tabulates the phases of its abandonment walk,
-then runs rm+ with alternating updates from the same start and reports how
-many rounds each algorithm needs to push the Nash gap below the cutoff.
+Runs plain regret matching (simultaneous or alternating updates, pure-strategy
+start) on the padded m x m spiral game and tabulates the phases of its
+abandonment walk, then runs rm+ with alternating updates from the same start
+and reports how many rounds each algorithm needs to push the Nash gap below
+the cutoff, and what the whole took: wall time, the walk's rounds per second
+and the process's peak resident memory.
 
 Example:
     python3 scripts/separation_experiment.py --m 6 --max-rounds 200000
+    python3 scripts/separation_experiment.py --m 6 --max-rounds 200000 --scheme alternating
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
+import time
 
 from rmkit import hard_instances as hard
 
@@ -29,6 +34,8 @@ def parse_args(argv=None) -> argparse.Namespace:
                     help="Nash-gap cutoff both algorithms must reach")
     ap.add_argument("--rm-plus-max-rounds", type=int, default=10_000,
                     help="round budget for the alternating rm+ run")
+    ap.add_argument("--scheme", choices=("simultaneous", "alternating"), default="simultaneous",
+                    help="update scheme of the rm walk")
     ap.add_argument("--json", type=str, default=None,
                     help="also write the results as JSON to this path")
     return ap.parse_args(argv)
@@ -37,12 +44,18 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     ns = parse_args(argv)
     print(f"padded spiral game: m={ns.m}, actions {ns.m + 1}x{ns.m + 1}")
-    print(f"rm, simultaneous updates, pure start, up to {ns.max_rounds} rounds; then")
+    print(f"rm, {ns.scheme} updates, pure start, up to {ns.max_rounds} rounds; then")
     print(f"rm+, alternating updates, same start, up to {ns.rm_plus_max_rounds} rounds ...")
-    sep = hard.run_separation(ns.m, ns.max_rounds, ns.epsilon, ns.rm_plus_max_rounds)
+    start = time.perf_counter()
+    sep = hard.run_separation(ns.m, ns.max_rounds, ns.epsilon, ns.rm_plus_max_rounds,
+                              scheme=ns.scheme)
+    elapsed = time.perf_counter() - start
     res, report, res_plus = sep.walk, sep.report, sep.contrast
+    rate = res.rounds / sep.walk_seconds
+    # ru_maxrss is in KiB on Linux
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
-    print(f"\nwalk violations: {len(report.violations)}")
+    print(f"\nwalk violations: {report.violation_count}")
     for msg in report.violations[:10]:
         print(f"  {msg}")
     print("\nphase table (payoff k first placed at round t_low; the walk sits on")
@@ -68,10 +81,13 @@ def main(argv=None) -> int:
     print(f"rm+ rounds until nash_gap <= {ns.epsilon:.4g}: {res_plus.rounds} "
           f"(final gap {sep.contrast_gap:.3g}, converged={res_plus.converged})")
     print(f"\nseparation ratio: {rm_label} / {res_plus.rounds} >= {sep.ratio:.0f}x")
+    print(f"\nelapsed {elapsed:.2f} s; walk {res.rounds} rounds in {sep.walk_seconds:.2f} s "
+          f"({rate:.3g} rounds/s); peak rss {peak_rss_mb:.1f} MB")
 
     if ns.json:
         payload = {
             "m": ns.m,
+            "scheme": ns.scheme,
             "epsilon": ns.epsilon,
             "rm_rounds": rm_round,
             "rm_budget": res.rounds,
@@ -80,6 +96,9 @@ def main(argv=None) -> int:
             "separation_ratio": sep.ratio,
             "violations": list(report.violations),
             "phases": report.to_json_dict(),
+            "elapsed_s": elapsed,
+            "rounds_per_s": rate,
+            "peak_rss_mb": peak_rss_mb,
         }
         with open(ns.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)

@@ -63,7 +63,7 @@ j at a pure e_j) and the played entry is finite.  At e_j, ``x @ u`` is
 exactly u_j, so g_j is a zero and the held regret keeps its bits, and the
 free entries stay at +0.0 up to the round that would move play, which is
 stepped.  So a jumped round has the stepped round's l1 and l2 norms too: a
-jumped stretch is k copies of its trace row.
+jumped stretch is its trace row repeated k times.
 
 That round is found by search, not by a scan of every sum.  A stretch opens
 or goes on only where every free entry's positive part is +0.0, so each free
@@ -78,12 +78,12 @@ The stretch ends at the least such index over the free entries with g_e > 0.
 
 ``run`` is one loop, and each pass appends one stretch of rounds to the
 record through one ``append``: a stepped round, or a look-ahead chunk of
-jumped rounds.  ``append`` writes the stretch's strategies, gradients, trace
-rows and updated flags, hands a full chunk to the sink, and then calls
-``progress`` at every multiple of ``PROGRESS_EVERY`` the stretch reaches, so
-at a chunk edge the sink gets the chunk before ``progress`` gets the round,
-and the calls for a jumped stretch come in bursts, not at the pace of the
-rounds.
+jumped rounds.  ``append`` writes the stretch's strategies, gradients,
+trace row and updated flags once, with its count of rounds, hands a full
+chunk to the sink, and then calls ``progress`` at every multiple of
+``PROGRESS_EVERY`` the stretch reaches, so at a chunk edge the sink gets the
+chunk before ``progress`` gets the round, and the calls for a jumped stretch
+come in bursts, not at the pace of the rounds.
 
 Everything else steps and observes every round: drm+, the lazy scheme and
 runs with ``on_step`` step each round, and a gradient callable that is not
@@ -101,9 +101,12 @@ folded (seeds 1-10, as a game and as an objective, on a 2-core VM).
 The record a run returns is float64 columns, not per-round objects: per
 block the entering strategies and the observed gradients (``Rounds``), and
 one block of trace columns plus one of updated flags (``Traces``).  The
-run appends each stretch's bytes to ``array.array`` buffers, which grow
-geometrically by reallocation, and views them as read-only
-columns when it ends.  Per-round indexing and iteration build lists
+run appends each stretch's bytes once, as one row, to ``array.array``
+buffers, and its round count to one more; nothing is sized by
+``max_rounds``.  It expands them into read-only columns when it hands them
+over (``_stretch_columns``): one ``np.repeat`` per buffer, or, when every
+count is 1, as in a run that steps every round, views of the buffers'
+memory, which copy nothing.  Per-round indexing and iteration build lists
 of block rows and ``TraceRecord``s on access; the writers, the reader and
 the analyses work on the columns, a few thousand rows at a time where they
 need Python objects.
@@ -114,7 +117,7 @@ reach ``_CHUNK_ROWS`` rounds, jumped rounds included (a look-ahead chunk
 ends there), and once more with the rounds left when the run ends; each
 call gets a ``PlayHistory`` (scheme, strategies, utilities) and a
 ``Traces`` whose ``rounds`` number the chunk's rounds, as read-only columns
-over buffers that the run then replaces with empty ones, so the sink may
+that the run never writes again (it starts empty buffers), so the sink may
 keep them.  The result's record is then empty; its round count, stop
 reason, initial gaps and final states are those of the same run without a
 sink.  ``TraceCsvWriter`` and ``StrategiesJsonlWriter`` write such chunks
@@ -209,12 +212,30 @@ class TraceRecord:
     updated: List[bool]
 
 
-def _column(buffer: array, width: int, dtype=np.float64) -> np.ndarray:
-    """The rows appended to ``buffer`` as a read-only (rows, width) array over
-    its memory.  The buffer cannot grow any more while the array lives."""
-    rows = np.frombuffer(buffer, dtype=dtype).reshape(-1, width)
-    rows.flags.writeable = False
-    return rows
+def _stretch_columns(buffers: list, widths, counts: array) -> List[np.ndarray]:
+    """The rows appended to each of ``buffers``, row j repeated ``counts[j]``
+    times, as read-only C-contiguous (rounds, width) arrays: float64, or bool
+    for an ``array("b")``.
+
+    When every count is 1 each array is a view of its buffer's memory, which
+    cannot grow any more while the array lives.  Otherwise each is one
+    ``np.repeat`` of the buffer's rows, and the buffers are taken out of the
+    list one by one, so that each is freed as soon as its rows are expanded
+    (unless the caller holds it), not after the whole record is.
+    """
+    counts = np.frombuffer(counts, np.int64)
+    stretched = bool((counts != 1).any())
+    columns = []
+    for width in widths:
+        buffer = buffers.pop(0)
+        rows = np.frombuffer(buffer, np.bool_ if buffer.typecode == "b" else np.float64)
+        del buffer
+        rows = rows.reshape(-1, width)
+        if stretched:
+            rows = np.repeat(rows, counts, axis=0)
+        rows.flags.writeable = False
+        columns.append(rows)
+    return columns
 
 
 class Rounds(Sequence):
@@ -520,43 +541,49 @@ def run(
         return u
 
     # The record: per block the entering strategies and the observed
-    # gradients, the trace rows and the updated flags, appended as raw bytes
-    # to arrays that grow geometrically by reallocation.  They are viewed as
-    # columns when the run ends, or, with a sink, handed over and replaced by
-    # empty ones whenever the round count reaches ``flush_at``.
+    # gradients, the trace rows and the updated flags, one row per appended
+    # stretch as raw bytes, and the stretch's round count in ``counts``.  The
+    # rows are expanded into columns (``_stretch_columns``) when the run ends,
+    # or, with a sink, handed over and replaced by empty buffers whenever the
+    # round count reaches ``flush_at``.
     def empty():
-        return [array("d") for _ in sizes], [array("d") for _ in sizes], array("d"), array("b")
+        return ([array("d") for _ in sizes], [array("d") for _ in sizes], array("d"),
+                array("b"), array("q"))
 
-    strategies, utilities, trace, flags = empty()
+    strategies, utilities, trace, flags, counts = empty()
     trace_row = struct.Struct(f"{3 * n + 2}d").pack
     flush_at = _CHUNK_ROWS if sink is not None else config.max_rounds + 1
     initial_gaps: List[float] = []
     stop_reason = "max_rounds"
     t = 0  # the rounds appended
+    handed = 0  # the rounds handed to the sink
 
     def record():
-        """The buffered rounds, which end with round ``t``, as (history, traces)."""
-        return (PlayHistory(config.scheme,
-                            Rounds(_column(b, m) for b, m in zip(strategies, sizes)),
-                            Rounds(_column(b, m) for b, m in zip(utilities, sizes))),
-                Traces(_column(trace, 3 * n + 2), _column(flags, n, np.bool_),
-                       range(t + 1 - len(flags) // n, t + 1)))
+        """The buffered rounds, ``handed + 1`` to ``t``, as (history, traces);
+        the buffers start empty again."""
+        nonlocal strategies, utilities, trace, flags, counts, handed
+        buffers, stretches = [*strategies, *utilities, trace, flags], counts
+        strategies, utilities, trace, flags, counts = empty()
+        columns = _stretch_columns(buffers, [*sizes, *sizes, 3 * n + 2, n], stretches)
+        rounds, handed = range(handed + 1, t + 1), t
+        return (PlayHistory(config.scheme, Rounds(columns[:n]), Rounds(columns[n:2 * n])),
+                Traces(columns[-2], columns[-1], rounds))
 
-    def append(k, rows):
+    def append(k, row):
         """Append ``k`` rounds that enter ``entering``, observe ``observed``,
-        set ``updated`` and trace ``rows``, packed; hand a full chunk to the
-        sink, then call ``progress`` at each multiple of ``PROGRESS_EVERY``
-        reached."""
-        nonlocal t, strategies, utilities, trace, flags, flush_at
+        set ``updated`` and trace ``row``, packed, as one row and its count;
+        hand a full chunk to the sink, then call ``progress`` at each multiple
+        of ``PROGRESS_EVERY`` reached."""
+        nonlocal t, flush_at
         for i in range(n):
-            strategies[i].frombytes(entering[i] * k)
-            utilities[i].frombytes(observed[i].tobytes() * k)
-        trace.frombytes(rows)
-        flags.frombytes(bytes(updated) * k)
+            strategies[i].frombytes(entering[i])
+            utilities[i].frombytes(observed[i].tobytes())
+        trace.frombytes(row)
+        flags.frombytes(bytes(updated))
+        counts.append(k)
         t += k
         if t == flush_at:
             sink(*record())
-            strategies, utilities, trace, flags = empty()
             flush_at = t + _CHUNK_ROWS
         if progress is not None:
             for p in range((t - k) // PROGRESS_EVERY * PROGRESS_EVERY + PROGRESS_EVERY, t + 1,
@@ -576,7 +603,8 @@ def run(
             k = wanted = min(size, config.max_rounds - t, flush_at - t)
             if not fixed:
                 k, regrets = _rm_look_ahead(regrets, steps, free, k)
-            append(k, row * k)
+            if k:
+                append(k, row)
             size = min(2 * size, _CHUNK_CAP) if k == wanted else 0
             continue
 
@@ -638,9 +666,8 @@ def run(
                 if fixed or not any(map(_moves, regrets, free)):
                     size = _FIRST_CHUNK
 
-    if sink is not None and len(flags):
+    if sink is not None and t > handed:
         sink(*record())
-        strategies, utilities, trace, flags = empty()
     history, traces = record()
     return RunResult(
         config=config,
@@ -952,8 +979,9 @@ def iter_strategies_jsonl(path):
     count and sizes of the first line; a bad line names its number.  A chunk
     is yielded once its lines are read, so an error in a later line comes
     after it.  A line that differs from the line before only in its round
-    number parses to the same blocks: a run of such lines is counted and
-    appended once, as those blocks' bytes repeated.  After ``_BULK_AFTER``
+    number parses to the same blocks: the chunk holds those blocks as one
+    row with the count of lines that read them, and is expanded once, when
+    it is yielded (``_stretch_columns``).  After ``_BULK_AFTER``
     such lines in a row, the reader reads the bytes of as many more lines as
     fit in ``_WINDOW`` at once and compares them with those lines'
     ``_numbered`` text, each ending as the line before did; on a miss it
@@ -961,7 +989,16 @@ def iter_strategies_jsonl(path):
     """
     size = _CHUNK_ROWS
     first = None  # the first line's number and block sizes
-    buffers, blocks = [], ()  # the chunk so far, and the last parsed line's blocks as bytes
+    # the chunk so far, one row per parsed line and its count of lines, and
+    # the last parsed line's blocks as bytes
+    buffers, counts, blocks = [], array("q"), ()
+
+    def add(lines):
+        """Append the last parsed line's blocks as one row read ``lines`` times."""
+        for b, x in zip(buffers, blocks):
+            b.frombytes(x)
+        counts.append(lines)
+
     rest = None  # that line's bytes after its round, when the next line may repeat it
     t = done = line_no = 0  # the lines read, those appended to a chunk, and the file's lines
     run = 0  # the lines in a row that repeat the last parsed one
@@ -990,8 +1027,8 @@ def iter_strategies_jsonl(path):
             else:
                 run = 0
                 # the lines since the last append repeat the last parsed one
-                for b, x in zip(buffers, blocks):
-                    b.frombytes(x * (t - 1 - done))
+                if t - 1 > done:
+                    add(t - 1 - done)
                 done = t - 1
                 try:
                     text = line.decode()
@@ -1040,15 +1077,13 @@ def iter_strategies_jsonl(path):
                 if not line.startswith(head) or rest.count(b'"') != 2:
                     rest = None
             if t % size == 0:
-                for b, x in zip(buffers, blocks):
-                    b.frombytes(x * (t - done))
+                add(t - done)
                 done = t
-                yield Rounds(_column(b, m) for b, m in zip(buffers, first[1]))
-                buffers = [array("d") for _ in buffers]
+                yield Rounds(_stretch_columns(buffers, first[1], counts))
+                buffers, counts = [array("d") for _ in first[1]], array("q")
     if t % size:
-        for b, x in zip(buffers, blocks):
-            b.frombytes(x * (t - done))
-        yield Rounds(_column(b, m) for b, m in zip(buffers, first[1]))
+        add(t - done)
+        yield Rounds(_stretch_columns(buffers, first[1], counts))
 
 
 def read_strategies_jsonl(path) -> Rounds:

@@ -16,8 +16,9 @@ and ``run_separation`` sets the slow rm walk against fast alternating rm+.
 The tracker takes the strategies in chunks of rounds, as ``dyn.run``'s
 sink and ``dyn.iter_strategies_jsonl`` hand them over, and carries only
 the onsets, the dropped action sets and the violations from one chunk to
-the next, so that apart from the violations it holds no more for a longer
-walk; ``analyze_phases`` feeds it a whole history as one chunk.  Within a
+the next, so that it holds no more for a longer walk: it keeps the first
+``_KEPT_VIOLATIONS`` violation messages and a count of the rest.
+``analyze_phases`` feeds it a whole history as one chunk.  Within a
 chunk each payoff's first round comes from one column product, and the
 walk checks run on a chunk's first round and once per stretch of rounds
 with unchanged supports (the supports change 17 times in the first 62,000
@@ -26,7 +27,9 @@ rounds of the padded m=6 walk), repeating their messages for each round.
 
 from __future__ import annotations
 
+import itertools
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -140,6 +143,12 @@ class PhaseReport:
     phases: list  # Phase records for k >= 2
     retained_actions: dict  # k -> (actions of player 1, of player 2) from payoff k on
     violations: list = field(default_factory=list)
+    more_violations: int = 0  # messages past the kept ones, summed up in the last entry
+
+    @property
+    def violation_count(self) -> int:
+        """Every violation message found, those past the kept ones included."""
+        return len(self.violations) + self.more_violations - (self.more_violations > 0)
 
     def phase(self, k: int) -> Phase:
         return self.phases[k - 2]
@@ -164,6 +173,11 @@ class PhaseReport:
         }
 
 
+# violation messages a tracker keeps; the rest are counted, and a report
+# ends its list with one "... and N more" entry for them
+_KEPT_VIOLATIONS = 100
+
+
 def _retained(spiral: SpiralMatrix):
     out = {}
     for k in range(2, spiral.num_payoffs + 1):
@@ -183,7 +197,9 @@ class PhaseTracker:
     that stop early yield open phases, not errors.  Structural violations
     of the walk (two mixed players, non-consecutive supports, an abandoned
     action coming back) are collected as strings, from the first round
-    payoff 1 has mass on.
+    payoff 1 has mass on: the first ``_KEPT_VIOLATIONS`` of them, then a
+    count of the rest, which the report gives as one final ``"... and N
+    more"`` entry.
 
     ``skip_rounds`` ignores that many leading rounds; the uniform-start
     game needs its everything-mixed first round excluded from the walk.
@@ -199,7 +215,8 @@ class PhaseTracker:
         self.spiral, self.mass_threshold, self.skip_rounds = spiral, mass_threshold, skip_rounds
         self.rounds = 0
         self.first_seen = {}  # payoff value -> first round its profile has mass
-        self.violations = []
+        self.violations = []  # the first _KEPT_VIOLATIONS messages
+        self.more_violations = 0  # the messages past them
         self._ever, self._gone = [set(), set()], [set(), set()]
         # consecutive row/col pairs a player may legally mix across, keyed by
         # the moving side: odd payoff steps move player 1, even ones player 2
@@ -242,8 +259,11 @@ class PhaseTracker:
                                               for s in supports])
             if found:
                 first = base + start + a + 1
-                self.violations.extend(f"round {t}: {msg}" for t in range(first, first + b - a)
-                                       for msg in found)
+                room = _KEPT_VIOLATIONS - len(self.violations)
+                self.violations.extend(itertools.islice(
+                    (f"round {t}: {msg}" for t in range(first, first + b - a) for msg in found),
+                    room))
+                self.more_violations += max((b - a) * len(found) - room, 0)
 
     def _support_violations(self, supp):
         """The walk checks of one round with supports ``supp``, without the
@@ -289,6 +309,8 @@ class PhaseTracker:
             phases.append(Phase(k=k, t_low=t_low, t_high=t_high))
         violations = (list(self.violations) if 1 in first_seen
                       else ["payoff 1 profile never played"])
+        if self.more_violations:
+            violations.append(f"... and {self.more_violations} more")
         return PhaseReport(
             m=self.spiral.m,
             rounds=self.rounds,
@@ -296,6 +318,7 @@ class PhaseTracker:
             phases=phases,
             retained_actions=_retained(self.spiral),
             violations=violations,
+            more_violations=self.more_violations,
         )
 
 
@@ -357,7 +380,8 @@ def replay_regrets(history: dyn.PlayHistory, init_regrets=None, at_rounds=None):
 
 @dataclass
 class Separation:
-    walk: dyn.RunResult  # plain rm, simultaneous, from the pure start; its record is not kept
+    walk: dyn.RunResult  # plain rm from the pure start; its record is not kept
+    walk_seconds: float  # wall time of the walk, its phase tracking included
     report: PhaseReport  # phases of the walk
     rm_rounds: Optional[int]  # first walk round with every gap <= epsilon
     rounds_above: int  # walk rounds whose largest gap is above epsilon
@@ -366,8 +390,10 @@ class Separation:
     ratio: float  # rm rounds (the whole walk if it never got there) per rm+ round
 
 
-def run_separation(m: int, max_rounds: int, epsilon: float, rm_plus_max_rounds: int) -> Separation:
-    """The rm walk on the padded game, its phase report, and the rm+ contrast.
+def run_separation(m: int, max_rounds: int, epsilon: float, rm_plus_max_rounds: int,
+                   scheme: str = "simultaneous") -> Separation:
+    """The rm walk on the padded game under ``scheme`` (simultaneous or
+    alternating), its phase report, and the alternating rm+ contrast.
 
     The walk streams its record to a ``PhaseTracker`` and to the gap counts
     chunk by chunk, and keeps none of it."""
@@ -384,11 +410,13 @@ def run_separation(m: int, max_rounds: int, epsilon: float, rm_plus_max_rounds: 
         if rm_rounds is None and len(reached):
             rm_rounds = traces.rounds[int(reached[0])]
 
+    start = time.perf_counter()
     walk = dyn.run(game, dyn.RunConfig(
-        scheme="simultaneous", kind="rm", max_rounds=max_rounds, init_strategies=init), sink=sink)
+        scheme=scheme, kind="rm", max_rounds=max_rounds, init_strategies=init), sink=sink)
+    walk_seconds = time.perf_counter() - start
     contrast = dyn.run(game, dyn.RunConfig(
         scheme="alternating", kind="rm+", epsilon=epsilon, max_rounds=rm_plus_max_rounds,
         init_strategies=init))
     rm_cost = rm_rounds if rm_rounds is not None else walk.rounds
-    return Separation(walk, tracker.report(), rm_rounds, above, contrast,
+    return Separation(walk, walk_seconds, tracker.report(), rm_rounds, above, contrast,
                       dyn.nash_gap(game, contrast.final_profile), rm_cost / max(contrast.rounds, 1))

@@ -432,7 +432,7 @@ def suite_hard_separation() -> SuiteResult:
     res, report = sep.walk, sep.report
     c.check(not report.violations,
             f"walk structure clean over {res.rounds} rounds "
-            f"({len(report.violations)} violations)")
+            f"({report.violation_count} violations)")
     completed = {p.k: p.length for p in report.completed()}
     c.note("phase lengths " + ", ".join(f"T_{k}={T}" for k, T in sorted(completed.items())))
     onsets_ok = report.first_seen == _M6_FIRST_SEEN
@@ -495,7 +495,7 @@ def suite_uniform_init() -> SuiteResult:
     report = tracker.report()
     c.check(not report.violations,
             f"walk structure clean after the uniform round "
-            f"({len(report.violations)} violations)")
+            f"({report.violation_count} violations)")
     completed = {p.k: p.length for p in report.completed()}
     c.note("phase lengths " + ", ".join(f"T_{k}={T}" for k, T in sorted(completed.items())))
     t3 = report.phase(3).length

@@ -1127,6 +1127,93 @@ def test_at_a_chunk_edge_the_sink_gets_the_chunk_before_progress_gets_the_round(
         ("sink", 3 * 4096 + 100)]
 
 
+def _chunk_columns(history, traces):
+    return [*history.strategies.blocks, *history.utilities.blocks, traces.columns,
+            traces.updated]
+
+
+def test_every_sink_chunk_of_a_jumped_walk_has_the_bits_of_the_per_round_reference(
+        tmp_path, monkeypatch):
+    # the payoff-8 stretch from round 7,827 on covers the ends of chunks 2 and 3
+    target, config = _padded_m6(3 * 4096 + 100)
+    runs = []
+    for most in (0, dyn._REUSE_ENTRIES):
+        monkeypatch.setattr(dyn, "_REUSE_ENTRIES", most)
+        chunks = []
+        dyn.run(target, config, sink=lambda *chunk: chunks.append(chunk))
+        runs.append(chunks)
+    stepped, jumped = runs
+    assert len(jumped) == len(stepped) == 4
+    for c, ((history, traces), (want_history, want_traces)) in enumerate(zip(jumped, stepped)):
+        assert traces.rounds == want_traces.rounds == range(
+            4096 * c + 1, min(4096 * (c + 1), config.max_rounds) + 1)
+        columns, want = _chunk_columns(history, traces), _chunk_columns(want_history, want_traces)
+        for got, ref in zip(columns, want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
+        # the reference steps every round, so its chunks are views that copy
+        # nothing; the jumped chunks expand their stretches
+        assert all(ref.base is not None for ref in want)
+    # the recording of the walk reads back chunk by chunk as a line-by-line parse
+    path = tmp_path / "walk.jsonl"
+    with open(path, "w") as fh:
+        writer = dyn.StrategiesJsonlWriter(fh)
+        for history, _ in jumped:
+            writer.write(history)
+    with open(path) as fh:
+        parsed = [json.loads(line)["blocks"] for line in fh]
+    read = list(dyn.iter_strategies_jsonl(path))
+    assert [len(chunk) for chunk in read] == [4096] * 3 + [100]
+    for c, chunk in enumerate(read):
+        for i, block in enumerate(chunk.blocks):
+            want = np.array([blocks[i] for blocks in parsed[4096 * c:4096 * (c + 1)]])
+            assert block.tobytes() == want.tobytes()
+            assert block.flags.c_contiguous and not block.flags.writeable
+
+
+def _record_bytes(result):
+    return sum(column.nbytes for column in _chunk_columns(result.history, result.traces))
+
+
+@pytest.mark.parametrize("per_round, most", [(True, 1.1), (False, 1.5)],
+                         ids=["stepped", "jumped"])
+def test_a_kept_record_peaks_near_its_own_bytes(per_round, most, monkeypatch):
+    if per_round:
+        # every round stepped: every count is 1, so the record is views
+        monkeypatch.setattr(dyn, "_REUSE_ENTRIES", 0)
+    config = RunConfig(kind="rm", max_rounds=5_000)
+    dyn.run(_constant_sum_game(), RunConfig(kind="rm", max_rounds=100))  # first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = dyn.run(_constant_sum_game(), config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result.rounds == 5_000
+    # views over the buffers when every round was stepped, else expanded
+    columns = _chunk_columns(result.history, result.traces)
+    assert all((column.base is not None) == per_round for column in columns)
+    # beyond the record: the buffers' slack and the counts, and with
+    # stretches the rows of the buffer being expanded
+    assert peak <= most * _record_bytes(result)
+
+
+def test_a_long_streamed_walk_holds_no_more_than_a_chunk():
+    target, config = _padded_m6(10**6)
+    dyn.run(target, dataclasses.replace(config, max_rounds=5_000), sink=lambda *chunk: None)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = dyn.run(target, config, sink=lambda *chunk: None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result.rounds == 10**6
+    assert peak < 2 * 2**20
+
+
 def test_writers_fed_in_pieces_write_the_bytes_of_one_whole_write(tmp_path, monkeypatch):
     # rows formatted 7 at a time, so that pieces and tolist chunks end apart
     monkeypatch.setattr(dyn, "_CHUNK_ROWS", 7)

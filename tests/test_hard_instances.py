@@ -348,6 +348,24 @@ def test_a_tracker_fed_in_chunks_gives_the_whole_record_report(
     assert json.dumps(chunked.to_json_dict()) == json.dumps(whole.to_json_dict())
 
 
+@pytest.mark.parametrize("size", [4096, 100_011])
+def test_a_long_broken_recording_keeps_the_first_violations_and_counts_the_rest(size):
+    e = _E[2]
+    # both players mixed for 10^5 rounds, then action 0 regained for 10
+    history, m = _stretches(((e[0], e[0]), 1), ((_MIX, _MIX), 100_000), ((e[1], e[0]), 1),
+                            ((e[0], e[0]), 10))
+    tracker = hard.PhaseTracker(hard.build_spiral(m))
+    for a in range(0, history.rounds, size):
+        tracker.update(history.strategies[a:a + size])
+    report = tracker.report()
+    assert hard._KEPT_VIOLATIONS == 100 and len(report.violations) == 101
+    assert report.violations[:100] == [f"round {t}: both players mixed" for t in range(2, 102)]
+    # 10^5 + 10 messages in all
+    assert report.violations[100] == "... and 99910 more"
+    assert report.violation_count == 100_010 and report.more_violations == 99_910
+    assert json.loads(json.dumps(report.to_json_dict()))["violations"] == report.violations
+
+
 def test_run_separation_streams_the_walk_and_keeps_no_record():
     epsilon = 1.0 / 14.0
     sep = hard.run_separation(4, 3_000, epsilon, 1_000)
@@ -370,6 +388,34 @@ def test_the_separation_script_prints_phases_that_never_opened(capsys):
     # payoff 7 of the m=4 walk first has mass past round 300
     assert script.main(["--m", "4", "--max-rounds", "300"]) == 0
     assert re.search(r"^ +7 +- +- +open +-$", capsys.readouterr().out, re.M)
+
+
+def test_an_alternating_separation_walk_visits_the_frozen_alternating_rounds():
+    sep = hard.run_separation(6, 200_000, 1.0 / 14.0, 1_000, scheme="alternating")
+    assert sep.walk.config.scheme is Scheme.ALTERNATING and sep.walk.rounds == 200_000
+    assert sep.report.first_seen == _M6_ALTERNATING and sep.report.violations == []
+    assert sep.walk_seconds > 0
+
+
+def test_the_separation_script_reports_its_scheme_time_and_memory(tmp_path, capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        "separation_experiment.py")
+    spec = importlib.util.spec_from_file_location("separation_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "sep.json"
+    assert script.main(["--m", "4", "--max-rounds", "3000", "--scheme", "alternating",
+                        "--json", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "rm, alternating updates" in printed
+    assert re.search(r"^elapsed [0-9.]+ s; walk 3000 rounds in [0-9.]+ s "
+                     r"\([0-9.e+]+ rounds/s\); peak rss [0-9.]+ MB$", printed, re.M)
+    payload = json.loads(out.read_text())
+    assert payload["scheme"] == "alternating" and payload["rm_budget"] == 3000
+    assert payload["elapsed_s"] > 0 and payload["rounds_per_s"] > 0
+    assert payload["peak_rss_mb"] > 0
+    with pytest.raises(SystemExit):
+        script.parse_args(["--scheme", "lazy"])
 
 
 # ---------------------------------------------------------------------------
