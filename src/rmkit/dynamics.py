@@ -63,18 +63,9 @@ j at a pure e_j) and the played entry is finite.  At e_j, ``x @ u`` is
 exactly u_j, so g_j is a zero and the held regret keeps its bits, and the
 free entries stay at +0.0 up to the round that would move play, which is
 stepped.  So a jumped round has the stepped round's l1 and l2 norms too: a
-jumped stretch is its trace row repeated k times.
-
-That round is found by search, not by a scan of every sum.  A stretch opens
-or goes on only where every free entry's positive part is +0.0, so each free
-regret r_e is at most 0.  A free entry with g_e <= 0 has every running sum
-at most r_e <= 0: it never moves play and never reaches +inf, and a -0.0
-sum comes only from -0.0 + -0.0, so it was there at the opening, which
-accepted it (``np.maximum(-0.0, 0.0)`` is +0.0).  A free entry with g_e > 0
-has sums that never decrease, since fl(s + g) >= s, so its positive part
-turns nonzero at its first sum above 0, which ``searchsorted`` finds; no sum
-is NaN.  The held entry has g_j a zero, so its sum keeps its finite value.
-The stretch ends at the least such index over the free entries with g_e > 0.
+jumped stretch is its trace row repeated k times.  The round that would
+move play is found by search, not by a scan of every sum;
+``_rm_look_ahead`` gives the argument.
 
 ``run`` is one loop, and each pass appends one stretch of rounds to the
 record through one ``append``: a stepped round, or a look-ahead chunk of
@@ -415,7 +406,9 @@ _CHUNK_ROWS = 4096
 # work, and a 3 x 64 game's take 0.56 ms
 _REUSE_ENTRIES = 4096
 
-# at most this many bytes of repeated CSV rounds or JSONL lines go to one write
+# at most this many bytes of repeated CSV rounds or JSONL lines go to one
+# write, and the JSONL reader checks at most this many at once: about 640
+# lines of the m=6 walk, so that their text takes ``_numbered``'s array fill
 _BATCH_BYTES = 1 << 16
 
 # 10^18, ..., 10, 1: the digit columns of a round number, by integer division
@@ -426,9 +419,8 @@ _POWERS_OF_TEN = 10 ** np.arange(18, -1, -1)
 _FILL_ROUNDS = 100
 
 # the JSONL reader checks repeated lines in bulk once this many in a row
-# passed line by line, reading at most ``_WINDOW`` bytes at a time: about 640
-# lines of the m=6 walk, so that their text takes ``_numbered``'s array fill
-_BULK_AFTER, _WINDOW = 64, 1 << 16
+# passed line by line, reading at most ``_BATCH_BYTES`` at a time
+_BULK_AFTER = 64
 
 # a stretch is covered in look-ahead chunks of 16, 32, ... rows up to the cap,
 # so that a short stretch wastes little and a long one holds few rows at once
@@ -460,15 +452,17 @@ def _rm_look_ahead(regrets, steps, free, k: int):
     A block's regrets after each round are the running sums of ``[r, g, g,
     ...]``; ``cumsum`` adds in round order, so they have the bits of the round
     loop's ``r + g``.  The stretch is cut before the first round whose
-    regrets would move play, found with no scan of the sums (module
-    docstring).  A chunk starts on regrets that hold play, so every free
-    entry's regret is at most 0.  A free entry with g <= 0 then never moves
-    play or reaches +inf: its sums stay at most r, and a -0.0 sum is -0.0 +
-    -0.0, the bits the opening accepted.  The held entry's g is a zero, so
-    its finite sum stays.  A free entry with g > 0 has sums that never
-    decrease (fl(s + g) >= s, and none is NaN), so its positive part turns
-    nonzero at its first sum above 0: ``searchsorted``'s index, with 0.0
-    itself sorted before it.
+    regrets would move play, found by search, not by a scan of the sums.  A
+    stretch opens or goes on only where every free entry's positive part is
+    +0.0, so each free regret r_e is at most 0.  A free entry with g_e <= 0
+    has every running sum at most r_e <= 0: it never moves play and never
+    reaches +inf, and a -0.0 sum comes only from -0.0 + -0.0, so it was there
+    at the opening, which accepted it (``np.maximum(-0.0, 0.0)`` is +0.0).
+    The held entry j has g_j a zero, so its sum keeps its finite value.  A
+    free entry with g_e > 0 has sums that never decrease, since fl(s + g) >=
+    s and no sum is NaN, so its positive part turns nonzero at its first sum
+    above 0: ``searchsorted``'s index, with 0.0 itself sorted before it.  The
+    stretch ends at the least such index over the free entries with g_e > 0.
 
     Returns the count of covered rounds, and per block the regrets after the
     last one (``regrets`` when none is covered).
@@ -983,7 +977,7 @@ def iter_strategies_jsonl(path):
     row with the count of lines that read them, and is expanded once, when
     it is yielded (``_stretch_columns``).  After ``_BULK_AFTER``
     such lines in a row, the reader reads the bytes of as many more lines as
-    fit in ``_WINDOW`` at once and compares them with those lines'
+    fit in ``_BATCH_BYTES`` at once and compares them with those lines'
     ``_numbered`` text, each ending as the line before did; on a miss it
     seeks back and reads on line by line.
     """
@@ -1015,7 +1009,7 @@ def iter_strategies_jsonl(path):
                 if run >= _BULK_AFTER and t % size:
                     # the next k lines as the writer writes them, each ending
                     # as this one did; on a miss, they are read line by line
-                    k = max(1, min(size - t % size, _WINDOW // (len(line) + 2)))
+                    k = max(1, min(size - t % size, _BATCH_BYTES // (len(line) + 2)))
                     tail = (b", " + rest + raw[len(raw.rstrip()):]).decode()
                     repeats = _numbered(['{"round": ', tail], t + 1, k).encode()
                     at = fh.tell()

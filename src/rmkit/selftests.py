@@ -11,6 +11,12 @@ drives any subset and is what the CLI selftest command calls.
 
 Every suite seeds its own ``default_rng`` from MASTER_SEED, so repeated
 invocations are bit-for-bit repeatable.
+
+Each verdict comes from the value it reports: a suite tracks the worst value
+a check measures (the largest slack, the smallest margin, the most rounds
+over a run's budget) and its ``c.check`` compares that one number with the
+check's bound, so the detail line prints what decided it.  A run that did
+not converge counts as ``inf`` rounds over budget.
 """
 
 from __future__ import annotations
@@ -46,28 +52,31 @@ class SuiteResult:
 
 
 class _Checker:
-    """Collects pass/fail detail lines for one suite."""
+    """Collects pass/fail detail lines for one suite, timed from its creation."""
 
-    def __init__(self) -> None:
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.lines: List[str] = []
         self.failed = 0
+        self._t0 = time.perf_counter()
 
-    def check(self, ok: bool, msg: str) -> bool:
+    def check(self, ok: bool, msg: str) -> None:
         self.lines.append(("ok   " if ok else "FAIL ") + msg)
         if not ok:
             self.failed += 1
-        return ok
 
     def note(self, msg: str) -> None:
         self.lines.append("     " + msg)
 
-    @property
-    def passed(self) -> bool:
-        return self.failed == 0
+    def result(self) -> SuiteResult:
+        return SuiteResult(name=self.name, passed=self.failed == 0, lines=self.lines,
+                           seconds=time.perf_counter() - self._t0)
 
 
-def _finish(name: str, c: _Checker, t0: float) -> SuiteResult:
-    return SuiteResult(name=name, passed=c.passed, lines=c.lines, seconds=time.perf_counter() - t0)
+def _budget_share(res: dyn.RunResult, budget: float) -> float:
+    """A run's rounds over its budget, ``inf`` when it did not converge: at
+    most 1 exactly when ``res.converged and res.rounds <= budget``."""
+    return res.rounds / budget if res.converged else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -125,35 +134,29 @@ def _bound_run_config(kind: str, gamma, scheme: str, max_rounds: int = 1000) -> 
 
 def suite_regret_bounds() -> SuiteResult:
     """sqrt(mT) cap on the truncated regret norm; sqrt(m/gamma) cap for drm+."""
-    t0 = time.perf_counter()
-    c = _Checker()
+    c = _Checker("regret_bounds")
     plan = _bound_run_plan(200)
     worst_final = -np.inf
     worst_drm = -np.inf
     drm_round_checks = 0
-    final_ok = drm_ok = True
     for game, kind, gamma, scheme in plan:
         res = dyn.run(game, _bound_run_config(kind, gamma, scheme))
         T = res.rounds
         for i, m in enumerate(game.action_counts):
-            slack = ln.regret_l2(res.states[i]) - math.sqrt(m * T)
-            worst_final = max(worst_final, slack)
-            if slack > TOL:
-                final_ok = False
+            worst_final = max(worst_final, ln.regret_l2(res.states[i]) - math.sqrt(m * T))
         if gamma is not None:
             cap = np.array([math.sqrt(m / gamma) for m in game.action_counts])
             slack = res.traces.regret_l2 - cap
             worst_drm = max(worst_drm, float(slack.max()))
-            if (slack > TOL).any():
-                drm_ok = False
             drm_round_checks += slack.size
-    c.check(final_ok, f"||[r]+||_2 <= sqrt(mT) on 200 runs (worst slack {worst_final:.3e})")
+    c.check(worst_final <= TOL,
+            f"||[r]+||_2 <= sqrt(mT) on 200 runs (worst slack {worst_final:.3e})")
     c.check(
-        drm_ok,
+        worst_drm <= TOL,
         f"drm+ per-round ||r||_2 <= sqrt(m/gamma) at {drm_round_checks} "
         f"round checks (worst slack {worst_drm:.3e})",
     )
-    return _finish("regret_bounds", c, t0)
+    return c.result()
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +165,9 @@ def suite_regret_bounds() -> SuiteResult:
 
 def suite_monotone_norm() -> SuiteResult:
     """Every rm+ step grows ||r||^2 by at least ||max(g,0)||^2."""
-    t0 = time.perf_counter()
-    c = _Checker()
+    c = _Checker("monotone_norm")
     plan = [(g, k, ga, s) for g, k, ga, s in _bound_run_plan(200) if k == "rm+"]
-    stats = {"steps": 0, "prop_steps": 0, "worst_gain": np.inf, "worst_cap": -np.inf,
-             "gain_ok": True, "cap_ok": True}
+    stats = {"steps": 0, "prop_steps": 0, "worst_gain": np.inf, "worst_cap": -np.inf}
 
     def observer(rnd, i, before, g, after):
         r, rp = before.regrets, after.regrets
@@ -179,10 +180,6 @@ def suite_monotone_norm() -> SuiteResult:
             stats["prop_steps"] += 1
         stats["worst_gain"] = min(stats["worst_gain"], gain - lower)
         stats["worst_cap"] = max(stats["worst_cap"], gain - upper)
-        if gain < lower - TOL:
-            stats["gain_ok"] = False
-        if gain > upper + TOL:
-            stats["cap_ok"] = False
 
     for game, kind, gamma, scheme in plan:
         dyn.run(game, _bound_run_config(kind, gamma, scheme), on_step=observer)
@@ -191,18 +188,41 @@ def suite_monotone_norm() -> SuiteResult:
         f"({stats['prop_steps']} with strategy proportional to regrets)"
     )
     c.check(
-        stats["gain_ok"],
+        stats["worst_gain"] >= -TOL,
         f"||r'||^2 - ||r||^2 >= ||max(g,0)||^2 (worst margin {stats['worst_gain']:.3e})",
     )
     c.check(
-        stats["cap_ok"],
+        stats["worst_cap"] <= TOL,
         f"growth cap ||r'||^2 <= ||r||^2 + ||g||^2 (worst excess {stats['worst_cap']:.3e})",
     )
-    return _finish("monotone_norm", c, t0)
+    return c.result()
 
 
 # ---------------------------------------------------------------------------
 # 3. one-step improvement lemmas
+
+
+def _rm_step(rng: np.random.Generator, r: np.ndarray, u: np.ndarray):
+    """One rm step per row from the regrets ``r`` against ``u``: play the
+    positive part theta of r (a Dirichlet draw where it is zero), then take
+    theta' = max(r + g, 0).  Returns the played value <x,u>, ||theta'||_1, the
+    rows where ||theta'||_1 > TOL, <x'-x,u> on every row, and the worst excess
+    of ||theta-theta'||_2^2/||theta'||_1 over <x'-x,u> on those rows."""
+    th = np.maximum(r, 0.0)
+    s = th.sum(axis=1)
+    x = np.empty_like(th)
+    pos = s > 0
+    x[pos] = th[pos] / s[pos, None]
+    if (~pos).any():
+        x[~pos] = rng.dirichlet(np.ones(r.shape[1]), int((~pos).sum()))
+    played = (x * u).sum(axis=1)
+    thp = np.maximum(r + (u - played[:, None]), 0.0)
+    sp = thp.sum(axis=1)
+    ok = sp > TOL
+    xp = np.where(ok[:, None], thp / np.where(sp == 0.0, 1.0, sp)[:, None], x)
+    lhs = ((xp - x) * u).sum(axis=1)
+    refine = np.max(((thp - th) ** 2).sum(axis=1)[ok] / sp[ok] - lhs[ok])
+    return played, sp, ok, lhs, refine
 
 
 def _one_step_batches(rng: np.random.Generator, m: int, count: int) -> dict:
@@ -212,51 +232,21 @@ def _one_step_batches(rng: np.random.Generator, m: int, count: int) -> dict:
     # rm+ state: nonnegative regrets, occasionally all-zero
     r = rng.uniform(0.0, 3.0, (count, m))
     r[rng.random(count) < 0.1] = 0.0
-    s = r.sum(axis=1)
-    x = np.empty_like(r)
-    pos = s > 0
-    x[pos] = r[pos] / s[pos, None]
-    if (~pos).any():
-        x[~pos] = rng.dirichlet(np.ones(m), int((~pos).sum()))
-    played = (x * u).sum(axis=1)
-    g = u - played[:, None]
-    rp = np.maximum(r + g, 0.0)
-    sp = rp.sum(axis=1)
-    ok = sp > TOL
-    xp = np.where(ok[:, None], rp / np.where(sp == 0.0, 1.0, sp)[:, None], x)
-    lhs = ((xp - x) * u).sum(axis=1)
+    played, sp, ok, lhs, out["rmp_refine"] = _rm_step(rng, r, u)
     gap = u.max(axis=1) - played
-    out["rmp_refine"] = np.max(((r - rp) ** 2).sum(axis=1)[ok] / sp[ok] - lhs[ok])
     out["rmp_basic"] = np.max(gap[ok] ** 2 / sp[ok] - lhs[ok])
     out["rmp_skipped"] = int((~ok).sum())
 
     # rm state: signed regrets, positive part drives play
-    r2 = rng.uniform(-3.0, 3.0, (count, m))
-    th = np.maximum(r2, 0.0)
-    s2 = th.sum(axis=1)
-    x2 = np.empty_like(th)
-    pos2 = s2 > 0
-    x2[pos2] = th[pos2] / s2[pos2, None]
-    if (~pos2).any():
-        x2[~pos2] = rng.dirichlet(np.ones(m), int((~pos2).sum()))
-    played2 = (x2 * u).sum(axis=1)
-    g2 = u - played2[:, None]
-    thp = np.maximum(r2 + g2, 0.0)
-    s2p = thp.sum(axis=1)
-    ok2 = s2p > TOL
-    x2p = np.where(ok2[:, None], thp / np.where(s2p == 0.0, 1.0, s2p)[:, None], x2)
-    lhs2 = ((x2p - x2) * u).sum(axis=1)
+    r = rng.uniform(-3.0, 3.0, (count, m))
+    played, sp, ok, lhs, out["rm_refine"] = _rm_step(rng, r, u)
     a = np.argmax(u, axis=1)
     rows = np.arange(count)
-    ind = (r2[rows, a] >= 0.0).astype(np.float64)
-    cond_rhs = ind * (u[rows, a] - played2) ** 2
-    raw_rhs = (u[rows, a] - played2) ** 2
-    out["rm_refine"] = np.max(((thp - th) ** 2).sum(axis=1)[ok2] / s2p[ok2] - lhs2[ok2])
-    out["rm_cond"] = np.max(cond_rhs[ok2] / s2p[ok2] - lhs2[ok2])
-    out["rm_raw_violations"] = int(
-        np.count_nonzero(raw_rhs[ok2] / s2p[ok2] > lhs2[ok2] + TOL)
-    )
-    out["rm_skipped"] = int((~ok2).sum())
+    raw_rhs = (u[rows, a] - played) ** 2
+    cond_rhs = (r[rows, a] >= 0.0).astype(np.float64) * raw_rhs
+    out["rm_cond"] = np.max(cond_rhs[ok] / sp[ok] - lhs[ok])
+    out["rm_raw_violations"] = int(np.count_nonzero(raw_rhs[ok] / sp[ok] > lhs[ok] + TOL))
+    out["rm_skipped"] = int((~ok).sum())
 
     # closeness of the induced strategies
     ra = rng.uniform(0.0, 3.0, (count, m)) + 0.05
@@ -271,8 +261,7 @@ def _one_step_batches(rng: np.random.Generator, m: int, count: int) -> dict:
 
 def suite_one_step_lemmas() -> SuiteResult:
     """Improvement inequalities for rm+ and rm plus the closeness bound."""
-    t0 = time.perf_counter()
-    c = _Checker()
+    c = _Checker("one_step_lemmas")
     rng = np.random.default_rng(MASTER_SEED + 3)
     worst: Dict[str, float] = {}
     raw_violations = 0
@@ -298,7 +287,7 @@ def suite_one_step_lemmas() -> SuiteResult:
             f"(worst {worst['closeness']:.3e})")
     c.check(raw_violations > 0,
             f"indicator is necessary: {raw_violations} unconditioned counterexamples found")
-    return _finish("one_step_lemmas", c, t0)
+    return c.result()
 
 
 # ---------------------------------------------------------------------------
@@ -332,36 +321,30 @@ def potential_rates(rng, games: int, eps: float, gamma: float, max_players: int 
 
 def suite_potential_convergence() -> SuiteResult:
     """Lazy alternating rm+ and drm+ round bounds, plus monotone potential."""
-    t0 = time.perf_counter()
-    c = _Checker()
+    c = _Checker("potential_convergence")
     rng = np.random.default_rng(MASTER_SEED + 4)
     eps = 0.05
     gamma = 0.25
     worst_rmp_rounds = worst_drm_rounds = 0
-    rmp_ok = drm_ok = mono_ok = True
+    rmp_share = drm_share = 0.0
     mono_worst = np.inf
     for _, _, res, bound_rmp, res_d, bound_drm in potential_rates(rng, 50, eps, gamma):
         worst_rmp_rounds = max(worst_rmp_rounds, res.rounds)
-        if not (res.converged and res.rounds <= bound_rmp):
-            rmp_ok = False
+        rmp_share = max(rmp_share, _budget_share(res, bound_rmp))
         values = res.traces.value
         if values.size > 1:
-            step_min = float(np.diff(values).min())
-            mono_worst = min(mono_worst, step_min)
-            if step_min < -EXACT_TOL:
-                mono_ok = False
+            mono_worst = min(mono_worst, float(np.diff(values).min()))
         worst_drm_rounds = max(worst_drm_rounds, res_d.rounds)
-        if not (res_d.converged and res_d.rounds <= bound_drm):
-            drm_ok = False
-    c.check(rmp_ok,
+        drm_share = max(drm_share, _budget_share(res_d, bound_drm))
+    c.check(rmp_share <= 1.0,
             f"lazy rm+ hits all gaps <= {eps} within 1+(m Phi_range)^2/eps^4 on 50 games "
-            f"(worst {worst_rmp_rounds} rounds)")
-    c.check(mono_ok,
+            f"(worst {worst_rmp_rounds} rounds, rounds/budget {rmp_share:.3e} <= 1)")
+    c.check(mono_worst >= -EXACT_TOL,
             f"potential trace nondecreasing (worst step {mono_worst:.3e})")
-    c.check(drm_ok,
+    c.check(drm_share <= 1.0,
             f"lazy drm+ (gamma={gamma}) within 1+m Phi_range/(eps^2 sqrt(gamma)) "
-            f"(worst {worst_drm_rounds} rounds)")
-    return _finish("potential_convergence", c, t0)
+            f"(worst {worst_drm_rounds} rounds, rounds/budget {drm_share:.3e} <= 1)")
+    return c.result()
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +353,11 @@ def suite_potential_convergence() -> SuiteResult:
 
 def suite_threshold_init() -> SuiteResult:
     """Threshold-seeded lazy rm+ reaches a 0.1-KKT point inside the bound."""
-    t0 = time.perf_counter()
-    c = _Checker()
+    c = _Checker("threshold_init")
     rng = np.random.default_rng(MASTER_SEED + 5)
     eps = 0.1
-    thr_ok = zero_ok = kkt_ok = True
     worst_thr = worst_zero = 0
+    thr_share = zero_share = 0.0
     worst_kkt = -np.inf
     zero_budget = 1.0 / eps**8
     for _ in range(20):
@@ -392,52 +374,37 @@ def suite_threshold_init() -> SuiteResult:
             scheme="lazy", kind="rm+", epsilon=eps / n, init="threshold",
             max_rounds=min(int(bound) + 1, 200_000)))
         worst_thr = max(worst_thr, res.rounds)
-        if not (res.converged and res.rounds <= bound):
-            thr_ok = False
-        kkt = ob.kkt_gap(obj, res.final_profile)
-        worst_kkt = max(worst_kkt, kkt)
-        if kkt > eps + TOL:
-            kkt_ok = False
+        thr_share = max(thr_share, _budget_share(res, bound))
+        worst_kkt = max(worst_kkt, ob.kkt_gap(obj, res.final_profile))
 
         res_z = dyn.run(obj, dyn.RunConfig(
             scheme="lazy", kind="rm+", epsilon=eps / n, init="zero",
             max_rounds=min(int(zero_budget), 200_000)))
         worst_zero = max(worst_zero, res_z.rounds)
-        if not (res_z.converged and res_z.rounds <= zero_budget):
-            zero_ok = False
-        kkt_z = ob.kkt_gap(obj, res_z.final_profile)
-        worst_kkt = max(worst_kkt, kkt_z)
-        if kkt_z > eps + TOL:
-            kkt_ok = False
-    c.check(thr_ok,
+        zero_share = max(zero_share, _budget_share(res_z, zero_budget))
+        worst_kkt = max(worst_kkt, ob.kkt_gap(obj, res_z.final_profile))
+    c.check(thr_share <= 1.0,
             f"threshold init converges within 1+4n^4 m^2 u_range^2/eps^4 on 20 objectives "
-            f"(worst {worst_thr} rounds)")
-    c.check(kkt_ok, f"final KKT gap <= {eps} (worst {worst_kkt:.4f})")
-    c.check(zero_ok,
+            f"(worst {worst_thr} rounds, rounds/budget {thr_share:.3e} <= 1)")
+    c.check(worst_kkt <= eps + TOL, f"final KKT gap <= {eps} (worst {worst_kkt:.4f})")
+    c.check(zero_share <= 1.0,
             f"zero init converges within the 1/eps^8 = {zero_budget:.0e} budget "
-            f"(worst {worst_zero} rounds)")
-    return _finish("threshold_init", c, t0)
+            f"(worst {worst_zero} rounds, rounds/budget {zero_share:.3e} <= 1)")
+    return c.result()
 
 
 # ---------------------------------------------------------------------------
 # 6. hard-instance separation
 
 
-def suite_hard_separation() -> SuiteResult:
-    """Phase growth of rm on the padded m=6 game and the rm+ contrast."""
-    t0 = time.perf_counter()
-    c = _Checker()
-    sep = hard.run_separation(6, max_rounds=200_000, epsilon=NASH_CUTOFF,
-                              rm_plus_max_rounds=10_000)
-    res, report = sep.walk, sep.report
-    c.check(not report.violations,
-            f"walk structure clean over {res.rounds} rounds "
-            f"({report.violation_count} violations)")
+def _check_walk(c: _Checker, report: hard.PhaseReport, where: str) -> Dict[int, int]:
+    """The checks of a spiral walk's phase report: no structural violation,
+    the phase lengths, T_3 >= 5, T_4 >= 20 and the growth floors.  Returns the
+    completed phases' lengths by payoff."""
+    c.check(report.violation_count == 0,
+            f"walk structure clean {where} ({report.violation_count} violations)")
     completed = {p.k: p.length for p in report.completed()}
     c.note("phase lengths " + ", ".join(f"T_{k}={T}" for k, T in sorted(completed.items())))
-    onsets_ok = report.first_seen == _M6_FIRST_SEEN
-    c.check(onsets_ok, "phase onsets " + ("match the frozen m=6 table" if onsets_ok else
-                                          f"{report.first_seen} differ from the frozen m=6 table"))
     t3 = report.phase(3).length
     t4 = report.phase(4).length
     c.check(t3 is not None and t3 >= 5, f"T_3 = {t3} >= 5")
@@ -447,6 +414,19 @@ def suite_hard_separation() -> SuiteResult:
     c.check(growth_ok,
             f"T_k >= ((k-2)/2) T_(k-1) and factorial floor for completed k <= {kmax}"
             + ("" if growth_ok else ": " + "; ".join(failures)))
+    return completed
+
+
+def suite_hard_separation() -> SuiteResult:
+    """Phase growth of rm on the padded m=6 game and the rm+ contrast."""
+    c = _Checker("hard_separation")
+    sep = hard.run_separation(6, max_rounds=200_000, epsilon=NASH_CUTOFF,
+                              rm_plus_max_rounds=10_000)
+    res, report = sep.walk, sep.report
+    completed = _check_walk(c, report, f"over {res.rounds} rounds")
+    onsets_ok = report.first_seen == _M6_FIRST_SEEN
+    c.check(onsets_ok, "phase onsets " + ("match the frozen m=6 table" if onsets_ok else
+                                          f"{report.first_seen} differ from the frozen m=6 table"))
 
     above = sep.rounds_above
     observed_total = sum(T for T in completed.values())
@@ -461,7 +441,7 @@ def suite_hard_separation() -> SuiteResult:
     c.check(sep.ratio >= 100.0,
             f"separation: rm needs {label} rounds vs {res_plus.rounds} for rm+ "
             f"({sep.ratio:.0f}x)")
-    return _finish("hard_separation", c, t0)
+    return c.result()
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +450,7 @@ def suite_hard_separation() -> SuiteResult:
 
 def suite_uniform_init() -> SuiteResult:
     """The doubled game funnels uniform play into the same walk."""
-    t0 = time.perf_counter()
-    c = _Checker()
+    c = _Checker("uniform_init")
     m = 6
     spiral = hard.build_spiral(m)
     game = hard.build_uniform_init(m)  # construction asserts its own row sums
@@ -492,20 +471,8 @@ def suite_uniform_init() -> SuiteResult:
     stray = max(float(np.abs(x[1:]).max()) for x in second)
     c.check(purity >= 1.0 - TOL and stray <= EXACT_TOL,
             f"round 2: both players on action 1 (min mass {purity:.17g}, stray {stray:.1e})")
-    report = tracker.report()
-    c.check(not report.violations,
-            f"walk structure clean after the uniform round "
-            f"({report.violation_count} violations)")
-    completed = {p.k: p.length for p in report.completed()}
-    c.note("phase lengths " + ", ".join(f"T_{k}={T}" for k, T in sorted(completed.items())))
-    t3 = report.phase(3).length
-    t4 = report.phase(4).length
-    c.check(t3 is not None and t3 >= 5, f"T_3 = {t3} >= 5")
-    c.check(t4 is not None and t4 >= 20, f"T_4 = {t4} >= 20")
-    growth_ok, failures = hard.check_stall_growth(report)
-    c.check(growth_ok, "recursive and factorial phase growth"
-            + ("" if growth_ok else ": " + "; ".join(failures)))
-    return _finish("uniform_init", c, t0)
+    _check_walk(c, tracker.report(), "after the uniform round")
+    return c.result()
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +481,7 @@ def suite_uniform_init() -> SuiteResult:
 
 def suite_cycle_counterexample() -> SuiteResult:
     """25 laps of the 4-cycle: zero regret, large stationarity gap."""
-    t0 = time.perf_counter()
-    c = _Checker()
+    c = _Checker("cycle_counterexample")
     obj = ob.make_cycle_polynomial()
     expected_slope = {0.6: 2.0, 0.7: -1.0, 0.4: -2.0, 0.3: 1.0}
     worst_slope = max(
@@ -542,7 +508,7 @@ def suite_cycle_counterexample() -> SuiteResult:
             f"summed realized values vanish ({total_played:.3e})")
     c.check(min_kkt >= 0.7 - TOL, f"kkt_gap >= 0.7 at every visited point (min {min_kkt:.6f})")
     c.note(f"smoothness constant of the quartic: {ob.cycle_smoothness():.6f} = 1790/3")
-    return _finish("cycle_counterexample", c, t0)
+    return c.result()
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +517,7 @@ def suite_cycle_counterexample() -> SuiteResult:
 
 def suite_cce() -> SuiteResult:
     """cce_gap tracks max average regret and decays as T^(-1/2) on the hard game."""
-    t0 = time.perf_counter()
-    c = _Checker()
+    c = _Checker("cce")
     rng = np.random.default_rng(MASTER_SEED + 9)
     checkpoints = (100, 1_000, 10_000)
     games = []
@@ -568,7 +533,6 @@ def suite_cce() -> SuiteResult:
     games.append(gm.normalize_game(
         gm.random_symmetric_identical_game(3, 3, seed=int(rng.integers(2**31)))))
 
-    bound_ok = True
     worst = -np.inf
     for game in games:
         for kind in ("rm", "rm+"):
@@ -581,9 +545,7 @@ def suite_cce() -> SuiteResult:
                     for i in range(game.num_players)
                 ) / T
                 worst = max(worst, gap - reg)
-                if gap > reg + TOL:
-                    bound_ok = False
-    c.check(bound_ok,
+    c.check(worst <= TOL,
             f"cce_gap <= max_i Reg_i/T at T in {checkpoints} on 8 runs "
             f"(worst excess {worst:.3e})")
 
@@ -593,20 +555,19 @@ def suite_cce() -> SuiteResult:
         scheme="simultaneous", kind="rm", max_rounds=checkpoints[-1],
         init_strategies=hard.pure_init_strategies(m)))
     scale = gm.utility_range(game)
-    decay_ok = nash_ok = True
+    worst_decay = -np.inf
+    min_nash = np.inf
     for T, gap in zip(checkpoints, dyn.cce_gaps(game, res.history, checkpoints)):
         norm_gap = gap / scale
         envelope = math.sqrt((m + 1) / T)
         nash_here = float(res.traces.br_gaps[T - 1].max())
         c.note(f"T={T}: normalized cce_gap {norm_gap:.5f} <= sqrt(7/T) {envelope:.5f}, "
                f"nash gap {nash_here:.3f}")
-        if norm_gap > envelope + TOL:
-            decay_ok = False
-        if nash_here <= NASH_CUTOFF:
-            nash_ok = False
-    c.check(decay_ok, "normalized cce_gap under the sqrt(7/T) envelope on the m=6 game")
-    c.check(nash_ok, "nash gap stays > 1/14 at every checkpoint")
-    return _finish("cce", c, t0)
+        worst_decay = max(worst_decay, norm_gap - envelope)
+        min_nash = min(min_nash, nash_here)
+    c.check(worst_decay <= TOL, "normalized cce_gap under the sqrt(7/T) envelope on the m=6 game")
+    c.check(min_nash > NASH_CUTOFF, "nash gap stays > 1/14 at every checkpoint")
+    return c.result()
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +576,7 @@ def suite_cce() -> SuiteResult:
 
 def suite_gradient_structure() -> SuiteResult:
     """Finite differences, potential verification, TV bound, symmetric lockstep."""
-    t0 = time.perf_counter()
-    c = _Checker()
+    c = _Checker("gradient_structure")
     rng = np.random.default_rng(MASTER_SEED + 10)
 
     worst_fd = -np.inf
@@ -644,12 +604,8 @@ def suite_gradient_structure() -> SuiteResult:
     pot_games += [gm.random_symmetric_identical_game(2 + i % 2, 2 + i % 3, seed=i)
                   for i in range(5)]
     pot_games += [hard.build_padded(6), hard.build_uniform_init(6)]
-    all_ok = True
-    for game in pot_games:
-        ok, witness = gm.verify_potential(game)
-        if not ok or witness is not None:
-            all_ok = False
-    c.check(all_ok, f"verify_potential passes on {len(pot_games)} generated games")
+    c.check(all(ok and witness is None for ok, witness in map(gm.verify_potential, pot_games)),
+            f"verify_potential passes on {len(pot_games)} generated games")
 
     base = pot_games[0]
     broken_utilities = [u.copy() for u in base.utilities]
@@ -701,21 +657,17 @@ def suite_gradient_structure() -> SuiteResult:
         gm.random_congestion_game(2, 3, seed=int(rng.integers(2**31))),
         gm.random_congestion_game(3, 2, seed=int(rng.integers(2**31))),
     ]
-    lock_ok = True
-    for game in lock_games:
-        if not gm.check_symmetric(game):
-            lock_ok = False
-            continue
-        for kind in ("rm", "rm+"):
-            res = dyn.run(game, dyn.RunConfig(
-                scheme="simultaneous", kind=kind, max_rounds=200))
-            blocks = res.history.strategies.blocks
-            if not all(np.array_equal(blocks[0], b) for b in blocks[1:]):
-                lock_ok = False
-    c.check(lock_ok,
+
+    def lockstep(game, kind):
+        blocks = dyn.run(game, dyn.RunConfig(
+            scheme="simultaneous", kind=kind, max_rounds=200)).history.strategies.blocks
+        return all(np.array_equal(blocks[0], b) for b in blocks[1:])
+
+    c.check(all(gm.check_symmetric(g) and lockstep(g, "rm") and lockstep(g, "rm+")
+                for g in lock_games),
             "simultaneous play from a shared start stays bitwise identical across "
             "players on symmetric games")
-    return _finish("gradient_structure", c, t0)
+    return c.result()
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
-"""The verdict rule of scripts/bench_pairs.py over synthetic runs."""
+"""The benchmark's tooling: the verdict rule of scripts/bench_pairs.py over
+synthetic runs, and the rmkit names that perfbench's tracer wraps."""
 
+import importlib
 import importlib.util
 import os
 
 import pytest
 
 
-def _script():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench_pairs.py")
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
+def _load(name, *parts):
+    """The repository file at ``parts``, loaded by path as module ``name``."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, *parts)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ten parent runs around 1.0: median 1.0, q3 - q1 0.02
@@ -39,4 +42,14 @@ _PARENT = [0.98, 0.99, 0.99, 0.995, 1.0, 1.0, 1.005, 1.01, 1.01, 1.02]
     ([0.3, 0.35, 0.4, 0.5, 0.6, 0.6, 0.7, 0.8, 0.9, 0.95], "lower", "gain"),
 ])
 def test_bench_pairs_verdicts(change, better, want):
-    assert _script().verdict(_PARENT, change, better, 0.25) == want
+    script = _load("bench_pairs", "scripts", "bench_pairs.py")
+    assert script.verdict(_PARENT, change, better, 0.25) == want
+
+
+def test_every_function_the_benchmark_tracer_wraps_still_exists():
+    # Tracer.install looks each one up with no default, so a deleted name
+    # would crash only the benchmark's traced passes
+    tracing = _load("perfbench_tracing", "perfbench", "tracing.py")
+    missing = [f"{module}.{attr}" for module, attr, _ in tracing.MODULE_WRAPS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert not missing, f"perfbench/tracing.py MODULE_WRAPS names {missing}"

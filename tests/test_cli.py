@@ -185,6 +185,17 @@ def test_the_run_flags_match_the_config_keys_and_the_readme():
     assert documented <= set(flags), f"README's run section names {documented - set(flags)}"
 
 
+def test_every_subcommand_option_is_in_the_readme():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    with open(README_PATH) as fh:
+        documented = set(re.findall(r"--[a-z](?:[a-z-]*[a-z])?", fh.read()))
+    missing = [f"{name} {flag}" for name, sub in commands.choices.items()
+               for action in sub._actions if not isinstance(action, argparse._HelpAction)
+               for flag in action.option_strings if flag not in documented]
+    assert not missing, f"options missing from README.md: {missing}"
+
+
 def test_run_config_carries_custom_inits(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     strategies = tmp_path / "s.jsonl"

@@ -1363,7 +1363,7 @@ def test_the_reader_checks_a_stretch_at_once_with_the_result_of_each_line(
         monkeypatch.setattr(dyn, "_CHUNK_ROWS", 7)
     if where == "window_edge":
         # bulk reads of two lines, so that a defect meets the end of one
-        monkeypatch.setattr(dyn, "_WINDOW", 150)
+        monkeypatch.setattr(dyn, "_BATCH_BYTES", 150)
     text, profiles = _edited_recording(defect, line)
     path = tmp_path / "walk.jsonl"
     path.write_bytes(text.encode())
@@ -1381,7 +1381,7 @@ def test_the_reader_reads_stretches_of_each_length_around_the_bulk_check(tmp_pat
     # stretches of 1 to 12 lines, and one of 40, around a check that starts
     # after 4 repeats in a row and reads 3 lines at a time
     monkeypatch.setattr(dyn, "_BULK_AFTER", 4)
-    monkeypatch.setattr(dyn, "_WINDOW", 3 * 60)
+    monkeypatch.setattr(dyn, "_BATCH_BYTES", 3 * 60)
     lengths = [*range(1, 13), 40, *range(12, 0, -1)]
     profiles = [[[i / 64, 1.0 - i / 64], [0.5, 0.5]] for i, n in enumerate(lengths) for _ in range(n)]
     path = tmp_path / "walk.jsonl"
