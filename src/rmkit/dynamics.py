@@ -23,7 +23,7 @@ strategies as plain arrays.  Per round it checks only the gradients it
 observes, which come from outside for an objective, and steps each block
 with ``learners.advance``, the kernel behind the validated single-step
 reference ``learners.step``; ``RegretState`` objects are built only for
-``on_step`` and for the result.
+the result.
 
 Block gradients and the value come from the hoisted pair of the
 ``games.BlockGradients`` kernel for a game, and for an objective whose
@@ -50,10 +50,10 @@ every strategy with its bits: the profile it folds then has the bits of the
 one the round before ended on.
 
 Under the same rule, for rm and rm+ under the simultaneous and alternating
-schemes and with ``on_step`` ``None``, rounds that repeat the profile are
-jumped, not stepped.  Once a round leaves every block's strategy with its
-bits, the next round folds the same inputs, so its strategies, gradients,
-gaps, kkt gap and value repeat those bits.  A round that also leaves the
+schemes, rounds that repeat the profile are jumped, not stepped.  Once a
+round leaves every block's strategy with its bits, the next round folds the
+same inputs, so its strategies, gradients, gaps, kkt gap and value repeat
+those bits.  A round that also leaves the
 regrets with their bits is a fixed point: the rest of the run repeats it.
 Otherwise, for rm, the regrets move by the same g each round, and ``cumsum``
 over ``[r, g, g, ...]`` adds in round order, giving the bits of the loop's
@@ -68,26 +68,26 @@ move play is found by search, not by a scan of every sum;
 ``_rm_look_ahead`` gives the argument.
 
 ``run`` is one loop, and each pass appends one stretch of rounds to the
-record through one ``append``: a stepped round, or a look-ahead chunk of
-jumped rounds.  ``append`` writes the stretch's strategies, gradients,
-trace row and updated flags once, with its count of rounds, hands a full
-chunk to the sink, and then calls ``progress`` at every multiple of
+record through one ``append``: a stepped round, or a look-ahead chunk of up
+to ``_CHUNK_CAP`` jumped rounds.  ``append`` writes the stretch's strategies,
+gradients, trace row and updated flags once, with its count of rounds, hands
+a full chunk to the sink, and then calls ``progress`` at every multiple of
 ``PROGRESS_EVERY`` the stretch reaches, so at a chunk edge the sink gets the
 chunk before ``progress`` gets the round, and the calls for a jumped stretch
 come in bursts, not at the pace of the rounds.
 
-Everything else steps and observes every round: drm+, the lazy scheme and
-runs with ``on_step`` step each round, and a gradient callable that is not
-the kernel or a value that is not the kernel's own is called, and the
-gradient checked, every round; beside such a value the kernel's hoisted
-gradient, too, observes every round.  That per-round loop is the reference that
-the reuse and the jump are tested against, bit for bit.  The limit keeps a
-large tensor on it: up to the limit a round's folds cost about what the
-loop's own work costs, but past it they are most of a round, and skipping
-them would make a run's time follow the round at which its play settles.
-500 rounds of simultaneous rm+ on seeded 3 x 64 potential games took
-0.05-0.56 s by seed with the reuse, against 0.46-0.54 s with every round
-folded (seeds 1-10, as a game and as an objective, on a 2-core VM).
+Everything else steps and observes every round: drm+ and the lazy scheme
+step each round, and a gradient callable that is not the kernel or a value
+that is not the kernel's own is called, and the gradient checked, every
+round; beside such a value the kernel's hoisted gradient, too, observes
+every round.  That per-round loop is the reference that the reuse and the
+jump are tested against, bit for bit.  The limit keeps a large tensor on it:
+up to the limit a round's folds cost about what the loop's own work costs,
+but past it they are most of a round, and skipping them would make a run's
+time follow the round at which its play settles.  500 rounds of simultaneous
+rm+ on seeded 3 x 64 potential games took 0.05-0.56 s by seed with the
+reuse, against 0.46-0.54 s with every round folded (seeds 1-10, as a game
+and as an objective, on a 2-core VM).
 
 The record a run returns is float64 columns, not per-round objects: per
 block the entering strategies and the observed gradients (``Rounds``), and
@@ -110,8 +110,8 @@ call gets a ``PlayHistory`` (scheme, strategies, utilities) and a
 ``Traces`` whose ``rounds`` number the chunk's rounds, as read-only columns
 that the run never writes again (it starts empty buffers), so the sink may
 keep them.  The result's record is then empty; its round count, stop
-reason, initial gaps and final states are those of the same run without a
-sink.  ``TraceCsvWriter`` and ``StrategiesJsonlWriter`` write such chunks
+reason and final states are those of the same run without a sink.
+``TraceCsvWriter`` and ``StrategiesJsonlWriter`` write such chunks
 with the bytes of one whole write; ``write_trace_csv`` and
 ``write_strategies_jsonl`` are those writers fed one whole record.
 
@@ -326,7 +326,6 @@ class RunResult:
     states: list  # final learner states
     stop_reason: str  # "converged" | "max_rounds"
     rounds: int
-    initial_gaps: List[float]  # per-block gap measured at the first round
 
     @property
     def final_profile(self):
@@ -422,9 +421,9 @@ _FILL_ROUNDS = 100
 # passed line by line, reading at most ``_BATCH_BYTES`` at a time
 _BULK_AFTER = 64
 
-# a stretch is covered in look-ahead chunks of 16, 32, ... rows up to the cap,
-# so that a short stretch wastes little and a long one holds few rows at once
-_FIRST_CHUNK, _CHUNK_CAP = 16, 1024
+# rows per look-ahead chunk: a stretch's running sums are built this many at
+# a time, and its search exit makes a short stretch cost one such ``cumsum``
+_CHUNK_CAP = 1024
 
 
 def _free_entries(x: np.ndarray) -> np.ndarray:
@@ -479,20 +478,17 @@ def _rm_look_ahead(regrets, steps, free, k: int):
 def run(
     target,
     config: RunConfig,
-    on_step: Optional[Callable] = None,
     progress: Optional[Callable] = None,
     sink: Optional[Callable] = None,
 ) -> RunResult:
     """Drive the configured learners on a game or objective.
 
-    ``on_step`` is called as ``on_step(round, block, state_before, g,
-    state_after)`` for every realized learner update.  ``progress`` is
-    called with the round number every ``PROGRESS_EVERY`` rounds, after the
-    sink at a chunk edge; the calls for a jumped stretch come together.
-    ``sink``, when given, is called as ``sink(history, traces)`` with the
-    record of every ``_CHUNK_ROWS`` rounds, in round order, and with the
-    rounds left over when the run ends; the result then keeps an empty
-    record (see the module docstring).
+    ``progress`` is called with the round number every ``PROGRESS_EVERY``
+    rounds, after the sink at a chunk edge; the calls for a jumped stretch
+    come together.  ``sink``, when given, is called as ``sink(history,
+    traces)`` with the record of every ``_CHUNK_ROWS`` rounds, in round
+    order, and with the rounds left over when the run ends; the result then
+    keeps an empty record (see the module docstring).
     """
     sizes, grad, value, folded = _gradient_and_value(target)
     states = _initial_states(target, sizes, config)
@@ -507,10 +503,10 @@ def run(
     # one rule for repeated rounds (module docstring): when the gradient and
     # the value are the kernel's on a small tensor, a round after one that
     # left every strategy with its bits reuses its observations and value,
-    # and, for rm and rm+ with no caller watching each update, rounds that
-    # repeat the profile are covered in chunks, not stepped
+    # and, for rm and rm+, rounds that repeat the profile are covered in
+    # chunks, not stepped
     reuse = folded and math.prod(sizes) <= _REUSE_ENTRIES
-    jump = reuse and on_step is None and not lazy and kind in (ln.Kind.RM, ln.Kind.RM_PLUS)
+    jump = reuse and not lazy and kind in (ln.Kind.RM, ln.Kind.RM_PLUS)
 
     # Per block: the regrets, the strategy the state stores (which is also
     # what the other blocks see), the strategy its regrets play next, and the
@@ -547,7 +543,6 @@ def run(
     strategies, utilities, trace, flags, counts = empty()
     trace_row = struct.Struct(f"{3 * n + 2}d").pack
     flush_at = _CHUNK_ROWS if sink is not None else config.max_rounds + 1
-    initial_gaps: List[float] = []
     stop_reason = "max_rounds"
     t = 0  # the rounds appended
     handed = 0  # the rounds handed to the sink
@@ -588,18 +583,18 @@ def run(
     # reused while the inputs they fold keep their bits (module docstring)
     observed, xus, gaps = [None] * n, [0.0] * n, [0.0] * n
     kept = False  # the round before left every block's strategy with its bits
-    size = 0  # rows of the next look-ahead chunk; 0 steps the next round
+    jumping = False  # the next pass covers a look-ahead chunk, not a stepped round
     while t < config.max_rounds:
-        if size:
+        if jumping:
             # a look-ahead chunk of rounds that repeat the last stepped one
             # (module docstring): whole at a fixed point, else rm's regrets
             # move by the same g each round, up to the round that moves play
-            k = wanted = min(size, config.max_rounds - t, flush_at - t)
+            k = wanted = min(_CHUNK_CAP, config.max_rounds - t, flush_at - t)
             if not fixed:
                 k, regrets = _rm_look_ahead(regrets, steps, free, k)
             if k:
                 append(k, row)
-            size = min(2 * size, _CHUNK_CAP) if k == wanted else 0
+            jumping = k == wanted
             continue
 
         # step round t + 1
@@ -629,9 +624,6 @@ def run(
                 # the regrets move but the stored strategy stays, as their fallback
                 played[i] = ln.play(r, x)[2]
             else:
-                if on_step is not None:
-                    on_step(t + 1, i, ln.RegretState(kind, regrets[i], x, discount), g,
-                            ln.RegretState(kind, r, x_next, discount))
                 profile[i] = played[i] = x_next
                 updated[i] = True
                 if x_next.tobytes() != x.tobytes():
@@ -642,8 +634,6 @@ def run(
             l1[i] = total
             l2[i] = math.sqrt(theta.dot(theta))
 
-        if t == 0:
-            initial_gaps = list(gaps)
         if t == 0 or not (reuse and kept):
             v = value(profile)
         row = trace_row(*gaps, float(sum(gaps)), *l2, *l1, v)
@@ -658,7 +648,7 @@ def run(
             if fixed or kind is ln.Kind.RM:
                 free = [_free_entries(x) for x in profile]
                 if fixed or not any(map(_moves, regrets, free)):
-                    size = _FIRST_CHUNK
+                    jumping = True
 
     if sink is not None and t > handed:
         sink(*record())
@@ -670,7 +660,6 @@ def run(
         states=[ln.RegretState(kind, r, x, discount) for r, x in zip(regrets, profile)],
         stop_reason=stop_reason,
         rounds=t,
-        initial_gaps=initial_gaps,
     )
 
 

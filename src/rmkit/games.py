@@ -405,6 +405,8 @@ def load_game(path) -> GameSpec:
     if not (isinstance(actions, list) and all(type(m) is int for m in actions)):
         raise ValueError(
             f"{path}: field 'actions' must be a list of integers, got {json.dumps(actions)}")
+    if any(m < 1 for m in actions):
+        raise ValueError(f"{path}: field 'actions' must hold positive counts, got {actions}")
     actions = tuple(actions)
     if len(actions) != n:
         raise ValueError(f"{path}: field 'actions' has {len(actions)} entries for {n} players")
@@ -466,6 +468,8 @@ def _numbers(path, name, values, shape=None) -> np.ndarray:
         raise ValueError(f"{path}: {name} has {len(values)} entries, want {int(np.prod(shape))}")
     try:
         a = np.asarray(values, dtype=np.float64)
-        return a if shape is None else a.reshape(shape)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {name} is not numbers ({exc})") from None
+    if shape is not None and a.ndim != 1:
+        raise ValueError(f"{path}: {name} is not a flat list of numbers")
+    return a if shape is None else a.reshape(shape)

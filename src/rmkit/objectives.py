@@ -271,4 +271,8 @@ def load_objective(spec, base_dir: str = ".") -> ObjectiveHandle:
         return make_cycle_polynomial()
     if not isinstance(doc.get("game"), str):
         raise ValueError(f"{where}multilinear objective needs a 'game' file field, a path")
-    return make_multilinear(games_mod.load_game(os.path.join(base_dir, doc["game"])))
+    game = games_mod.load_game(os.path.join(base_dir, doc["game"]))
+    try:
+        return make_multilinear(game)
+    except ValueError as exc:  # a game file with no potential
+        raise ValueError(f"{where}{exc}") from None

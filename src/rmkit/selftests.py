@@ -167,34 +167,36 @@ def suite_monotone_norm() -> SuiteResult:
     """Every rm+ step grows ||r||^2 by at least ||max(g,0)||^2."""
     c = _Checker("monotone_norm")
     plan = [(g, k, ga, s) for g, k, ga, s in _bound_run_plan(200) if k == "rm+"]
-    stats = {"steps": 0, "prop_steps": 0, "worst_gain": np.inf, "worst_cap": -np.inf}
-
-    def observer(rnd, i, before, g, after):
-        r, rp = before.regrets, after.regrets
-        gain = float(rp @ rp - r @ r)
-        gpos = np.maximum(g, 0.0)
-        lower = float(gpos @ gpos)
-        upper = float(g @ g)
-        stats["steps"] += 1
-        if r.sum() > 0.0:
-            stats["prop_steps"] += 1
-        stats["worst_gain"] = min(stats["worst_gain"], gain - lower)
-        stats["worst_cap"] = max(stats["worst_cap"], gain - upper)
-
+    steps = prop_steps = 0
+    worst_gain, worst_cap = np.inf, -np.inf
     for game, kind, gamma, scheme in plan:
-        dyn.run(game, _bound_run_config(kind, gamma, scheme), on_step=observer)
+        res = dyn.run(game, _bound_run_config(kind, gamma, scheme))
+        traces, history = res.traces, res.history
+        # rm+ regrets are nonnegative, so the trace's l2 norm is ||r||_2, and
+        # play is proportional to r when its l1 norm is positive.  A round's
+        # norms before its step are the row before; the runs start from zero.
+        start = np.zeros((1, game.num_players))
+        l2 = np.vstack([start, traces.regret_l2])
+        l1_before = np.vstack([start, traces.regret_l1[:-1]])
+        gain = l2[1:] ** 2 - l2[:-1] ** 2
+        for i, (X, U) in enumerate(zip(history.strategies.blocks, history.utilities.blocks)):
+            stepped = traces.updated[:, i]
+            g = (U - np.einsum("ij,ij->i", X, U)[:, None])[stepped]
+            gpos = np.maximum(g, 0.0)
+            steps += len(g)
+            prop_steps += int(np.count_nonzero(l1_before[stepped, i] > 0.0))
+            margin = gain[stepped, i] - np.einsum("ij,ij->i", gpos, gpos)
+            excess = gain[stepped, i] - np.einsum("ij,ij->i", g, g)
+            worst_gain = min(worst_gain, float(np.min(margin, initial=np.inf)))
+            worst_cap = max(worst_cap, float(np.max(excess, initial=-np.inf)))
     c.note(
-        f"{stats['steps']} rm+ steps observed across {len(plan)} runs "
-        f"({stats['prop_steps']} with strategy proportional to regrets)"
+        f"{steps} rm+ steps observed across {len(plan)} runs "
+        f"({prop_steps} with strategy proportional to regrets)"
     )
-    c.check(
-        stats["worst_gain"] >= -TOL,
-        f"||r'||^2 - ||r||^2 >= ||max(g,0)||^2 (worst margin {stats['worst_gain']:.3e})",
-    )
-    c.check(
-        stats["worst_cap"] <= TOL,
-        f"growth cap ||r'||^2 <= ||r||^2 + ||g||^2 (worst excess {stats['worst_cap']:.3e})",
-    )
+    c.check(worst_gain >= -TOL,
+            f"||r'||^2 - ||r||^2 >= ||max(g,0)||^2 (worst margin {worst_gain:.3e})")
+    c.check(worst_cap <= TOL,
+            f"growth cap ||r'||^2 <= ||r||^2 + ||g||^2 (worst excess {worst_cap:.3e})")
     return c.result()
 
 

@@ -112,11 +112,12 @@ def test_run_reports_unknown_objectives(capsys):
         ("variant=pure_init", "missing m="),
         ("m=4,variant=bogus", "unknown hard-instance variant"),
         ("m=4,extra=1", "unknown keys"),
+        ("m=x", "m must be an integer"),
     ],
 )
 def test_run_rejects_bad_hard_specs(spec, msg, capsys):
     assert cli.main(["run", "--hard-instance", spec]) == 1
-    assert msg in capsys.readouterr().err
+    assert msg in _one_line_error(capsys)
 
 
 def test_run_config_flags_override_the_file(capsys, tmp_path):
@@ -165,6 +166,13 @@ def test_run_config_rejects_wrong_json_types(doc, msg, capsys, tmp_path):
     cfg.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(cfg)]) == 1
     assert f"{cfg}: {msg}" in _one_line_error(capsys)
+
+
+def test_run_config_refuses_a_file_that_is_not_json(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"objective": "cycle_poly",')
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    assert f"{cfg}: not valid JSON (" in _one_line_error(capsys)
 
 
 def test_the_run_flags_match_the_config_keys_and_the_readme():
@@ -302,6 +310,10 @@ STREAMED_RUNS = {
         tmp, "--scheme", "alternating", "--algo", "drm+", "--gamma", "0.3",
         "--max-rounds", "4500",
         scheme="alternating", kind="drm+", discount=1.0 - 0.3, max_rounds=4_500), None, False),
+    "uniform_init_m6": (lambda tmp: (
+        ["--hard-instance", "m=6,variant=uniform_init", "--algo", "rm", "--max-rounds", "10000"],
+        lambda: (hard.build_uniform_init(6), dyn.RunConfig(kind="rm", max_rounds=10_000))),
+        None, False),
     "simultaneous_drm+": (lambda tmp: (
         ["--objective", "cycle_poly", "--algo", "drm+", "--gamma", "0.3", "--max-rounds", "300"],
         lambda: (ob.make_cycle_polynomial(),
@@ -572,6 +584,10 @@ _BAD_GAMES = {
     "no_players": {"players": 0, "actions": [], "kind": "general", "utilities": []},
     "not_integers": {**_GOOD_GAME, "players": 2.9, "actions": [2, 2.5], "symmetric": "no"},
     "actions_not_integers": {**_GOOD_GAME, "actions": [2, 2.5]},
+    "no_utilities": {k: v for k, v in _GOOD_GAME.items() if k != "utilities"},
+    "utilities_a_string_entry": {**_GOOD_GAME, "utilities": [[1.0, "x", 0.0, 0.0]] * 2},
+    "utilities_ragged": {**_GOOD_GAME, "utilities": [[[1.0, 0.0], 0.0, 0.0, 0.0]] * 2},
+    "utilities_nested": {**_GOOD_GAME, "utilities": [[[1.0], [0.0], [0.0], [0.0]]] * 2},
     "symmetric_not_true": {**_GOOD_GAME, "symmetric": "no"},
     "not_exchangeable": {**_GOOD_GAME, "utilities": [[1, 2, 3, 4], [5, 1, 7, 2]],
                          "symmetric": True},
@@ -579,6 +595,7 @@ _BAD_GAMES = {
 _BAD_OBJECTIVES = {
     "type_a_list": {"type": ["x"]},
     "game_a_number": {"type": "multilinear", "game": 5},
+    "game_without_potential": {"type": "multilinear", "game": "good.json"},
 }
 _BAD_INPUTS = [
     *((["verify"], name, doc) for name, doc in _BAD_GAMES.items()),
@@ -591,6 +608,7 @@ _BAD_INPUTS = [
                          ids=[f"{argv[-1].lstrip('-')}-{name}" for argv, name, _ in _BAD_INPUTS])
 def test_a_malformed_game_or_objective_file_is_refused_in_one_line(
         argv, name, doc, tmp_path, capsys):
+    (tmp_path / "good.json").write_text(json.dumps(_GOOD_GAME))  # a game with no potential
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
     assert cli.main([*argv, str(path)]) == 1
@@ -732,8 +750,12 @@ _LINE = '{"round": %d, "blocks": [[0.0, 0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0
     # Python's json reads NaN and Infinity, which no strategy holds
     ([_LINE % 1, _LINE.replace("1.0]]", "NaN]]") % 2], "2: blocks are not finite"),
     ([_LINE.replace("[[0.0,", "[[-Infinity,") % 1], "1: blocks are not finite"),
+    # the first line fixes the block sizes, so it must hold at least one action each
+    (['{"round": 1, "blocks": [[]]}'], "1: expected non-empty blocks, got sizes [0]"),
+    (['{"round": 1, "blocks": []}'], "1: expected non-empty blocks, got sizes []"),
 ], ids=["not_an_object", "no_blocks", "a_string_entry", "an_object_block",
-        "swapped_pair", "gap", "repeat", "no_round", "nan", "inf"])
+        "swapped_pair", "gap", "repeat", "no_round", "nan", "inf", "empty_block",
+        "no_block"])
 def test_analyze_rejects_malformed_strategy_lines(lines, msg, tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines) + "\n")

@@ -403,6 +403,14 @@ def test_load_game_uses_c_order_for_flat_tensors(tmp_path):
          r"field 'actions' must be a list of integers, got \[2, 2.5\]$"),
         (lambda d: d.update(actions=[2, True]),
          r"field 'actions' must be a list of integers, got \[2, true\]$"),
+        # a count below 1 is refused before any tensor is read against it
+        (lambda d: d.update(actions=[-1, 2]),
+         r"field 'actions' must hold positive counts, got \[-1, 2\]$"),
+        (lambda d: d.update(actions=[-2, -2]),
+         r"field 'actions' must hold positive counts, got \[-2, -2\]$"),
+        (lambda d: (d.pop("utilities"), d.update(
+            kind="identical_interest", actions=[-2, -2], payoff_matrix=[[1.0, 0.0], [0.0, 0.0]])),
+         r"field 'actions' must hold positive counts, got \[-2, -2\]$"),
         (lambda d: d.update(symmetric="no"),
          "field 'symmetric' must be true when present, got \"no\"$"),
         (lambda d: d.update(symmetric=False),
