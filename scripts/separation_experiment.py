@@ -5,12 +5,14 @@ Runs plain regret matching (simultaneous or alternating updates, pure-strategy
 start) on the padded m x m spiral game and tabulates the phases of its
 abandonment walk, then runs rm+ with alternating updates from the same start
 and reports how many rounds each algorithm needs to push the Nash gap below
-the cutoff, and what the whole took: wall time, the walk's rounds per second
-and the process's peak resident memory.
+the cutoff, and what the whole took: wall time, the walk's rounds per second,
+its stepped rounds and jumped stretches, and the process's peak resident
+memory.
 
 Example:
     python3 scripts/separation_experiment.py --m 6 --max-rounds 200000
     python3 scripts/separation_experiment.py --m 6 --max-rounds 200000 --scheme alternating
+    python3 scripts/separation_experiment.py --m 8 --max-rounds 200000000000
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def main(argv=None) -> int:
         print(f"  {msg}")
     print("\nphase table (payoff k first placed at round t_low; the walk sits on")
     print("payoff k-1 for T_k rounds before moving):")
-    print(f"  {'k':>3}  {'t_low':>8}  {'t_high':>8}  {'T_k':>8}  {'T_k/T_k-1':>9}")
+    print(f"  {'k':>3}  {'t_low':>12}  {'t_high':>12}  {'T_k':>12}  {'T_k/T_k-1':>9}")
     prev = None
     for ph in report.phases:
         ratio = (f"{ph.length / prev:9.2f}"
@@ -68,7 +70,7 @@ def main(argv=None) -> int:
         t_low = ph.t_low if ph.t_low is not None else "-"
         t_high = ph.t_high if ph.t_high is not None else "-"
         length = ph.length if ph.length is not None else "open"
-        print(f"  {ph.k:>3}  {t_low:>8}  {t_high:>8}  {length:>8}  {ratio}")
+        print(f"  {ph.k:>3}  {t_low:>12}  {t_high:>12}  {length:>12}  {ratio}")
         prev = ph.length
     growth_ok, failures = hard.check_stall_growth(report)
     print(f"\nrecursive/factorial growth floors: {'ok' if growth_ok else 'VIOLATED'}")
@@ -83,6 +85,7 @@ def main(argv=None) -> int:
     print(f"\nseparation ratio: {rm_label} / {res_plus.rounds} >= {sep.ratio:.0f}x")
     print(f"\nelapsed {elapsed:.2f} s; walk {res.rounds} rounds in {sep.walk_seconds:.2f} s "
           f"({rate:.3g} rounds/s); peak rss {peak_rss_mb:.1f} MB")
+    print(f"walk: {sep.walk_stepped} rounds stepped, {sep.walk_stretches} stretches jumped")
 
     if ns.json:
         payload = {
@@ -98,6 +101,8 @@ def main(argv=None) -> int:
             "phases": report.to_json_dict(),
             "elapsed_s": elapsed,
             "rounds_per_s": rate,
+            "stepped_rounds": sep.walk_stepped,
+            "jumped_stretches": sep.walk_stretches,
             "peak_rss_mb": peak_rss_mb,
         }
         with open(ns.json, "w", encoding="utf-8") as fh:

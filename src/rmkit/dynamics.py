@@ -55,26 +55,24 @@ round leaves every block's strategy with its bits, the next round folds the
 same inputs, so its strategies, gradients, gaps, kkt gap and value repeat
 those bits.  A round that also leaves the
 regrets with their bits is a fixed point: the rest of the run repeats it.
-Otherwise, for rm, the regrets move by the same g each round, and ``cumsum``
-over ``[r, g, g, ...]`` adds in round order, giving the bits of the loop's
-``r + g``.  Such a stretch opens only where the stepped round's own regrets
-already hold play: every free entry's positive part is +0.0 (every entry but
-j at a pure e_j) and the played entry is finite.  At e_j, ``x @ u`` is
-exactly u_j, so g_j is a zero and the held regret keeps its bits, and the
-free entries stay at +0.0 up to the round that would move play, which is
-stepped.  So a jumped round has the stepped round's l1 and l2 norms too: a
-jumped stretch is its trace row repeated k times.  The round that would
-move play is found by search, not by a scan of every sum;
-``_rm_look_ahead`` gives the argument.
+Otherwise, for rm, the regrets move by the same g each round, and
+``_repeat_add`` gives the bits of k sequential ``r + g`` at the cost of the
+binades the sums cross, not of the rounds.  Such a stretch opens only where
+the stepped round's own regrets already hold play: every free entry's
+positive part is +0.0 (every entry but j at a pure e_j) and the played
+entry is finite.  At e_j, ``x @ u`` is exactly u_j, so g_j is a zero and the
+held regret keeps its bits, and the free entries stay at +0.0 up to the
+round that would move play, which is stepped.  So a jumped round has the
+stepped round's l1 and l2 norms too: a jumped stretch is its trace row
+repeated k times.  The same walk over the binades finds the round that
+would move play; ``_rm_look_ahead`` gives the argument.
 
-``run`` is one loop, and each pass appends one stretch of rounds to the
-record through one ``append``: a stepped round, or a look-ahead chunk of up
-to ``_CHUNK_CAP`` jumped rounds.  ``append`` writes the stretch's strategies,
-gradients, trace row and updated flags once, with its count of rounds, hands
-a full chunk to the sink, and then calls ``progress`` at every multiple of
-``PROGRESS_EVERY`` the stretch reaches, so at a chunk edge the sink gets the
-chunk before ``progress`` gets the round, and the calls for a jumped stretch
-come in bursts, not at the pace of the rounds.
+``run`` is one loop.  Each stepped round appends one row to the record, and
+a jumped stretch adds its k rounds to that row whatever k is: one look-ahead
+finds the whole stretch, up to the round that moves play or the round
+limit.  ``progress`` is called at every multiple of ``PROGRESS_EVERY`` the
+rounds reach, in order, so the calls for a jumped stretch come in bursts,
+not at the pace of the rounds.
 
 Everything else steps and observes every round: drm+ and the lazy scheme
 step each round, and a gradient callable that is not the kernel or a value
@@ -91,43 +89,47 @@ and as an objective, on a 2-core VM).
 
 The record a run returns is float64 columns, not per-round objects: per
 block the entering strategies and the observed gradients (``Rounds``), and
-one block of trace columns plus one of updated flags (``Traces``).  The
-run appends each stretch's bytes once, as one row, to ``array.array``
-buffers, and its round count to one more; nothing is sized by
-``max_rounds``.  It expands them into read-only columns when it hands them
-over (``_stretch_columns``): one ``np.repeat`` per buffer, or, when every
-count is 1, as in a run that steps every round, views of the buffers'
-memory, which copy nothing.  Per-round indexing and iteration build lists
-of block rows and ``TraceRecord``s on access; the writers, the reader and
-the analyses work on the columns, a few thousand rows at a time where they
-need Python objects.
+one block of trace columns plus one of updated flags (``Traces``), one row
+per round.  The run appends each round's bytes to ``array.array`` buffers,
+a jumped stretch's row k times, so nothing is sized by ``max_rounds``, and
+hands the columns over as read-only views of the buffers' memory, which
+copy nothing.  Per-round indexing and iteration build lists of block rows
+and ``TraceRecord``s on access.
 
-A kept record grows with the rounds, so ``run`` can stream it instead.
-Given a ``sink``, it calls ``sink(history, traces)`` each time the buffers
-reach ``_CHUNK_ROWS`` rounds, jumped rounds included (a look-ahead chunk
-ends there), and once more with the rounds left when the run ends; each
-call gets a ``PlayHistory`` (scheme, strategies, utilities) and a
-``Traces`` whose ``rounds`` number the chunk's rounds, as read-only columns
-that the run never writes again (it starts empty buffers), so the sink may
-keep them.  The result's record is then empty; its round count, stop
-reason and final states are those of the same run without a sink.
-``TraceCsvWriter`` and ``StrategiesJsonlWriter`` write such chunks
-with the bytes of one whole write; ``write_trace_csv`` and
-``write_strategies_jsonl`` are those writers fed one whole record.
+A kept record grows with the rounds, so ``run`` can stream it instead, as
+stretches.  Given a ``sink``, the run keeps one row per stretch of rounds,
+a stepped round or a stepped round and the jumped stretch that repeats it,
+and an int64 count of its rounds.  It calls ``sink(history, traces)`` with
+each ``_CHUNK_ROWS`` such rows, once the next stretch opens, and once more
+with the rows left when the run ends, so each chunk that ends before round
+t reaches the sink before ``progress(t)``.  The chunk is a ``PlayHistory``
+and a ``Traces`` whose rows are the stretches and whose ``counts`` are the
+rounds each stands for, with ``traces.rounds`` numbering the rounds it
+covers; the run never writes those arrays again, so the sink may keep
+them.  The result's record is then empty; its round count, stop reason and
+final states are those of the same run without a sink.  Where the rounds
+jump, a chunk costs per stretch, not per round.
 
 A recording is read back the same way: ``iter_strategies_jsonl`` yields it
-as ``Rounds`` chunks of ``_CHUNK_ROWS`` lines, and ``replay_cce`` and
-``hard_instances.PhaseTracker`` take such chunks in round order, whether
-from the reader or from a sink.  Only running sums, onsets, dropped action
-sets, violations and round counters cross a chunk edge: the writers, the
-replay and the tracker take a chunk's first round as new, and a repeated
-round has the bits of the one before, so its text, fold and checks too.
-``read_strategies_jsonl`` and ``cce_gaps`` are the reader and the replay
-with the chunks stacked into, or fed as, one whole record.  The text of a
-stretch of repeated rounds, which differ only in their numbers, comes from
-one kernel, ``_numbered``: the writers write it, and the reader, which
-reads the file's bytes through one handle, compares the bytes of the lines
-ahead with it and seeks back where they differ.
+as ``Rounds`` chunks of ``_CHUNK_ROWS`` stretches of lines that repeat the
+line before but for the round number, each one row and a count.  The
+writers (``TraceCsvWriter``, ``StrategiesJsonlWriter``), ``replay_cce``
+and ``hard_instances.PhaseTracker`` take chunks in round order, from the
+reader or from a sink, and take their rows as they come: the writers
+format a row once and write its rounds as ``_numbered`` text, the replay
+folds a row once and adds it k times through ``_repeat_add``, and the
+tracker checks a row's supports once and places an onset at a stretch's
+first round.  None of them expands a stretch, so their cost, too, follows
+the stretches, except for the text of the two per-round outputs.  They take
+a kept record, one row per round, in the same way, merging a run of rows
+with equal bits into one stretch first.  Only running sums, onsets,
+dropped action sets, violations and round counters cross a chunk edge, so
+no output depends on where the chunks end.  ``write_trace_csv``,
+``write_strategies_jsonl``, ``read_strategies_jsonl`` and ``cce_gaps`` are
+the writers, the reader and the replay fed, or giving, one whole record.
+The reader reads the file's bytes through one handle and compares the
+bytes of the lines ahead with their ``_numbered`` text, seeking back where
+they differ.
 """
 
 from __future__ import annotations
@@ -203,51 +205,84 @@ class TraceRecord:
     updated: List[bool]
 
 
-def _stretch_columns(buffers: list, widths, counts: array) -> List[np.ndarray]:
-    """The rows appended to each of ``buffers``, row j repeated ``counts[j]``
-    times, as read-only C-contiguous (rounds, width) arrays: float64, or bool
-    for an ``array("b")``.
-
-    When every count is 1 each array is a view of its buffer's memory, which
-    cannot grow any more while the array lives.  Otherwise each is one
-    ``np.repeat`` of the buffer's rows, and the buffers are taken out of the
-    list one by one, so that each is freed as soon as its rows are expanded
-    (unless the caller holds it), not after the whole record is.
-    """
-    counts = np.frombuffer(counts, np.int64)
-    stretched = bool((counts != 1).any())
-    columns = []
-    for width in widths:
-        buffer = buffers.pop(0)
-        rows = np.frombuffer(buffer, np.bool_ if buffer.typecode == "b" else np.float64)
-        del buffer
-        rows = rows.reshape(-1, width)
-        if stretched:
-            rows = np.repeat(rows, counts, axis=0)
-        rows.flags.writeable = False
-        columns.append(rows)
-    return columns
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-class Rounds(Sequence):
-    """Per-round profiles over per-block columns.
+def _columns(buffers: list, widths) -> List[np.ndarray]:
+    """The rows appended to each of ``buffers`` as read-only C-contiguous
+    (rows, width) views of its memory, float64, or bool for an
+    ``array("b")``; a buffer cannot grow any more while a view lives."""
+    return [_read_only(np.frombuffer(b, np.bool_ if b.typecode == "b" else np.float64)
+                       .reshape(-1, width))
+            for b, width in zip(buffers, widths)]
 
-    ``blocks[i]`` is a (rounds, m_i) float64 array, read-only in a record;
-    indexing a round gives the list of its block rows (views), a slice gives
-    another ``Rounds`` over the same memory.
-    """
 
-    def __init__(self, blocks=()):
-        self.blocks = list(blocks)
+def _repeat_last(buffer: array, width: int, k: int) -> None:
+    """Append ``k`` more copies of the last ``width`` items of ``buffer``,
+    at most ``_BATCH_BYTES`` of them at a time."""
+    piece = buffer[-width:] * max(1, min(k, _BATCH_BYTES // (width * buffer.itemsize)))
+    rows = len(piece) // width
+    for _ in range(k // rows):
+        buffer.extend(piece)
+    buffer.extend(piece[:k % rows * width])
+
+
+def _row_counts(counts, start: int, stop: int) -> np.ndarray:
+    """The rounds that rows ``start`` to ``stop - 1`` stand for: those of
+    ``counts``, or 1 each when it is ``None``."""
+    return np.ones(stop - start, np.int64) if counts is None else counts[start:stop]
+
+
+class _Stretched(Sequence):
+    """Rows that each stand for one round or, where ``counts`` is given (an
+    int64 array, one entry per row), for a stretch of ``counts[j]`` rounds
+    with the bits of row j.  ``len`` and indexing go by round."""
+
+    def _stretch(self, rows: int, counts) -> None:
+        self.counts = counts
+        self._ends = None if counts is None else np.cumsum(counts)
+        self._rounds = int(self._ends[-1]) if counts is not None and rows else rows
 
     def __len__(self) -> int:
-        return len(self.blocks[0]) if self.blocks else 0
+        return self._rounds
+
+    def _rows(self, t):
+        """The row of round index ``t`` (an IndexError past the end), or for
+        a slice the rows of its rounds, one per round, found without
+        expanding the others."""
+        if self._ends is None:
+            return t if isinstance(t, slice) else range(self._rounds)[t]
+        rows = np.searchsorted(self._ends, range(self._rounds)[t], side="right")
+        return rows if isinstance(t, slice) else int(rows)
+
+    def _expand(self, rows: np.ndarray) -> np.ndarray:
+        return _read_only(np.repeat(rows, self.counts, axis=0))
+
+
+class Rounds(_Stretched):
+    """Per-round profiles over per-block columns.
+
+    ``blocks[i]`` is a (rows, m_i) float64 array, read-only in a record,
+    one row per round, or, with ``counts``, one row per stretch of rounds,
+    as a sink gets a chunk and ``iter_strategies_jsonl`` yields one.
+    Indexing a round gives the list of its block rows (views), a slice
+    another ``Rounds`` of one row per round, and ``expanded`` all of it so.
+    """
+
+    def __init__(self, blocks=(), counts=None):
+        self.blocks = list(blocks)
+        self._stretch(len(self.blocks[0]) if self.blocks else 0, counts)
 
     def __getitem__(self, t):
-        if isinstance(t, slice):
-            return Rounds([b[t] for b in self.blocks])
-        t = range(len(self))[t]  # the IndexError past the end stops iteration
-        return [b[t] for b in self.blocks]
+        rows = self._rows(t)  # the IndexError past the end stops iteration
+        blocks = [b[rows] for b in self.blocks]
+        return Rounds(blocks) if isinstance(t, slice) else blocks
+
+    def expanded(self) -> "Rounds":
+        """These rounds with one row each: ``self`` when it has no counts."""
+        return self if self.counts is None else Rounds(map(self._expand, self.blocks))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -262,42 +297,50 @@ def _trace_fields(row, n: int):
     return row[:n], row[n], row[n + 1 : 2 * n + 1], row[2 * n + 1 : 3 * n + 1], row[3 * n + 1]
 
 
-class Traces(Sequence):
+class Traces(_Stretched):
     """Per-round trace over one float64 column block and one bool block.
 
-    The float block holds, per round, the n gaps, the kkt gap, the n regret
+    The float block holds, per row, the n gaps, the kkt gap, the n regret
     l2 norms, the n l1 norms and the value; the bool block the n updated
-    flags.  Indexing builds a ``TraceRecord``; the attributes of the same
-    names are the columns, read whole.  ``rounds`` numbers the rows, 1, 2, ...
-    by default; ``TraceCsvWriter`` takes only a step-1 ``range``, so that it
-    can number the rows of a write from the first one.
+    flags.  A row is one round, or, with ``counts``, a stretch of rounds, as
+    ``Rounds`` has them.  Indexing a round builds a ``TraceRecord``; the
+    attributes of the same names are the columns, read whole.  ``rounds``
+    numbers the rounds, 1, 2, ... by default; ``TraceCsvWriter`` takes only
+    a step-1 ``range``, so that it can number the rounds of a write from the
+    first one.
     """
 
-    def __init__(self, columns, updated, rounds=None):
+    def __init__(self, columns, updated, rounds=None, counts=None):
         self.columns = columns
         self.updated = updated
-        self.rounds = range(1, len(columns) + 1) if rounds is None else rounds
+        self._stretch(len(columns), counts)
+        self.rounds = range(1, len(self) + 1) if rounds is None else rounds
         self._n = updated.shape[1]
         gaps, kkt, l2, l1, value = _trace_fields(columns.T, self._n)
         self.br_gaps, self.kkt_gap, self.value = gaps.T, kkt, value
         self.regret_l2, self.regret_l1 = l2.T, l1.T
 
-    def __len__(self) -> int:
-        return len(self.columns)
-
     def __getitem__(self, t):
+        row = self._rows(t)
         if isinstance(t, slice):
-            return Traces(self.columns[t], self.updated[t], self.rounds[t])
-        gaps, kkt, l2, l1, value = _trace_fields(self.columns[t].tolist(), self._n)
-        return TraceRecord(self.rounds[t], gaps, kkt, l2, l1, value, self.updated[t].tolist())
+            return Traces(self.columns[row], self.updated[row], self.rounds[t])
+        gaps, kkt, l2, l1, value = _trace_fields(self.columns[row].tolist(), self._n)
+        return TraceRecord(self.rounds[t], gaps, kkt, l2, l1, value, self.updated[row].tolist())
+
+    def expanded(self) -> "Traces":
+        """This trace with one row per round: ``self`` when it has no counts."""
+        if self.counts is None:
+            return self
+        return Traces(self._expand(self.columns), self._expand(self.updated), self.rounds)
 
     def __eq__(self, other):
         if isinstance(other, Traces):
+            a, b = self.expanded(), other.expanded()
             # whole columns, so that the nan values of a game without a
             # potential compare equal when the runs are
-            return (self.rounds == other.rounds
-                    and np.array_equal(self.updated, other.updated)
-                    and np.array_equal(self.columns, other.columns, equal_nan=True))
+            return (a.rounds == b.rounds
+                    and np.array_equal(a.updated, b.updated)
+                    and np.array_equal(a.columns, b.columns, equal_nan=True))
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
@@ -306,8 +349,8 @@ class Traces(Sequence):
 @dataclass
 class PlayHistory:
     """Strategies entering each round and the utilities each block observed,
-    as ``Rounds`` columns; ``utilities`` is ``None`` for a recording that kept
-    none."""
+    as ``Rounds`` columns (with one ``counts`` in a sink's chunk);
+    ``utilities`` is ``None`` for a recording that kept none."""
 
     scheme: Scheme
     strategies: Rounds = field(default_factory=Rounds)  # [round][block], entering the round
@@ -394,9 +437,10 @@ def _initial_states(target, sizes, config: RunConfig):
 
 PROGRESS_EVERY = 10_000
 
-# rows per chunk: what ``run`` hands a sink at once, and what the writers and
-# the cce replay turn into Python objects or running sums at once, so that
-# nothing holds every round of a long run
+# rows per chunk: the stretches ``run`` hands a sink at once and
+# ``iter_strategies_jsonl`` yields at once, and the rows the writers and the
+# cce replay turn into Python objects or running sums at once, so that
+# nothing holds every stretch of a long run
 _CHUNK_ROWS = 4096
 
 # the most profiles (tensor entries) for which a repeated round reuses the
@@ -421,9 +465,17 @@ _FILL_ROUNDS = 100
 # passed line by line, reading at most ``_BATCH_BYTES`` at a time
 _BULK_AFTER = 64
 
-# rows per look-ahead chunk: a stretch's running sums are built this many at
-# a time, and its search exit makes a short stretch cost one such ``cumsum``
-_CHUNK_CAP = 1024
+# a stretch's row adds to running sums up to this many times one round at a
+# time, and more times through ``_repeat_add``, whose cost per entry and
+# binade is about that of 30 vector adds
+_ADD_ROUNDS = 32
+
+# a significand in units of its binade's spacing is below 2^53, and
+# ``_repeat_add`` covers steps that land from 2^52 + 1 on, so that each
+# sum is exact and rounds in the binade it lands in
+_TOP = (1 << 53) - 1
+_LOW = (1 << 52) + 1
+_TINY = math.ulp(0.0)  # 2^-1074: the spacing of every double below 2^-1021
 
 
 def _free_entries(x: np.ndarray) -> np.ndarray:
@@ -444,35 +496,91 @@ def _moves(regrets: np.ndarray, free: np.ndarray) -> bool:
     return bool(theta[free].view(np.int64).any() or np.isinf(theta).any())
 
 
+def _repeat_add(r: float, g: float, k: int, until_positive: bool = False):
+    """``(s, j)``: s has the bits of j sequential ``r += g`` in float64, and
+    j is k, or, with ``until_positive``, the adds before the first sum
+    above 0 when that comes sooner.
+
+    Let u be the spacing of the binade that r is in.  While the sums stay
+    in it, fl(r + g) - r is the constant D u with D = round(g / u), so with
+    r = N u the sums are (N + j D) u, covered at once in integers.  A tie,
+    where g / u is a half-integer, rounds to the even N + j D, so D is fixed
+    only once N is even: an odd N takes one real add, which leaves it even.
+    Below 2^-1021 the spacing is 2^-1074 on both sides of zero and every
+    sum is exact, so there a walk may cross zero in integers too.  A step
+    that would land on a binade's edge or past it, or on another sign, is
+    one real add, as is the first add from each binade.  A D of 0 is a
+    stall: r keeps its bits for good.  So the walk costs a few adds per
+    binade the sums cross, not one per round.
+    """
+    j = 0
+    while j < k:
+        s = r + g
+        if until_positive and s > 0.0:
+            return r, j
+        if s == r and math.copysign(1.0, s) == math.copysign(1.0, r):
+            return r, k
+        r, j = s, j + 1
+        u = math.ulp(r)
+        if not abs(g) < u * 2.0 ** 53:
+            continue  # one add leaves the binade
+        N, q = int(r / u), g / u
+        D = round(q)
+        if abs(D - q) == 0.5:
+            if N % 2:
+                continue
+            D = math.floor(q)
+            D += D % 2
+        lo, hi = (-_TOP, _TOP) if u == _TINY else (_LOW, _TOP) if N > 0 else (-_TOP, -_LOW)
+        if not lo <= N <= hi:
+            continue
+        if D == 0:
+            return r, k
+        J = (hi - N) // D if D > 0 else (N - lo) // -D
+        if until_positive and D > 0:
+            J = min(J, -N // D)
+        J = min(J, k - j)
+        if J > 0:
+            r, j = (N + J * D) * u, j + J
+    return r, j
+
+
+def _repeat_row(total: np.ndarray, row: np.ndarray, k: int) -> np.ndarray:
+    """``total`` after ``k`` sequential ``total += row``, with their bits."""
+    if k <= _ADD_ROUNDS:
+        for _ in range(k):
+            total = total + row
+        return total
+    return np.array([_repeat_add(a, b, k)[0] for a, b in zip(total.tolist(), row.tolist())])
+
+
 def _rm_look_ahead(regrets, steps, free, k: int):
     """How many of the next ``k`` rm rounds of a stretch keep play, and the
     regrets after the last of them.
 
-    A block's regrets after each round are the running sums of ``[r, g, g,
-    ...]``; ``cumsum`` adds in round order, so they have the bits of the round
-    loop's ``r + g``.  The stretch is cut before the first round whose
-    regrets would move play, found by search, not by a scan of the sums.  A
-    stretch opens or goes on only where every free entry's positive part is
-    +0.0, so each free regret r_e is at most 0.  A free entry with g_e <= 0
-    has every running sum at most r_e <= 0: it never moves play and never
-    reaches +inf, and a -0.0 sum comes only from -0.0 + -0.0, so it was there
-    at the opening, which accepted it (``np.maximum(-0.0, 0.0)`` is +0.0).
-    The held entry j has g_j a zero, so its sum keeps its finite value.  A
-    free entry with g_e > 0 has sums that never decrease, since fl(s + g) >=
-    s and no sum is NaN, so its positive part turns nonzero at its first sum
-    above 0: ``searchsorted``'s index, with 0.0 itself sorted before it.  The
-    stretch ends at the least such index over the free entries with g_e > 0.
+    A block's regrets after j rounds are j sequential adds of g to r, which
+    ``_repeat_add`` gives with their bits.  A stretch opens or goes on only
+    where every free entry's positive part is +0.0, so each free regret r_e
+    is at most 0.  A free entry with g_e <= 0 has every sum at most r_e <=
+    0: it never moves play and never reaches +inf, and a -0.0 sum comes only
+    from -0.0 + -0.0, so it was there at the opening, which accepted it
+    (``np.maximum(-0.0, 0.0)`` is +0.0).  The held entry j has g_j a zero,
+    so its sum keeps its finite value.  A free entry with g_e > 0 has sums
+    that never decrease, since fl(s + g) >= s and no sum is NaN, so its
+    positive part turns nonzero at its first sum above 0: the exit of its
+    walk.  The stretch ends before the first such round over the free
+    entries with g_e > 0, each walked up to the least exit so far.
 
     Returns the count of covered rounds, and per block the regrets after the
     last one (``regrets`` when none is covered).
     """
-    rows = []
     for r, g, f in zip(regrets, steps, free):
-        sums = _running_sums(np.broadcast_to(g, (k, len(r))), r)
-        for e in np.flatnonzero(f & (g > 0.0)):
-            k = min(k, int(np.searchsorted(sums[:, e], 0.0, side="right")))
-        rows.append(sums)
-    return k, [sums[k - 1].copy() for sums in rows] if k else regrets
+        for e in np.flatnonzero(f & (g > 0.0)).tolist():
+            k = _repeat_add(float(r[e]), float(g[e]), k, until_positive=True)[1]
+    if not k:
+        return 0, regrets
+    return k, [np.array([_repeat_add(a, b, k)[0] for a, b in zip(r.tolist(), g.tolist())])
+               for r, g in zip(regrets, steps)]
 
 
 def run(
@@ -484,11 +592,12 @@ def run(
     """Drive the configured learners on a game or objective.
 
     ``progress`` is called with the round number every ``PROGRESS_EVERY``
-    rounds, after the sink at a chunk edge; the calls for a jumped stretch
-    come together.  ``sink``, when given, is called as ``sink(history,
-    traces)`` with the record of every ``_CHUNK_ROWS`` rounds, in round
-    order, and with the rounds left over when the run ends; the result then
-    keeps an empty record (see the module docstring).
+    rounds, in order; the calls for a jumped stretch come together.
+    ``sink``, when given, is called as ``sink(history, traces)`` with every
+    ``_CHUNK_ROWS`` stretches of the record, as rows and their counts, in
+    round order once the next stretch opens, and with the stretches left
+    over when the run ends; the result then keeps an empty record (see the
+    module docstring).
     """
     sizes, grad, value, folded = _gradient_and_value(target)
     states = _initial_states(target, sizes, config)
@@ -504,7 +613,7 @@ def run(
     # the value are the kernel's on a small tensor, a round after one that
     # left every strategy with its bits reuses its observations and value,
     # and, for rm and rm+, rounds that repeat the profile are covered in
-    # chunks, not stepped
+    # stretches, not stepped
     reuse = folded and math.prod(sizes) <= _REUSE_ENTRIES
     jump = reuse and not lazy and kind in (ln.Kind.RM, ln.Kind.RM_PLUS)
 
@@ -531,72 +640,72 @@ def run(
         return u
 
     # The record: per block the entering strategies and the observed
-    # gradients, the trace rows and the updated flags, one row per appended
-    # stretch as raw bytes, and the stretch's round count in ``counts``.  The
-    # rows are expanded into columns (``_stretch_columns``) when the run ends,
-    # or, with a sink, handed over and replaced by empty buffers whenever the
-    # round count reaches ``flush_at``.
+    # gradients, the trace rows and the updated flags, as raw bytes.  Kept,
+    # a round is one row, and a jumped stretch repeats its row k times; with
+    # a sink, a stretch is one row and its count of rounds in ``counts``, and
+    # the buffers are handed over and replaced by empty ones whenever they
+    # hold ``_CHUNK_ROWS`` rows and the next stretch opens.
     def empty():
-        return ([array("d") for _ in sizes], [array("d") for _ in sizes], array("d"),
-                array("b"), array("q"))
+        return [array("d") for _ in range(2 * n + 1)] + [array("b")], array("q")
 
-    strategies, utilities, trace, flags, counts = empty()
+    buffers, counts = empty()
+    widths = [*sizes, *sizes, 3 * n + 2, n]
     trace_row = struct.Struct(f"{3 * n + 2}d").pack
-    flush_at = _CHUNK_ROWS if sink is not None else config.max_rounds + 1
     stop_reason = "max_rounds"
     t = 0  # the rounds appended
     handed = 0  # the rounds handed to the sink
 
     def record():
-        """The buffered rounds, ``handed + 1`` to ``t``, as (history, traces);
-        the buffers start empty again."""
-        nonlocal strategies, utilities, trace, flags, counts, handed
-        buffers, stretches = [*strategies, *utilities, trace, flags], counts
-        strategies, utilities, trace, flags, counts = empty()
-        columns = _stretch_columns(buffers, [*sizes, *sizes, 3 * n + 2, n], stretches)
+        """The buffered rounds, ``handed + 1`` to ``t``, as (history,
+        traces); the buffers start empty again."""
+        nonlocal buffers, counts, handed
+        columns = _columns(buffers, widths)
+        stretches = None if sink is None else _read_only(np.frombuffer(counts, np.int64))
+        buffers, counts = empty()
         rounds, handed = range(handed + 1, t + 1), t
-        return (PlayHistory(config.scheme, Rounds(columns[:n]), Rounds(columns[n:2 * n])),
-                Traces(columns[-2], columns[-1], rounds))
+        return (PlayHistory(config.scheme, Rounds(columns[:n], stretches),
+                            Rounds(columns[n:2 * n], stretches)),
+                Traces(columns[-2], columns[-1], rounds, stretches))
 
-    def append(k, row):
-        """Append ``k`` rounds that enter ``entering``, observe ``observed``,
-        set ``updated`` and trace ``row``, packed, as one row and its count;
-        hand a full chunk to the sink, then call ``progress`` at each multiple
-        of ``PROGRESS_EVERY`` reached."""
-        nonlocal t, flush_at
-        for i in range(n):
-            strategies[i].frombytes(entering[i])
-            utilities[i].frombytes(observed[i].tobytes())
-        trace.frombytes(row)
-        flags.frombytes(bytes(updated))
-        counts.append(k)
+    def advance(k):
+        """Count ``k`` more rounds, calling ``progress`` at each multiple of
+        ``PROGRESS_EVERY`` they reach."""
+        nonlocal t
         t += k
-        if t == flush_at:
-            sink(*record())
-            flush_at = t + _CHUNK_ROWS
         if progress is not None:
             for p in range((t - k) // PROGRESS_EVERY * PROGRESS_EVERY + PROGRESS_EVERY, t + 1,
                            PROGRESS_EVERY):
                 progress(p)
 
+    def append():
+        """Append the round stepped last, which entered ``entering``,
+        observed ``observed``, set ``updated`` and traced ``row``, as a new
+        row; a sink first gets a full chunk."""
+        if sink is not None:
+            if len(counts) == _CHUNK_ROWS:
+                sink(*record())
+            counts.append(1)
+        for i in range(n):
+            buffers[i].frombytes(entering[i])
+            buffers[n + i].frombytes(observed[i].tobytes())
+        buffers[-2].frombytes(row)
+        buffers[-1].frombytes(bytes(updated))
+        advance(1)
+
+    def repeat(k):
+        """Append ``k`` rounds with the bits of the last one."""
+        if sink is not None:
+            counts[-1] += k
+        else:
+            for buffer, width in zip(buffers, widths):
+                _repeat_last(buffer, width, k)
+        advance(k)
+
     # each block's last observation (gradient, x @ u, gap) and the last value,
     # reused while the inputs they fold keep their bits (module docstring)
     observed, xus, gaps = [None] * n, [0.0] * n, [0.0] * n
     kept = False  # the round before left every block's strategy with its bits
-    jumping = False  # the next pass covers a look-ahead chunk, not a stepped round
     while t < config.max_rounds:
-        if jumping:
-            # a look-ahead chunk of rounds that repeat the last stepped one
-            # (module docstring): whole at a fixed point, else rm's regrets
-            # move by the same g each round, up to the round that moves play
-            k = wanted = min(_CHUNK_CAP, config.max_rounds - t, flush_at - t)
-            if not fixed:
-                k, regrets = _rm_look_ahead(regrets, steps, free, k)
-            if k:
-                append(k, row)
-            jumping = k == wanted
-            continue
-
         # step round t + 1
         before = list(regrets)
         entering = [x.tobytes() for x in profile]
@@ -637,18 +746,25 @@ def run(
         if t == 0 or not (reuse and kept):
             v = value(profile)
         row = trace_row(*gaps, float(sum(gaps)), *l2, *l1, v)
-        append(1, row)
+        append()
         if eps is not None and all(gap <= eps for gap in gaps):
             stop_reason = "converged"
             break
         if jump and kept:
-            # the state is a fixed point when the regrets kept their bits too;
-            # else rm's stretch opens only where its regrets already hold play
+            # the rounds that repeat this one (module docstring): the rest of
+            # the run at a fixed point, where the regrets kept their bits too;
+            # else, for rm, a stretch opens only where the regrets already
+            # hold play, and rm's regrets move by the same g each round up to
+            # the round that moves play, which is stepped
             fixed = all(r.tobytes() == b.tobytes() for r, b in zip(regrets, before))
             if fixed or kind is ln.Kind.RM:
                 free = [_free_entries(x) for x in profile]
                 if fixed or not any(map(_moves, regrets, free)):
-                    jumping = True
+                    k = config.max_rounds - t
+                    if not fixed:
+                        k, regrets = _rm_look_ahead(regrets, steps, free, k)
+                    if k:
+                        repeat(k)
 
     if sink is not None and t > handed:
         sink(*record())
@@ -676,8 +792,8 @@ def external_regret(history: PlayHistory, block: int, rounds: Optional[int] = No
     T = history.rounds if rounds is None else rounds
     if not 0 < T <= history.rounds:
         raise ValueError(f"rounds must lie in 1..{history.rounds}")
-    X = history.strategies.blocks[block][:T]
-    U = history.utilities.blocks[block][:T]
+    X = history.strategies.expanded().blocks[block][:T]
+    U = history.utilities.expanded().blocks[block][:T]
     realized = np.array([x @ u for x, u in zip(X, U)])
     return float(_running_sums(U, 0.0)[-1].max() - _running_sums(realized, 0.0)[-1])
 
@@ -736,59 +852,99 @@ def cce_gaps(game: GameSpec, history: PlayHistory, checkpoints,
     return [gaps[T] for T in checkpoints]
 
 
+def _stretch_sums(rows: np.ndarray, counts: np.ndarray, total: np.ndarray, at):
+    """``(totals at, total)``: ``total`` after sequential ``total += rows[j]``,
+    ``counts[j]`` times each in row order, read off after each count of
+    adds in ``at`` (increasing, from 1), and after all of them.
+
+    A run of rows of one round each is one ``_running_sums``, and a row of
+    more rounds is ``_repeat_row``, so each total has the bits of the
+    sequential adds, and the rounds a row stands for cost nothing."""
+    at, out, done, a = list(at), [], 0, 0
+    for j in [*np.flatnonzero(counts > 1).tolist(), len(counts)]:
+        if j > a:
+            sums = _running_sums(rows[a:j], total)
+            while at and at[0] <= done + j - a:
+                out.append(sums[at.pop(0) - done - 1])
+            total, done = sums[-1], done + j - a
+        if j == len(counts):
+            break
+        k = int(counts[j])
+        while at and at[0] <= done + k:
+            T = at.pop(0)
+            total = _repeat_row(total, rows[j], T - done)
+            out.append(total)
+            k, done = k - (T - done), T
+        total, done, a = _repeat_row(total, rows[j], k), done + k, j + 1
+    return out, total
+
+
 def replay_cce(game: GameSpec, chunks, checkpoints=None):
     """``(rounds, {T: cce gap})`` from one replay of ``Rounds`` chunks, fed in
     round order: the rounds fed, and the gap at each checkpoint up to them,
     or, when ``checkpoints`` is ``None``, at the last round.
 
     Every chunk is read, but rounds past the largest checkpoint are not
-    folded.  The replay runs ``_CHUNK_ROWS`` rounds at a time, folding the
-    first and each whose bits differ from the round before, and carries only
-    the running sums from one to the next, so what it holds does not grow
-    with the rounds, and the sums, sequential ``cumsum``s, do not depend on
-    where a chunk ends.
+    folded.  The replay takes a chunk's rows ``_CHUNK_ROWS`` at a time,
+    merges each run of rows with the bits of the row before into one
+    stretch (``_runs``), folds each stretch's profile once and adds the
+    folded row once per round of it (``_stretch_sums``).  Only the running
+    sums cross from one slice to the next, so what it holds does not grow
+    with the rounds, and the sums, sequential adds, do not depend on where
+    a chunk or a stretch ends.
     """
     n = game.num_players
     grad, _ = BlockGradients(game.utilities).hoisted()
     wanted = None if checkpoints is None else sorted(set(checkpoints))
     last = None if checkpoints is None else max(checkpoints, default=0)
     gaps = {}
-    # the running sums before the rows to come
-    dev, realized = [np.zeros(m) for m in game.action_counts], np.zeros(n)
+    # the running sums before the rounds to come, in one row: each block's
+    # deviation sums, then the realized sums
+    edges = np.cumsum([0, *game.action_counts]).tolist()
+    blocks = list(zip(edges, edges[1:]))
+    total = np.zeros(edges[-1] + n)
+
+    def gap(sums, T):
+        return max(float(sums[a:b].max() - sums[edges[-1] + i]) / T
+                   for i, (a, b) in enumerate(blocks))
+
     done = 0
     for chunk in chunks:
         if not done:
             # every round has the block sizes of the first, so one check covers them
             _check_profile(game.action_counts, [b[0] for b in chunk.blocks])
-        top = len(chunk) if last is None else min(len(chunk), last - done)
-        for start, stop in _chunks(top):
-            rows = [b[start:stop] for b in chunk.blocks]
-            # a profile with the bits of the one before folds to the same rows, so
-            # only changed profiles fold (``_repeats`` compares bits, unlike
+        # the rounds up to the largest checkpoint, the last row cut to them
+        top = len(chunk) if last is None else max(min(len(chunk), last - done), 0)
+        rows, counts = top, chunk.counts
+        if counts is not None and top < len(chunk):
+            ends = np.cumsum(counts)
+            rows = int(np.searchsorted(ends, top)) + 1 if top else 0
+            counts = counts[:rows].copy()
+            if rows:
+                counts[-1] -= ends[rows - 1] - top
+        at = done
+        for start, stop in _chunks(rows):
+            part = [b[start:stop] for b in chunk.blocks]
+            # a profile with the bits of the one before folds to the same row,
+            # so each stretch folds once (``_runs`` compares bits, unlike
             # ``==``, which equates -0.0 with 0.0 and never a nan with itself)
-            changed = ~_repeats(rows)
-            folds = np.flatnonzero(changed)
-            fold_dev = [np.empty((len(folds), m)) for m in game.action_counts]
-            fold_realized = np.empty((len(folds), n))
-            for row, t in enumerate(folds):
-                profile = [b[t] for b in rows]
-                for i in range(n):
-                    u = fold_dev[i][row] = grad(profile, i)
-                    fold_realized[row, i] = profile[i] @ u
-            # each round takes the rows of its latest fold
-            source = np.cumsum(changed) - 1
-            sums = [_running_sums(d[source], carry) for d, carry in zip(fold_dev, dev)]
-            realized_sums = _running_sums(fold_realized[source], realized)
-            while wanted and wanted[0] <= done + stop:
-                T = wanted.pop(0)
-                k = T - 1 - done - start
-                gaps[T] = max(float(sums[i][k].max() - realized_sums[k, i]) / T
-                              for i in range(n))
-            dev = [d[-1] for d in sums]
-            realized = realized_sums[-1]
+            first, stretches = _runs(part, _row_counts(counts, start, stop))
+            folded = np.empty((len(first), len(total)))
+            for row, t in enumerate(first.tolist()):
+                profile = [b[t] for b in part]
+                for i, (a, b) in enumerate(blocks):
+                    u = folded[row, a:b] = grad(profile, i)
+                    folded[row, edges[-1] + i] = profile[i] @ u
+            end = at + int(stretches.sum())
+            here = []
+            while wanted and wanted[0] <= end:
+                here.append(wanted.pop(0))
+            sums, total = _stretch_sums(folded, stretches, total, [T - at for T in here])
+            gaps.update((T, gap(row, T)) for T, row in zip(here, sums))
+            at = end
         done += len(chunk)
     if checkpoints is None and done:
-        gaps[done] = max(float(dev[i].max() - realized[i]) / done for i in range(n))
+        gaps[done] = gap(total, done)
     return done, gaps
 
 
@@ -818,6 +974,14 @@ def _repeats(columns) -> np.ndarray:
         for j in range(column.shape[1]):
             rest &= column[1:, j] == column[:-1, j]
     return same
+
+
+def _runs(columns, counts: np.ndarray):
+    """``(first, rounds)``: the first row of each run of rows of the
+    ``columns`` that repeat the bits of the row before, and the rounds each
+    run stands for, summed from ``counts``, one per row."""
+    first = np.flatnonzero(~_repeats(columns))
+    return first, np.add.reduceat(counts, first)
 
 
 def _numbered(parts, first: int, count: int) -> str:
@@ -862,34 +1026,34 @@ def _trace_lines(row, updated, n: int) -> List[str]:
 class _RoundsWriter:
     """The text of a run's rounds, fed chunk by chunk in round order.
 
-    ``_parts`` gives the text of each round whose rows are new, split at its
-    round numbers: the first of each ``_CHUNK_ROWS`` rows, and each with
-    other bits than the round before.  A repeated round reuses that text
-    under its own number, and a stretch of them goes out as ``_numbered``
-    text, in writes of up to ``_BATCH_BYTES``.  ``fh`` is an open text file.
+    A chunk's rows are rounds or stretches of rounds.  ``_parts`` gives the
+    text of each run of rows with equal bits (``_runs``), split at its round
+    numbers, once per ``_CHUNK_ROWS`` rows; the run's rounds reuse that text
+    under their own numbers, as ``_numbered`` text in writes of up to
+    ``_BATCH_BYTES``.  ``fh`` is an open text file.
     """
 
     def __init__(self, fh):
         self._fh = fh
 
-    def _write(self, columns, first: int, rounds: int) -> None:
-        """Write rounds ``first`` to ``first + rounds - 1``, whose rows are
-        those of the (rounds, width) ``columns``."""
-        for start, stop in _chunks(rounds):
+    def _write(self, columns, counts, first: int) -> None:
+        """Write the rounds of the (rows, width) ``columns``, row j standing
+        for ``counts[j]`` rounds (one each when ``None``), numbered from
+        ``first``."""
+        for start, stop in _chunks(len(columns[0]) if len(columns) else 0):
             chunk = [c[start:stop] for c in columns]
-            new = np.flatnonzero(~_repeats(chunk))
-            # each new row opens the rounds that share its text
-            bounds = [first + start + a for a in (*new.tolist(), stop - start)]
+            new, runs = _runs(chunk, _row_counts(counts, start, stop))
             texts = self._parts([c[new].tolist() for c in chunk])
-            for a, b, parts in zip(bounds, bounds[1:], texts):
-                if b - a == 1:
-                    self._fh.write(str(a).join(parts))
-                    continue
-                # the longest round number sets the bytes of a round
-                size = (len(parts) - 1) * len(str(b - 1)) + sum(map(len, parts))
-                batch = max(1, _BATCH_BYTES // size)
-                for lo in range(a, b, batch):
-                    self._fh.write(_numbered(parts, lo, min(batch, b - lo)))
+            for parts, k in zip(texts, runs.tolist()):
+                if k == 1:
+                    self._fh.write(str(first).join(parts))
+                else:
+                    # the longest round number sets the bytes of a round
+                    size = (len(parts) - 1) * len(str(first + k - 1)) + sum(map(len, parts))
+                    batch = max(1, _BATCH_BYTES // size)
+                    for lo in range(first, first + k, batch):
+                        self._fh.write(_numbered(parts, lo, min(batch, first + k - lo)))
+                first += k
 
 
 class TraceCsvWriter(_RoundsWriter):
@@ -911,7 +1075,7 @@ class TraceCsvWriter(_RoundsWriter):
         if not (isinstance(rounds, range) and rounds.step == 1):
             raise ValueError(f"the rounds of a trace write must be a step-1 range, "
                              f"not {rounds!r}")
-        self._write((traces.columns, traces.updated), rounds.start, len(rounds))
+        self._write((traces.columns, traces.updated), traces.counts, rounds.start)
 
     @staticmethod
     def _parts(rows):
@@ -932,8 +1096,9 @@ class StrategiesJsonlWriter(_RoundsWriter):
         self._rounds = 0
 
     def write(self, history: PlayHistory) -> None:
-        self._write(history.strategies.blocks, self._rounds + 1, history.rounds)
-        self._rounds += history.rounds
+        strategies = history.strategies
+        self._write(strategies.blocks, strategies.counts, self._rounds + 1)
+        self._rounds += len(strategies)
 
     @staticmethod
     def _parts(rows):
@@ -955,25 +1120,24 @@ def write_strategies_jsonl(history: PlayHistory, path) -> None:
 
 def iter_strategies_jsonl(path):
     """Per-round profiles from the writer's format, as ``Rounds`` chunks of
-    ``_CHUNK_ROWS`` lines in order, the last one shorter.
+    ``_CHUNK_ROWS`` stretches of lines in order, the last one shorter.
 
     The file is UTF-8 bytes, and a line ends in ``\\n``.  The ``t``-th
     non-blank line must hold round ``t``, finite entries, and the block
-    count and sizes of the first line; a bad line names its number.  A chunk
-    is yielded once its lines are read, so an error in a later line comes
-    after it.  A line that differs from the line before only in its round
-    number parses to the same blocks: the chunk holds those blocks as one
-    row with the count of lines that read them, and is expanded once, when
-    it is yielded (``_stretch_columns``).  After ``_BULK_AFTER``
-    such lines in a row, the reader reads the bytes of as many more lines as
-    fit in ``_BATCH_BYTES`` at once and compares them with those lines'
-    ``_numbered`` text, each ending as the line before did; on a miss it
-    seeks back and reads on line by line.
+    count and sizes of the first line; a bad line names its number.  A line
+    that differs from the line before only in its round number parses to
+    the same blocks, so each run of such lines is one stretch: one row of a
+    chunk, with the count of lines that read it in the chunk's ``counts``.
+    A chunk is yielded once the line that opens the stretch after its last
+    one is read, so an error in that line or a later one comes after it.
+    After ``_BULK_AFTER`` repeated lines in a row, the reader reads the
+    bytes of as many more lines as fit in ``_BATCH_BYTES`` at once and
+    compares them with those lines' ``_numbered`` text, each ending as the
+    line before did; on a miss it seeks back and reads on line by line.
     """
-    size = _CHUNK_ROWS
     first = None  # the first line's number and block sizes
-    # the chunk so far, one row per parsed line and its count of lines, and
-    # the last parsed line's blocks as bytes
+    # the chunk so far, one row per stretch and its count of lines, and the
+    # last parsed line's blocks as bytes
     buffers, counts, blocks = [], array("q"), ()
 
     def add(lines):
@@ -982,8 +1146,11 @@ def iter_strategies_jsonl(path):
             b.frombytes(x)
         counts.append(lines)
 
+    def chunk():
+        return Rounds(_columns(buffers, first[1]), _read_only(np.frombuffer(counts, np.int64)))
+
     rest = None  # that line's bytes after its round, when the next line may repeat it
-    t = done = line_no = 0  # the lines read, those appended to a chunk, and the file's lines
+    t = done = line_no = 0  # the lines read, those in a stretch of the chunk, and the file's lines
     run = 0  # the lines in a row that repeat the last parsed one
     with open(path, "rb") as fh:
         for raw in fh:
@@ -995,10 +1162,10 @@ def iter_strategies_jsonl(path):
             head = b'{"round": %d, ' % t
             if rest is not None and line == head + rest:
                 run += 1
-                if run >= _BULK_AFTER and t % size:
+                if run >= _BULK_AFTER:
                     # the next k lines as the writer writes them, each ending
                     # as this one did; on a miss, they are read line by line
-                    k = max(1, min(size - t % size, _BATCH_BYTES // (len(line) + 2)))
+                    k = max(1, _BATCH_BYTES // (len(line) + 2))
                     tail = (b", " + rest + raw[len(raw.rstrip()):]).decode()
                     repeats = _numbered(['{"round": ', tail], t + 1, k).encode()
                     at = fh.tell()
@@ -1009,10 +1176,13 @@ def iter_strategies_jsonl(path):
                         run = 0
             else:
                 run = 0
-                # the lines since the last append repeat the last parsed one
+                # the lines since the last stretch repeat the last parsed one
                 if t - 1 > done:
                     add(t - 1 - done)
-                done = t - 1
+                    done = t - 1
+                    if len(counts) == _CHUNK_ROWS:
+                        yield chunk()
+                        buffers, counts = [array("d") for _ in first[1]], array("q")
                 try:
                     text = line.decode()
                     doc = json.loads(text)
@@ -1059,21 +1229,16 @@ def iter_strategies_jsonl(path):
                 rest = line[len(head):]
                 if not line.startswith(head) or rest.count(b'"') != 2:
                     rest = None
-            if t % size == 0:
-                add(t - done)
-                done = t
-                yield Rounds(_stretch_columns(buffers, first[1], counts))
-                buffers, counts = [array("d") for _ in first[1]], array("q")
-    if t % size:
+    if t > done:
         add(t - done)
-        yield Rounds(_stretch_columns(buffers, first[1], counts))
+        yield chunk()
 
 
 def read_strategies_jsonl(path) -> Rounds:
-    """The chunks of ``iter_strategies_jsonl`` stacked into one ``Rounds`` of
-    read-only per-block columns."""
-    columns = [np.concatenate(parts) for parts in
-               zip(*(chunk.blocks for chunk in iter_strategies_jsonl(path)))]
-    for column in columns:
-        column.flags.writeable = False
-    return Rounds(columns)
+    """The chunks of ``iter_strategies_jsonl`` stacked into one ``Rounds``
+    of read-only per-block columns, one row per round."""
+    chunks = list(iter_strategies_jsonl(path))
+    if not chunks:
+        return Rounds()
+    return Rounds([np.concatenate(rows) for rows in zip(*(c.blocks for c in chunks))],
+                  np.concatenate([c.counts for c in chunks])).expanded()

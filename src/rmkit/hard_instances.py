@@ -13,16 +13,21 @@ same.  ``PhaseTracker`` reconstructs the walk's phases from a recorded
 history and checks the structural facts the stalling argument rests on,
 and ``run_separation`` sets the slow rm walk against fast alternating rm+.
 
-The tracker takes the strategies in chunks of rounds, as ``dyn.run``'s
-sink and ``dyn.iter_strategies_jsonl`` hand them over, and carries only
-the onsets, the dropped action sets and the violations from one chunk to
-the next, so that it holds no more for a longer walk: it keeps the first
-``_KEPT_VIOLATIONS`` violation messages and a count of the rest.
-``analyze_phases`` feeds it a whole history as one chunk.  Within a
-chunk each payoff's first round comes from one column product, and the
-walk checks run on a chunk's first round and once per stretch of rounds
-with unchanged supports (the supports change 17 times in the first 62,000
-rounds of the padded m=6 walk), repeating their messages for each round.
+The tracker takes the strategies in chunks, as ``dyn.run``'s sink and
+``dyn.iter_strategies_jsonl`` hand them over: one row per stretch of
+rounds with the bits of its first, and the chunk's ``counts`` of rounds per
+row.  It carries only the onsets, the dropped action sets and the
+violations from one chunk to the next, so that it holds no more for a
+longer walk: it keeps the first ``_KEPT_VIOLATIONS`` violation messages
+and a count of the rest.  ``analyze_phases`` feeds it a whole kept
+history as one chunk of a row per round.  Within a chunk each payoff's
+first round is the first round of the first row whose profile has mass,
+from one column product over the rows, and the walk checks run once per
+stretch of rows with unchanged supports (the supports change 17 times in
+the first 62,000 rounds of the padded m=6 walk), repeating their messages
+for each round of it.  So the tracker's cost follows the stretches, not
+the rounds: ``run_separation`` tracks the m=8 walk to 2 * 10^11 rounds,
+past payoff 15, in about 0.01 s.
 """
 
 from __future__ import annotations
@@ -231,37 +236,44 @@ class PhaseTracker:
         self._pure_profiles = {spiral.positions[k] for k in range(1, n_pay + 1)}
 
     def update(self, strategies: dyn.Rounds) -> None:
-        """Take the next chunk of rounds."""
+        """Take the next chunk of rounds: one row per round, or per stretch
+        of rounds with the chunk's ``counts``."""
         base, threshold = self.rounds, self.mass_threshold
         self.rounds += len(strategies)
         if not len(strategies):
             return
         p1, p2 = strategies.blocks[:2]
-        skip = max(self.skip_rounds - base, 0)
+        counts = dyn._row_counts(strategies.counts, 0, len(p1))
+        # each row's rounds within the chunk, counted from 0: starts to ends
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        skip = self.skip_rounds - base
         for k, (row, col) in self.spiral.positions.items():
             if k not in self.first_seen:
-                hits = np.flatnonzero(p1[skip:, row] * p2[skip:, col] > threshold)
+                hits = np.flatnonzero((p1[:, row] * p2[:, col] > threshold) & (ends > skip))
                 if len(hits):
-                    self.first_seen[k] = base + skip + int(hits[0]) + 1
+                    self.first_seen[k] = base + max(int(starts[hits[0]]), skip) + 1
         if 1 not in self.first_seen:
             return
         # The checks read only the two supports and the sets of actions each
         # player ever had and then dropped, and those sets stop changing after
-        # the first round of a run of equal supports.  So each run is checked
-        # once and its messages repeat for every round of it.
+        # the first round of a stretch of equal supports.  So each stretch is
+        # checked once and its messages repeat for every round of it.
         start = max(self.first_seen[1] - 1 - base, 0)
-        supports = [b[start:] > threshold for b in (p1, p2)]
-        # each round whose supports differ from the round before opens a stretch
+        first = int(np.searchsorted(ends, start, side="right"))
+        supports = [b[first:] > threshold for b in (p1, p2)]
+        # each row whose supports differ from the row before opens a stretch,
+        # and the first one opens at ``start``
         new = np.flatnonzero(~dyn._repeats(supports)).tolist()
-        bounds = [*new, len(supports[0])]
-        for a, b in zip(bounds, bounds[1:]):
-            found = self._support_violations([tuple(np.flatnonzero(s[a]).tolist())
+        bounds = [start, *starts[first:][new[1:]].tolist(), int(ends[-1])]
+        for a, b, r in zip(bounds, bounds[1:], new):
+            found = self._support_violations([tuple(np.flatnonzero(s[r]).tolist())
                                               for s in supports])
             if found:
-                first = base + start + a + 1
                 room = _KEPT_VIOLATIONS - len(self.violations)
                 self.violations.extend(itertools.islice(
-                    (f"round {t}: {msg}" for t in range(first, first + b - a) for msg in found),
+                    (f"round {t}: {msg}" for t in range(base + a + 1, base + b + 1)
+                     for msg in found),
                     room))
                 self.more_violations += max((b - a) * len(found) - room, 0)
 
@@ -382,6 +394,8 @@ def replay_regrets(history: dyn.PlayHistory, init_regrets=None, at_rounds=None):
 class Separation:
     walk: dyn.RunResult  # plain rm from the pure start; its record is not kept
     walk_seconds: float  # wall time of the walk, its phase tracking included
+    walk_stepped: int  # walk rounds stepped one at a time
+    walk_stretches: int  # stretches of walk rounds jumped at once
     report: PhaseReport  # phases of the walk
     rm_rounds: Optional[int]  # first walk round with every gap <= epsilon
     rounds_above: int  # walk rounds whose largest gap is above epsilon
@@ -395,20 +409,24 @@ def run_separation(m: int, max_rounds: int, epsilon: float, rm_plus_max_rounds: 
     """The rm walk on the padded game under ``scheme`` (simultaneous or
     alternating), its phase report, and the alternating rm+ contrast.
 
-    The walk streams its record to a ``PhaseTracker`` and to the gap counts
-    chunk by chunk, and keeps none of it."""
+    The walk streams its record to a ``PhaseTracker``, to the gap counts
+    and to the counts of its stepped rounds and jumped stretches, one row
+    and its count of rounds per stretch, and keeps none of it."""
     game, init = build_padded(m), pure_init_strategies(m)
     tracker = PhaseTracker(build_spiral(m))
-    rm_rounds, above = None, 0
+    rm_rounds, above, stepped, stretches = None, 0, 0, 0
 
     def sink(history, traces):
-        nonlocal rm_rounds, above
+        nonlocal rm_rounds, above, stepped, stretches
         tracker.update(history.strategies)
-        top = traces.br_gaps.max(axis=1)
-        above += int((top > epsilon).sum())
+        # a row is a stepped round and the jumped rounds that repeat it
+        top, counts = traces.br_gaps.max(axis=1), traces.counts
+        stepped += len(counts)
+        stretches += int((counts > 1).sum())
+        above += int(counts[top > epsilon].sum())
         reached = np.flatnonzero(top <= epsilon)
         if rm_rounds is None and len(reached):
-            rm_rounds = traces.rounds[int(reached[0])]
+            rm_rounds = traces.rounds[int(counts[:reached[0]].sum())]
 
     start = time.perf_counter()
     walk = dyn.run(game, dyn.RunConfig(
@@ -418,5 +436,6 @@ def run_separation(m: int, max_rounds: int, epsilon: float, rm_plus_max_rounds: 
         scheme="alternating", kind="rm+", epsilon=epsilon, max_rounds=rm_plus_max_rounds,
         init_strategies=init))
     rm_cost = rm_rounds if rm_rounds is not None else walk.rounds
-    return Separation(walk, walk_seconds, tracker.report(), rm_rounds, above, contrast,
-                      dyn.nash_gap(game, contrast.final_profile), rm_cost / max(contrast.rounds, 1))
+    return Separation(walk, walk_seconds, stepped, stretches, tracker.report(), rm_rounds, above,
+                      contrast, dyn.nash_gap(game, contrast.final_profile),
+                      rm_cost / max(contrast.rounds, 1))

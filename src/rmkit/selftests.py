@@ -464,7 +464,7 @@ def suite_uniform_init() -> SuiteResult:
     def sink(history, traces):
         nonlocal second
         if second is None:
-            second = [b[1].copy() for b in history.strategies.blocks]
+            second = [x.copy() for x in history.strategies[1]]
         tracker.update(history.strategies)
 
     dyn.run(game, dyn.RunConfig(scheme="simultaneous", kind="rm", max_rounds=120_000),

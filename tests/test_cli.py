@@ -355,8 +355,11 @@ def test_a_streamed_run_writes_the_bytes_of_the_whole_record(
 @pytest.mark.parametrize("per_round", [True, False], ids=["stepped", "jumped"])
 def test_a_streamed_run_holds_no_more_for_ten_times_the_rounds(
         per_round, tmp_path, capsys, monkeypatch):
-    # chunks of 32 rounds, so that both runs stream many chunks in a short test
+    # chunks of 32 stretches, so that the stepped runs stream many chunks in
+    # a short test, and writes of at most 2 KiB, so that the repeated text
+    # of the jumped runs' long stretches fills a write in both runs
     monkeypatch.setattr(dyn, "_CHUNK_ROWS", 32)
+    monkeypatch.setattr(dyn, "_BATCH_BYTES", 2048)
     if per_round:
         monkeypatch.setattr(dyn, "_REUSE_ENTRIES", 0)
 
@@ -442,6 +445,8 @@ def test_a_run_that_fails_leaves_earlier_outputs_as_they_were(
         return run(target, config, progress=progress, sink=failing_sink)
 
     monkeypatch.setattr(dyn, "run", failing_run)
+    # chunks of 8 stretches, so that the first one ends long before round 10,000
+    monkeypatch.setattr(dyn, "_CHUNK_ROWS", 8)
     paths = [tmp_path / name for name in ("trace.csv", "walk.jsonl", "report.json")]
     paths[2].write_text("an earlier report\n")
     argv = ["run", "--hard-instance", "m=6", "--algo", "rm", "--max-rounds", "10000",

@@ -1,6 +1,7 @@
 """Unit tests for the multi-learner dynamics driver and its reports."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -359,26 +360,40 @@ def test_read_strategies_jsonl_reuses_only_lines_that_repeat_after_the_round(tmp
         dyn.read_strategies_jsonl(path)
 
 
-def test_the_reader_yields_chunks_that_stack_to_the_whole_recording(tmp_path, monkeypatch):
-    # the padded m=4 walk repeats its lines across the ends of 7-line chunks
+def test_the_reader_yields_chunks_of_stretches_that_expand_to_the_whole_recording(
+        tmp_path, monkeypatch):
+    # the padded m=4 walk repeats its lines in stretches; chunks of 7 of them
     res = dyn.run(*_walk(hard.build_padded, 4, 300)("rm", "simultaneous"))
     path = tmp_path / "walk.jsonl"
     dyn.write_strategies_jsonl(res.history, path)
     monkeypatch.setattr(dyn, "_CHUNK_ROWS", 7)
     chunks = list(dyn.iter_strategies_jsonl(path))
-    assert [len(chunk) for chunk in chunks] == [7] * 42 + [6]
+    sizes = [len(chunk.counts) for chunk in chunks]
+    assert sizes[:-1] == [7] * (len(sizes) - 1) and 0 < sizes[-1] <= 7
+    counts = np.concatenate([chunk.counts for chunk in chunks])
+    assert counts.dtype == np.int64 and counts.min() >= 1
+    assert [len(chunk) for chunk in chunks] == [int(chunk.counts.sum()) for chunk in chunks]
+    assert counts.sum() == 300 > 3 * len(counts)
+    # each stretch is a run of lines that repeat the line before but for the
+    # round number, so no stretch has the bits of the one before it
+    rows = [np.concatenate([chunk.blocks[i] for chunk in chunks]) for i in range(2)]
+    assert not dyn._repeats(rows)[1:].any()
     whole = dyn.read_strategies_jsonl(path)
     for i, block in enumerate(res.history.strategies.blocks):
-        parts = np.concatenate([chunk.blocks[i] for chunk in chunks])
-        assert parts.tobytes() == whole.blocks[i].tobytes() == block.tobytes()
+        expanded = np.concatenate([chunk.expanded().blocks[i] for chunk in chunks])
+        assert np.repeat(rows[i], counts, axis=0).tobytes() == expanded.tobytes()
+        assert expanded.tobytes() == whole.blocks[i].tobytes() == block.tobytes()
         assert not whole.blocks[i].flags.writeable
-    # a chunk is handed over once its lines are read, before a later bad line
+    assert whole.counts is None
+    # a chunk is handed over once the line that opens the stretch after its
+    # last one is read, before that line is parsed
     lines = path.read_text().splitlines()
-    lines[9] = lines[9].replace('{"round": 10, ', '{"round": 11, ')
+    opens = int(chunks[0].counts.sum()) + 1
+    lines[opens - 1] = lines[opens - 1].replace(f'{{"round": {opens}, ', '{"round": 0, ')
     path.write_text("\n".join(lines) + "\n")
     reader = dyn.iter_strategies_jsonl(path)
-    assert len(next(reader)) == 7
-    with pytest.raises(ValueError, match="walk.jsonl:10: round 11, expected 10"):
+    assert next(reader).counts.tolist() == chunks[0].counts.tolist()
+    with pytest.raises(ValueError, match=f"walk.jsonl:{opens}: round 0, expected {opens}"):
         next(reader)
 
 
@@ -412,6 +427,29 @@ def test_the_record_is_read_only_columns_behind_per_round_views():
     again = dyn.run(game, RunConfig(kind="rm+", max_rounds=150))
     assert again.traces == traces and again.history == res.history
     assert again.traces[:149] != traces
+
+
+def test_a_chunk_of_stretches_indexes_and_slices_by_round_without_expanding():
+    rows, counts = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]), np.array([2, 10**12, 3])
+    rounds = dyn.Rounds([rows], counts)
+    assert len(rounds) == 10**12 + 5
+    assert [rounds[t][0].tolist() for t in (0, 1, 2, -4, -3, -1)] == [
+        [1.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.5, 0.5], [0.0, 1.0], [0.0, 1.0]]
+    with pytest.raises(IndexError):
+        rounds[10**12 + 5]
+    part = rounds[10**12 - 1:10**12 + 4:2]
+    assert part.counts is None and part.blocks[0].tolist() == [[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]]
+    small = dyn.Rounds([rows], np.array([2, 1, 3]))
+    assert small == small.expanded() and small[1:5] == small.expanded()[1:5]
+    assert small.expanded().blocks[0].tolist() == [rows[j].tolist() for j in (0, 0, 1, 2, 2, 2)]
+    traces = dyn.Traces(np.arange(24.0).reshape(3, 8), np.eye(3, 2, dtype=bool),
+                        range(5, 10**12 + 10), counts)
+    assert len(traces) == 10**12 + 5
+    assert traces[-1].round == 10**12 + 9 and traces[-1].value == 23.0
+    assert traces[1].updated == [True, False] and traces[2].updated == [False, True]
+    cut = traces[1:4]
+    assert cut.rounds == range(6, 9) and cut.counts is None
+    assert cut.columns[:, 0].tolist() == [0.0, 8.0, 8.0]
 
 
 def test_play_history_holds_rounds_columns():
@@ -1022,7 +1060,7 @@ def test_the_potential_game_reaches_a_fixed_point_under_rm_plus():
 
 def test_a_stretch_cut_off_by_the_round_limit_keeps_the_bits(monkeypatch):
     # rounds 1,155 to 7,826 of the padded m=6 walk sit in phase 7; 4,321 ends
-    # inside one of its stretches, between two look-ahead chunks' ends
+    # inside one of its stretches, which the look-ahead cuts at the limit
     target, config = _walk(hard.build_padded, 6, 4_321)("rm", "simultaneous")
     look_aheads = []
     look_ahead = dyn._rm_look_ahead
@@ -1049,6 +1087,123 @@ def test_a_stretch_cut_off_by_the_round_limit_keeps_the_bits(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the repeat-add kernel behind jumped stretches and the cce replay
+# ---------------------------------------------------------------------------
+
+
+def _sequential_adds(r, g, k, until_positive=False):
+    """``_repeat_add``'s reference: one add a round, stopping before the
+    first sum above 0 with ``until_positive``."""
+    for j in range(k):
+        s = r + g
+        if until_positive and s > 0.0:
+            return r, j
+        r = s
+    return r, k
+
+
+def _ulp_steps(r, *multiples):
+    return [(r, m * math.ulp(r)) for m in multiples]
+
+
+_ADVERSARIAL_ADDS = [
+    # ties, g an odd multiple of half the spacing, from even and odd significands
+    *_ulp_steps(1.5, 0.5, -0.5, 1.5, -1.5, 2.5, 7.5),
+    *_ulp_steps(1.5 + math.ulp(1.5), 0.5, -0.5, 1.5, 2.5, -7.5),
+    *_ulp_steps(-3e5 - math.ulp(3e5), 0.5, 1.5, -2.5),
+    # binade edges crossed upward and downward, on both sides of zero
+    *_ulp_steps(2.0 - 9 * math.ulp(1.0), 1.0, 3.0, 0.75, 1.3, 2.6),
+    *_ulp_steps(2.0 + 9 * math.ulp(2.0), -1.0, -0.5, -3.0, -1.3, -0.7, -2.2),
+    *_ulp_steps(-2.0 ** 35 - 5 * math.ulp(2.0 ** 35), 0.5, 1.0, 0.25, 1.3, 0.7),
+    *_ulp_steps(-2.0 ** 56 + 7 * math.ulp(2.0 ** 55), -1.0, -0.5),
+    (0.75, 0.125), (-1024.0, 0.3), (1e-3, -1e-5),
+    # steps through +0.0 and -0.0, and signed zeros that stay
+    (-3.0, 1.0), (3.0, -1.0), (-2.5, 0.5), (-1.0, 0.1), (1e-300, -1e-301),
+    (-0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (0.0, 0.0), (-0.0, 1.0), (0.0, -1.0),
+    (-0.0, 5e-324), (0.0, -5e-324),
+    # subnormals: exact sums on either side of zero, and out of their range
+    (-5e-324 * 1000, 5e-324 * 7), (5e-324 * 3, -5e-324), (-2.0 ** -1022, 2.0 ** -1074),
+    (2.0 ** -1021 - 2.0 ** -1074 * 40, 2.0 ** -1074 * 3), (-2.0 ** -1021, 2.0 ** -1030),
+    # a g that rounds to nothing, at once or once the sums grow
+    (1e20, 1.0), (1.0, 1e-17), (-1.0, 1e-17), (2.0 ** 53, 1.0), (1.0, 2.0 ** -53),
+    (1.0 + 2.0 ** -52, 2.0 ** -53), (2.0 ** 52, 0.5), (2.0 ** 52 - 100, 0.5),
+    # |r| at 2^53 and beyond, where the spacing is 2 or more
+    (2.0 ** 53, 3.0), (2.0 ** 53 + 2, 1.0), (-2.0 ** 60, 300.0), (2.0 ** 70, -2.0 ** 17 * 3),
+    (9e15, 0.7), (-9.1e15, -1.5),
+]
+
+
+@pytest.mark.parametrize("r, g", _ADVERSARIAL_ADDS)
+def test_repeat_add_has_the_bits_of_sequential_adds_on_adversarial_cases(r, g):
+    for k in (0, 1, 2, 3, 17, 1_000, 5_000):
+        for stop in (False, True):
+            got, want = dyn._repeat_add(r, g, k, stop), _sequential_adds(r, g, k, stop)
+            assert (_bits(got[0]), got[1]) == (_bits(want[0]), want[1]), (k, stop)
+
+
+def test_repeat_add_has_the_bits_of_sequential_adds_on_random_cases():
+    rng = np.random.default_rng(22)
+    mismatches = 0
+    for case in range(2_000):
+        scale = 2.0 ** rng.integers(-60, 70)
+        r = float(rng.normal() * scale)
+        g = float(rng.choice([
+            rng.normal() * scale * 2.0 ** -rng.integers(0, 60),
+            rng.integers(-40, 40) * math.ulp(r) / 2,  # ties and small multiples
+            rng.integers(-9, 9) / rng.integers(1, 9),  # small rationals
+        ]))
+        k, stop = int(rng.integers(0, 2_000)), bool(case % 3 == 0)
+        got, want = dyn._repeat_add(r, g, k, stop), _sequential_adds(r, g, k, stop)
+        mismatches += (_bits(got[0]), got[1]) != (_bits(want[0]), want[1])
+    assert mismatches == 0
+
+
+def test_repeat_add_covers_many_rounds_per_binade():
+    # exact integer sums: k adds are r + k g, however large k is
+    assert dyn._repeat_add(-1e15, 3.0, 10**14) == (-1e15 + 3e14, 10**14)
+    assert dyn._repeat_add(-1e15, 3.0, 10**15, until_positive=True) == (-1.0, 333_333_333_333_333)
+    # from 0.1 the sums round; split anywhere, the walk gives the same bits
+    whole = dyn._repeat_add(0.0, 0.1, 10**12)[0]
+    part = dyn._repeat_add(dyn._repeat_add(0.0, 0.1, 123_456_789)[0], 0.1,
+                           10**12 - 123_456_789)[0]
+    assert _bits(part) == _bits(whole) and 0.99e11 < whole < 1.01e11
+    # a g that rounds to nothing stalls the walk at once
+    assert dyn._repeat_add(2.0 ** 60, 1.0, 10**18) == (2.0 ** 60, 10**18)
+
+
+def test_repeat_row_adds_a_row_k_times_with_the_bits_of_sequential_adds():
+    total, row = np.array([-0.0, 1e16, -3.0, 0.5]), np.array([-0.0, 1.0, 0.1, -1 / 3])
+    for k in (0, 1, dyn._ADD_ROUNDS, dyn._ADD_ROUNDS + 1, 500):
+        want = total.copy()
+        for _ in range(k):
+            want = want + row
+        assert dyn._repeat_row(total, row, k).tobytes() == want.tobytes()
+
+
+def test_the_look_ahead_exit_and_regrets_are_those_of_a_per_round_scan():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        m = int(rng.integers(2, 6))
+        held = int(rng.integers(m))
+        free = np.arange(m) != held
+        # free regrets at most 0, signed zeros among them; the held regret
+        # positive, and its g a zero
+        r = -rng.random(m) * 10.0 ** rng.integers(0, 4)
+        r[rng.random(m) < 0.2] = rng.choice([0.0, -0.0])
+        g = rng.normal(size=m) * 10.0 ** rng.integers(-3, 1)
+        g[rng.random(m) < 0.2] = 0.0
+        r[held], g[held] = 1.0 + rng.random(), rng.choice([0.0, -0.0])
+        k = int(rng.integers(1, 3_000))
+        covered, after = dyn._rm_look_ahead([r], [g], [free], k)
+        sums = dyn._running_sums(np.broadcast_to(g, (k, m)), r)
+        theta = np.maximum(sums, 0.0)
+        moved = theta[:, free].view(np.int64).any(axis=1) | np.isinf(theta).any(axis=1)
+        want = int(moved.argmax()) if moved.any() else k
+        assert covered == want
+        assert after[0].tobytes() == (sums[want - 1] if want else r).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the record streamed to a sink chunk by chunk
 # ---------------------------------------------------------------------------
 
@@ -1058,9 +1213,20 @@ def _padded_m6(rounds):
         kind="rm", max_rounds=rounds, init_strategies=hard.pure_init_strategies(6))
 
 
+def _chunk_columns(history, traces):
+    return [*history.strategies.blocks, *history.utilities.blocks, traces.columns,
+            traces.updated]
+
+
+def _expanded_columns(chunks):
+    """The rounds of a run's sink chunks, one row each, column by column."""
+    return [np.concatenate(parts) for parts in zip(*(
+        [np.repeat(c, traces.counts, axis=0) for c in _chunk_columns(history, traces)]
+        for history, traces in chunks))]
+
+
 @pytest.mark.parametrize("case, per_round", [
     (lambda: _padded_m6(2 * 4096 + 1), True),
-    # the payoff-8 stretch from round 7,827 on covers the ends of chunks 2 and 3
     (lambda: _padded_m6(3 * 4096 + 100), False),
     # converges at round 6,173, inside the second chunk
     (lambda: (_constant_sum_game(), RunConfig(scheme="lazy", kind="rm+", epsilon=0.0015,
@@ -1078,21 +1244,26 @@ def test_a_sink_gets_the_record_in_chunks_with_the_bits_of_the_whole(case, per_r
     chunks = []
     streamed = dyn.run(target, config, sink=lambda *chunk: chunks.append(chunk))
     assert dyn._CHUNK_ROWS == 4096
-    sizes = [len(traces) for _, traces in chunks]
+    # _CHUNK_ROWS stretches a chunk, each one row and an int64 count
+    sizes = [len(traces.columns) for _, traces in chunks]
     assert sizes[:-1] == [4096] * (len(sizes) - 1) and 0 < sizes[-1] <= 4096
-    assert sum(sizes) == whole.rounds == streamed.rounds > 4096
+    for history, traces in chunks:
+        assert traces.counts.dtype == np.int64 and traces.counts.min() >= 1
+        assert not traces.counts.flags.writeable
+        assert history.strategies.counts is history.utilities.counts is traces.counts
+        assert all(len(c) == len(traces.counts) for c in _chunk_columns(history, traces))
+    rounds = [len(traces) for _, traces in chunks]
+    assert sum(rounds) == whole.rounds == streamed.rounds
     assert [traces.rounds for _, traces in chunks] == [
-        range(4096 * c + 1, 4096 * c + size + 1) for c, size in enumerate(sizes)]
+        range(sum(rounds[:c]) + 1, sum(rounds[:c + 1]) + 1) for c in range(len(chunks))]
     if config.epsilon is not None:
-        assert whole.converged and whole.rounds % 4096
-    for i in range(len(whole.states)):
-        for column in ("strategies", "utilities"):
-            parts = [getattr(history, column).blocks[i] for history, _ in chunks]
-            assert (np.concatenate(parts).tobytes()
-                    == getattr(whole.history, column).blocks[i].tobytes())
-    for column in ("columns", "updated"):
-        parts = [getattr(traces, column) for _, traces in chunks]
-        assert np.concatenate(parts).tobytes() == getattr(whole.traces, column).tobytes()
+        assert whole.converged
+    # the walk jumps nearly all its rounds, so its one chunk holds few rows
+    assert (sum(sizes) < whole.rounds // 100) == (not per_round and config.kind is ln.Kind.RM)
+    # expanded, the chunks have the bits of the whole record
+    want = _chunk_columns(whole.history, whole.traces)
+    for got, ref in zip(_expanded_columns(chunks), want):
+        assert got.tobytes() == ref.tobytes()
     # the record went to the sink; the result keeps none of it
     assert streamed.history.rounds == 0 and len(streamed.traces) == 0
     assert streamed.stop_reason == whole.stop_reason
@@ -1102,30 +1273,37 @@ def test_a_sink_gets_the_record_in_chunks_with_the_bits_of_the_whole(case, per_r
 
 
 @pytest.mark.parametrize("per_round", [True, False], ids=["stepped", "jumped"])
-def test_at_a_chunk_edge_the_sink_gets_the_chunk_before_progress_gets_the_round(
+def test_a_chunk_reaches_the_sink_once_the_next_stretch_opens_before_its_progress(
         per_round, monkeypatch):
     if per_round:
         monkeypatch.setattr(dyn, "_REUSE_ENTRIES", 0)
-    monkeypatch.setattr(dyn, "PROGRESS_EVERY", 4096)
-    # the payoff-8 stretch from round 7,827 on covers the ends of chunks 2 and 3
-    target, config = _padded_m6(3 * 4096 + 100)
+    # chunks of 5 stretches, and progress every 500 rounds: the walk's
+    # chunks end both between progress rounds and on one
+    monkeypatch.setattr(dyn, "_CHUNK_ROWS", 5)
+    monkeypatch.setattr(dyn, "PROGRESS_EVERY", 500)
+    target, config = _padded_m6(12_000)
     calls = []
     dyn.run(target, config, progress=lambda t: calls.append(("progress", t)),
-            sink=lambda history, traces: calls.append(("sink", traces.rounds[-1])))
-    edges = [4096, 2 * 4096, 3 * 4096]
-    assert calls == [call for t in edges for call in (("sink", t), ("progress", t))] + [
-        ("sink", 3 * 4096 + 100)]
+            sink=lambda history, traces: calls.append(("sink", traces.rounds[-1],
+                                                       len(traces.columns))))
+    sinks = [call for call in calls if call[0] == "sink"]
+    assert [size for *_, size in sinks[:-1]] == [5] * (len(sinks) - 1)
+    assert [t for _, t in (c for c in calls if c[0] == "progress")] == list(
+        range(500, 12_001, 500))
+    # in round order, a chunk that ends at round e after progress(e) and
+    # before the progress of any later round; the last one when the run ends
+    order = [t + 0.5 if kind == "sink" else t for kind, t, *_ in calls]
+    assert order == sorted(order) and sinks[-1][1] == 12_000
+    assert any(t % 500 == 0 for _, t, _ in sinks[:-1]) == per_round
 
 
-def _chunk_columns(history, traces):
-    return [*history.strategies.blocks, *history.utilities.blocks, traces.columns,
-            traces.updated]
-
-
-def test_every_sink_chunk_of_a_jumped_walk_has_the_bits_of_the_per_round_reference(
-        tmp_path, monkeypatch):
-    # the payoff-8 stretch from round 7,827 on covers the ends of chunks 2 and 3
+@pytest.mark.parametrize("scheme", ["simultaneous", "alternating"])
+def test_every_sink_chunk_of_the_m6_walk_expands_to_the_per_round_reference(
+        scheme, tmp_path, monkeypatch):
+    # chunks of 7 stretches, so that the walk's stretches make several
+    monkeypatch.setattr(dyn, "_CHUNK_ROWS", 7)
     target, config = _padded_m6(3 * 4096 + 100)
+    config = dataclasses.replace(config, scheme=scheme)
     runs = []
     for most in (0, dyn._REUSE_ENTRIES):
         monkeypatch.setattr(dyn, "_REUSE_ENTRIES", most)
@@ -1133,44 +1311,87 @@ def test_every_sink_chunk_of_a_jumped_walk_has_the_bits_of_the_per_round_referen
         dyn.run(target, config, sink=lambda *chunk: chunks.append(chunk))
         runs.append(chunks)
     stepped, jumped = runs
-    assert len(jumped) == len(stepped) == 4
-    for c, ((history, traces), (want_history, want_traces)) in enumerate(zip(jumped, stepped)):
-        assert traces.rounds == want_traces.rounds == range(
-            4096 * c + 1, min(4096 * (c + 1), config.max_rounds) + 1)
-        columns, want = _chunk_columns(history, traces), _chunk_columns(want_history, want_traces)
-        for got, ref in zip(columns, want):
-            assert got.dtype == ref.dtype and got.shape == ref.shape
-            assert got.tobytes() == ref.tobytes()
-            assert got.flags.c_contiguous and not got.flags.writeable
-        # the reference steps every round, so its chunks are views that copy
-        # nothing; the jumped chunks expand their stretches
-        assert all(ref.base is not None for ref in want)
-    # the recording of the walk reads back chunk by chunk as a line-by-line parse
+    # the reference steps every round, one row each
+    assert all((traces.counts == 1).all() for _, traces in stepped)
+    assert len(jumped) > 3 and sum(len(traces.columns) for _, traces in jumped) < 100
+    for history, traces in jumped:
+        for column in _chunk_columns(history, traces):
+            assert column.flags.c_contiguous and not column.flags.writeable
+    for got, want in zip(_expanded_columns(jumped), _expanded_columns(stepped)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # the recording of the walk reads back as the stretches the sink got:
+    # the round that ends a stretch enters its profile, so the reader's
+    # stretches are the sink's strategies with each such round joined to
+    # the stretch before it
     path = tmp_path / "walk.jsonl"
     with open(path, "w") as fh:
         writer = dyn.StrategiesJsonlWriter(fh)
         for history, _ in jumped:
             writer.write(history)
-    with open(path) as fh:
-        parsed = [json.loads(line)["blocks"] for line in fh]
+    rows = [np.concatenate(parts) for parts in zip(*(h.strategies.blocks for h, _ in jumped))]
+    first, counts = dyn._runs(rows, np.concatenate([h.strategies.counts for h, _ in jumped]))
+    assert len(first) < len(rows[0])
     read = list(dyn.iter_strategies_jsonl(path))
-    assert [len(chunk) for chunk in read] == [4096] * 3 + [100]
-    for c, chunk in enumerate(read):
-        for i, block in enumerate(chunk.blocks):
-            want = np.array([blocks[i] for blocks in parsed[4096 * c:4096 * (c + 1)]])
-            assert block.tobytes() == want.tobytes()
-            assert block.flags.c_contiguous and not block.flags.writeable
+    assert [len(chunk.counts) for chunk in read[:-1]] == [7] * (len(read) - 1)
+    assert np.concatenate([chunk.counts for chunk in read]).tolist() == counts.tolist()
+    for i, block in enumerate(rows):
+        assert np.concatenate([c.blocks[i] for c in read]).tobytes() == block[first].tobytes()
+        assert all(c.blocks[i].flags.c_contiguous and not c.blocks[i].flags.writeable
+                   for c in read)
+
+
+def _stretch_digest(chunks):
+    """The sha256 of a run's record as runs of rounds with equal bits: each
+    run's row (strategies, gradients, trace row, updated flags) and its
+    count of rounds, merged across the sink's rows and chunks."""
+    digest, last, count = hashlib.sha256(), None, 0
+    for history, traces in chunks:
+        columns = _chunk_columns(history, traces)
+        for j, k in enumerate(traces.counts.tolist()):
+            row = b"".join(c[j].tobytes() for c in columns)
+            if row != last:
+                if last is not None:
+                    digest.update(last + np.int64(count).tobytes())
+                last, count = row, 0
+            count += k
+    digest.update(last + np.int64(count).tobytes())
+    return digest.hexdigest()
+
+
+# ``_stretch_digest`` of the padded walks' per-round reference
+# (``_REUSE_ENTRIES`` patched to 0), which takes 70-90 s a walk to 2 * 10^6
+# rounds on a 2-core VM; the jumped walks take milliseconds
+_REFERENCE_DIGESTS = {
+    (6, "simultaneous", 62_000):
+        "2bba271650448dcf97a30247c7c4f6629a1f1af5329651c10fa01683a6da35c7",
+    (6, "alternating", 62_000):
+        "c2ad1e2be227ecb3e5448f3336daa13e6fbfeee3fbc74de10031d53f58d2b07a",
+    (8, "simultaneous", 2_000_000):
+        "dd9c66844447b61e43dea8c7226b2ddbf46d5a8088cbb7424161c8c586113ed1",
+    (8, "alternating", 2_000_000):
+        "0b19bacc4c19fd87bb03256efb290e9d2d0918b46d89db4e7efce3b7ad75604c",
+}
+
+
+@pytest.mark.parametrize("m, scheme, rounds", list(_REFERENCE_DIGESTS))
+def test_a_long_jumped_walk_streams_the_bits_of_the_per_round_reference(m, scheme, rounds):
+    chunks = []
+    dyn.run(hard.build_padded(m), RunConfig(
+        scheme=scheme, kind="rm", max_rounds=rounds,
+        init_strategies=hard.pure_init_strategies(m)), sink=lambda *chunk: chunks.append(chunk))
+    assert sum(len(traces) for _, traces in chunks) == rounds
+    assert _stretch_digest(chunks) == _REFERENCE_DIGESTS[m, scheme, rounds]
 
 
 def _record_bytes(result):
     return sum(column.nbytes for column in _chunk_columns(result.history, result.traces))
 
 
-@pytest.mark.parametrize("per_round, most", [(True, 1.1), (False, 1.5)],
-                         ids=["stepped", "jumped"])
-def test_a_kept_record_peaks_near_its_own_bytes(per_round, most, monkeypatch):
+@pytest.mark.parametrize("per_round", [True, False], ids=["stepped", "jumped"])
+def test_a_kept_record_peaks_near_its_own_bytes(per_round, monkeypatch):
     if per_round:
-        # every round stepped: every count is 1, so the record is views
+        # every round stepped
         monkeypatch.setattr(dyn, "_REUSE_ENTRIES", 0)
     config = RunConfig(kind="rm", max_rounds=5_000)
     dyn.run(_constant_sum_game(), RunConfig(kind="rm", max_rounds=100))  # first-call allocations
@@ -1182,12 +1403,16 @@ def test_a_kept_record_peaks_near_its_own_bytes(per_round, most, monkeypatch):
     finally:
         tracemalloc.stop()
     assert result.rounds == 5_000
-    # views over the buffers when every round was stepped, else expanded
+    # one row a round, jumped rounds included, as views of the buffers
     columns = _chunk_columns(result.history, result.traces)
-    assert all((column.base is not None) == per_round for column in columns)
-    # beyond the record: the buffers' slack and the counts, and with
-    # stretches the rows of the buffer being expanded
-    assert peak <= most * _record_bytes(result)
+    assert all(column.base is not None and len(column) == 5_000 for column in columns)
+    assert result.traces.counts is None and result.history.strategies.counts is None
+    if not per_round:
+        strategies = result.history.strategies.blocks
+        assert sum(all(b[t].tobytes() == b[t - 1].tobytes() for b in strategies)
+                   for t in range(1, 5_000)) > 1_000
+    # beyond the record: the buffers' slack
+    assert peak <= 1.1 * _record_bytes(result)
 
 
 def test_a_long_streamed_walk_holds_no_more_than_a_chunk():

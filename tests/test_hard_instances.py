@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,6 +415,9 @@ def test_the_separation_script_reports_its_scheme_time_and_memory(tmp_path, caps
     assert payload["scheme"] == "alternating" and payload["rm_budget"] == 3000
     assert payload["elapsed_s"] > 0 and payload["rounds_per_s"] > 0
     assert payload["peak_rss_mb"] > 0
+    stepped, jumped = payload["stepped_rounds"], payload["jumped_stretches"]
+    assert 0 < jumped < stepped < 3000
+    assert f"walk: {stepped} rounds stepped, {jumped} stretches jumped" in printed
     with pytest.raises(SystemExit):
         script.parse_args(["--scheme", "lazy"])
 
@@ -491,15 +495,17 @@ def test_every_jumped_round_has_the_norms_its_stretch_entered_with(long_walks, n
 
 @pytest.mark.parametrize("name", list(_WALKS))
 def test_every_look_ahead_exit_is_the_first_round_whose_regrets_move_play(long_walks, name):
-    # the reference scans every row: the running sums' positive parts, cut
-    # before the first row with a free bit set or an entry at +inf.  The
-    # count must be equal, not only no larger: a stretch cut a round early
-    # steps that round and writes the same bytes, so no output shows it
+    # the reference scans every row up to the one after the stretch: the
+    # running sums' positive parts, cut before the first row with a free bit
+    # set or an entry at +inf.  The count must be equal, not only no larger:
+    # a stretch cut a round early steps that round and writes the same
+    # bytes, so no output shows it
     _, calls = long_walks[name]
     for entering, steps, covered, after, free, wanted in calls:
-        k, rows = wanted, []
+        scan = min(wanted, covered + 1)
+        k, rows = scan, []
         for r, g, f in zip(entering, steps, free):
-            sums = dyn._running_sums(np.broadcast_to(g, (wanted, len(r))), r)
+            sums = dyn._running_sums(np.broadcast_to(g, (scan, len(r))), r)
             theta = np.maximum(sums, 0.0)
             moved = theta[:, f].view(np.int64).any(axis=1) | np.isinf(theta).any(axis=1)
             if moved.any():
@@ -508,9 +514,36 @@ def test_every_look_ahead_exit_is_the_first_round_whose_regrets_move_play(long_w
         assert covered == k
         want = [sums[k - 1] for sums in rows] if k else entering
         assert [x.tobytes() for x in after] == [x.tobytes() for x in want]
+    # one look-ahead a stretch: each but the last ends on a round that moves play
+    assert all(covered < wanted for _, _, covered, _, _, wanted in calls[:-1])
 
 
 _M6_ALTERNATING = {1: 2, 2: 3, 3: 4, 4: 8, 5: 27, 6: 124, 7: 703, 8: 4762, 9: 37236}
+
+
+_M8_SIMULTANEOUS = {**selftests._M6_FIRST_SEEN, 10: 541_647, 11: 5_346_031, 12: 58_194_249,
+                    13: 692_372_874, 14: 8_936_694_995, 15: 124_357_204_710}
+_M8_ALTERNATING = {**_M6_ALTERNATING, 10: 329_506, 11: 3_252_206, 12: 35_401_911,
+                   13: 421_198_371, 14: 5_436_552_351, 15: 75_651_508_078}
+
+
+@pytest.mark.parametrize("scheme, first_seen", [
+    ("simultaneous", _M8_SIMULTANEOUS), ("alternating", _M8_ALTERNATING),
+])
+def test_the_m8_walk_reaches_payoff_15_at_the_frozen_rounds_in_flat_memory(scheme, first_seen):
+    # 2 * 10^11 rounds at the cost of the walk's stretches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sep = hard.run_separation(8, 200_000_000_000, 1.0 / 14.0, 1_000, scheme=scheme)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sep.walk.rounds == 200_000_000_000 and sep.walk.history.rounds == 0
+    assert sep.report.first_seen == first_seen and sep.report.violations == []
+    assert hard.check_stall_growth(sep.report) == (True, [])
+    assert sep.walk_stepped < 200 and 0 < sep.walk_stretches < sep.walk_stepped
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("name, first_seen", [
