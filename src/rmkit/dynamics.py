@@ -242,20 +242,44 @@ class _Stretched(Sequence):
 
     def _stretch(self, rows: int, counts) -> None:
         self.counts = counts
+        self._height = rows
         self._ends = None if counts is None else np.cumsum(counts)
         self._rounds = int(self._ends[-1]) if counts is not None and rows else rows
 
     def __len__(self) -> int:
         return self._rounds
 
+    @property
+    def ends(self) -> np.ndarray:
+        """Per row, the rounds from the first row's to the end of its own
+        stretch: ``cumsum(counts)``."""
+        return np.arange(1, self._height + 1) if self._ends is None else self._ends
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Per row, the rounds before its stretch: ``ends - counts``."""
+        return self.ends - _row_counts(self.counts, 0, self._height)
+
     def _rows(self, t):
         """The row of round index ``t`` (an IndexError past the end), or for
-        a slice the rows of its rounds, one per round, found without
-        expanding the others."""
+        a slice ``(rows, counts)``: for a step-1 slice of stretches the rows
+        its rounds fall in, the first and last count cut to them, and for
+        any other slice one row per round of it, found without expanding the
+        others, and no counts."""
         if self._ends is None:
-            return t if isinstance(t, slice) else range(self._rounds)[t]
-        rows = np.searchsorted(self._ends, range(self._rounds)[t], side="right")
-        return rows if isinstance(t, slice) else int(rows)
+            return (t, None) if isinstance(t, slice) else range(self._rounds)[t]
+        if not isinstance(t, slice):
+            return int(np.searchsorted(self._ends, range(self._rounds)[t], side="right"))
+        a, b, step = t.indices(self._rounds)
+        if step != 1:
+            return np.searchsorted(self._ends, range(a, b, step), side="right"), None
+        if b <= a:
+            return slice(0, 0), _read_only(self.counts[:0].copy())
+        first, last = np.searchsorted(self._ends, [a, b - 1], side="right").tolist()
+        counts = self.counts[first:last + 1].copy()
+        counts[0] -= a - (self._ends[first] - self.counts[first])
+        counts[-1] -= self._ends[last] - b
+        return slice(first, last + 1), _read_only(counts)
 
     def _expand(self, rows: np.ndarray) -> np.ndarray:
         return _read_only(np.repeat(rows, self.counts, axis=0))
@@ -267,8 +291,9 @@ class Rounds(_Stretched):
     ``blocks[i]`` is a (rows, m_i) float64 array, read-only in a record,
     one row per round, or, with ``counts``, one row per stretch of rounds,
     as a sink gets a chunk and ``iter_strategies_jsonl`` yields one.
-    Indexing a round gives the list of its block rows (views), a slice
-    another ``Rounds`` of one row per round, and ``expanded`` all of it so.
+    Indexing a round gives the list of its block rows (views), a step-1
+    slice another ``Rounds`` of the stretches of its rounds, any other slice
+    one of a row per round, and ``expanded`` all of it so.
     """
 
     def __init__(self, blocks=(), counts=None):
@@ -276,9 +301,11 @@ class Rounds(_Stretched):
         self._stretch(len(self.blocks[0]) if self.blocks else 0, counts)
 
     def __getitem__(self, t):
+        if isinstance(t, slice):
+            rows, counts = self._rows(t)
+            return Rounds([b[rows] for b in self.blocks], counts)
         rows = self._rows(t)  # the IndexError past the end stops iteration
-        blocks = [b[rows] for b in self.blocks]
-        return Rounds(blocks) if isinstance(t, slice) else blocks
+        return [b[rows] for b in self.blocks]
 
     def expanded(self) -> "Rounds":
         """These rounds with one row each: ``self`` when it has no counts."""
@@ -321,9 +348,10 @@ class Traces(_Stretched):
         self.regret_l2, self.regret_l1 = l2.T, l1.T
 
     def __getitem__(self, t):
-        row = self._rows(t)
         if isinstance(t, slice):
-            return Traces(self.columns[row], self.updated[row], self.rounds[t])
+            rows, counts = self._rows(t)
+            return Traces(self.columns[rows], self.updated[rows], self.rounds[t], counts)
+        row = self._rows(t)
         gaps, kkt, l2, l1, value = _trace_fields(self.columns[row].tolist(), self._n)
         return TraceRecord(self.rounds[t], gaps, kkt, l2, l1, value, self.updated[row].tolist())
 
@@ -465,11 +493,6 @@ _FILL_ROUNDS = 100
 # passed line by line, reading at most ``_BATCH_BYTES`` at a time
 _BULK_AFTER = 64
 
-# a stretch's row adds to running sums up to this many times one round at a
-# time, and more times through ``_repeat_add``, whose cost per entry and
-# binade is about that of 30 vector adds
-_ADD_ROUNDS = 32
-
 # a significand in units of its binade's spacing is below 2^53, and
 # ``_repeat_add`` covers steps that land from 2^52 + 1 on, so that each
 # sum is exact and rounds in the binade it lands in
@@ -521,6 +544,8 @@ def _repeat_add(r: float, g: float, k: int, until_positive: bool = False):
         if s == r and math.copysign(1.0, s) == math.copysign(1.0, r):
             return r, k
         r, j = s, j + 1
+        if not math.isfinite(r):
+            return r, k  # every later add keeps an inf or nan sum's bits
         u = math.ulp(r)
         if not abs(g) < u * 2.0 ** 53:
             continue  # one add leaves the binade
@@ -547,10 +572,6 @@ def _repeat_add(r: float, g: float, k: int, until_positive: bool = False):
 
 def _repeat_row(total: np.ndarray, row: np.ndarray, k: int) -> np.ndarray:
     """``total`` after ``k`` sequential ``total += row``, with their bits."""
-    if k <= _ADD_ROUNDS:
-        for _ in range(k):
-            total = total + row
-        return total
     return np.array([_repeat_add(a, b, k)[0] for a, b in zip(total.tolist(), row.tolist())])
 
 
@@ -888,10 +909,10 @@ def replay_cce(game: GameSpec, chunks, checkpoints=None):
     folded.  The replay takes a chunk's rows ``_CHUNK_ROWS`` at a time,
     merges each run of rows with the bits of the row before into one
     stretch (``_runs``), folds each stretch's profile once and adds the
-    folded row once per round of it (``_stretch_sums``).  Only the running
-    sums cross from one slice to the next, so what it holds does not grow
-    with the rounds, and the sums, sequential adds, do not depend on where
-    a chunk or a stretch ends.
+    folded row k times through ``_repeat_add`` (``_stretch_sums``).  Only
+    the running sums cross from one slice to the next, so what it holds
+    does not grow with the rounds, its cost follows the stretches, and the
+    sums, sequential adds, do not depend on where a chunk or a stretch ends.
     """
     n = game.num_players
     grad, _ = BlockGradients(game.utilities).hoisted()
@@ -913,22 +934,17 @@ def replay_cce(game: GameSpec, chunks, checkpoints=None):
         if not done:
             # every round has the block sizes of the first, so one check covers them
             _check_profile(game.action_counts, [b[0] for b in chunk.blocks])
-        # the rounds up to the largest checkpoint, the last row cut to them
-        top = len(chunk) if last is None else max(min(len(chunk), last - done), 0)
-        rows, counts = top, chunk.counts
-        if counts is not None and top < len(chunk):
-            ends = np.cumsum(counts)
-            rows = int(np.searchsorted(ends, top)) + 1 if top else 0
-            counts = counts[:rows].copy()
-            if rows:
-                counts[-1] -= ends[rows - 1] - top
+        # the rounds up to the largest checkpoint, the last stretch cut to them
+        rounds = len(chunk)
+        if last is not None and last - done < rounds:
+            chunk = chunk[:max(last - done, 0)]
         at = done
-        for start, stop in _chunks(rows):
+        for start, stop in _chunks(len(chunk.blocks[0]) if chunk.blocks else 0):
             part = [b[start:stop] for b in chunk.blocks]
             # a profile with the bits of the one before folds to the same row,
             # so each stretch folds once (``_runs`` compares bits, unlike
             # ``==``, which equates -0.0 with 0.0 and never a nan with itself)
-            first, stretches = _runs(part, _row_counts(counts, start, stop))
+            first, stretches = _runs(part, _row_counts(chunk.counts, start, stop))
             folded = np.empty((len(first), len(total)))
             for row, t in enumerate(first.tolist()):
                 profile = [b[t] for b in part]
@@ -942,7 +958,7 @@ def replay_cce(game: GameSpec, chunks, checkpoints=None):
             sums, total = _stretch_sums(folded, stretches, total, [T - at for T in here])
             gaps.update((T, gap(row, T)) for T, row in zip(here, sums))
             at = end
-        done += len(chunk)
+        done += rounds
     if checkpoints is None and done:
         gaps[done] = gap(total, done)
     return done, gaps

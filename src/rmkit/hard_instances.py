@@ -243,10 +243,8 @@ class PhaseTracker:
         if not len(strategies):
             return
         p1, p2 = strategies.blocks[:2]
-        counts = dyn._row_counts(strategies.counts, 0, len(p1))
         # each row's rounds within the chunk, counted from 0: starts to ends
-        ends = np.cumsum(counts)
-        starts = ends - counts
+        ends, starts = strategies.ends, strategies.starts
         skip = self.skip_rounds - base
         for k, (row, col) in self.spiral.positions.items():
             if k not in self.first_seen:
@@ -426,7 +424,7 @@ def run_separation(m: int, max_rounds: int, epsilon: float, rm_plus_max_rounds: 
         above += int(counts[top > epsilon].sum())
         reached = np.flatnonzero(top <= epsilon)
         if rm_rounds is None and len(reached):
-            rm_rounds = traces.rounds[int(counts[:reached[0]].sum())]
+            rm_rounds = traces.rounds[int(traces.starts[reached[0]])]
 
     start = time.perf_counter()
     walk = dyn.run(game, dyn.RunConfig(

@@ -352,14 +352,13 @@ def test_a_streamed_run_writes_the_bytes_of_the_whole_record(
                            "strategies": _sha256(streamed["jsonl"])}
 
 
-@pytest.mark.parametrize("per_round", [True, False], ids=["stepped", "jumped"])
+@pytest.mark.parametrize("per_round, rounds", [(True, 300), (False, 3_000)],
+                         ids=["stepped", "jumped"])
 def test_a_streamed_run_holds_no_more_for_ten_times_the_rounds(
-        per_round, tmp_path, capsys, monkeypatch):
+        per_round, rounds, tmp_path, capsys, monkeypatch):
     # chunks of 32 stretches, so that the stepped runs stream many chunks in
-    # a short test, and writes of at most 2 KiB, so that the repeated text
-    # of the jumped runs' long stretches fills a write in both runs
+    # a short test
     monkeypatch.setattr(dyn, "_CHUNK_ROWS", 32)
-    monkeypatch.setattr(dyn, "_BATCH_BYTES", 2048)
     if per_round:
         monkeypatch.setattr(dyn, "_REUSE_ENTRIES", 0)
 
@@ -382,8 +381,15 @@ def test_a_streamed_run_holds_no_more_for_ten_times_the_rounds(
         return used
 
     peak(30)  # first-call allocations
-    # the record alone would add about 270 B a round, 700 KB here
-    assert peak(3_000) - peak(300) < 32 * 1024
+    short = peak(rounds)
+    # the record alone would add about 270 B a round: 700 KB for the stepped
+    # runs, 7 MB for the jumped ones
+    assert peak(10 * rounds) - short < 32 * 1024
+    if not per_round:
+        # from 3,000 rounds on, the walk has a stretch whose repeated lines
+        # fill a write of _BATCH_BYTES; the 300-round walk has none so long,
+        # and holds less than those rounds by at most a few such writes
+        assert short - peak(300) < 4 * dyn._BATCH_BYTES
 
 
 def test_analyze_holds_no_more_for_ten_times_the_rounds(tmp_path, capsys, monkeypatch):

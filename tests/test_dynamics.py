@@ -437,10 +437,25 @@ def test_a_chunk_of_stretches_indexes_and_slices_by_round_without_expanding():
         [1.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.5, 0.5], [0.0, 1.0], [0.0, 1.0]]
     with pytest.raises(IndexError):
         rounds[10**12 + 5]
-    part = rounds[10**12 - 1:10**12 + 4:2]
-    assert part.counts is None and part.blocks[0].tolist() == [[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]]
+    assert rounds.ends.tolist() == [2, 10**12 + 2, 10**12 + 5]
+    assert rounds.starts.tolist() == [0, 2, 10**12 + 2]
+    # a step-1 slice is the stretches its rounds fall in, the first and last
+    # cut to them; any other step gives one row per round
+    part = rounds[1:10**12 + 3]
+    assert part.counts.tolist() == [1, 10**12, 1] and not part.counts.flags.writeable
+    assert part.blocks[0].tolist() == rows.tolist() and len(part) == 10**12 + 2
+    inside = rounds[5:-10]
+    assert inside.counts.tolist() == [10**12 - 10] and inside.blocks[0].tolist() == [[0.5, 0.5]]
+    assert rounds[3:3].counts.tolist() == [] and len(rounds[3:3]) == 0
+    assert rounds.counts.tolist() == [2, 10**12, 3]  # the cut counts are copies
+    stepped = rounds[10**12 - 1:10**12 + 4:2]
+    assert stepped.counts is None
+    assert stepped.blocks[0].tolist() == [[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]]
     small = dyn.Rounds([rows], np.array([2, 1, 3]))
-    assert small == small.expanded() and small[1:5] == small.expanded()[1:5]
+    assert small == small.expanded() and small.expanded().ends.tolist() == [1, 2, 3, 4, 5, 6]
+    for a in range(7):
+        for b in range(7):
+            assert small[a:b].expanded() == small.expanded()[a:b]
     assert small.expanded().blocks[0].tolist() == [rows[j].tolist() for j in (0, 0, 1, 2, 2, 2)]
     traces = dyn.Traces(np.arange(24.0).reshape(3, 8), np.eye(3, 2, dtype=bool),
                         range(5, 10**12 + 10), counts)
@@ -448,8 +463,9 @@ def test_a_chunk_of_stretches_indexes_and_slices_by_round_without_expanding():
     assert traces[-1].round == 10**12 + 9 and traces[-1].value == 23.0
     assert traces[1].updated == [True, False] and traces[2].updated == [False, True]
     cut = traces[1:4]
-    assert cut.rounds == range(6, 9) and cut.counts is None
-    assert cut.columns[:, 0].tolist() == [0.0, 8.0, 8.0]
+    assert cut.rounds == range(6, 9) and cut.counts.tolist() == [1, 2]
+    assert cut.columns[:, 0].tolist() == [0.0, 8.0]
+    assert cut.expanded().columns[:, 0].tolist() == [0.0, 8.0, 8.0]
 
 
 def test_play_history_holds_rounds_columns():
@@ -960,6 +976,14 @@ def _free_regret_that_lands_on_zero(kind, scheme):
         init_regrets=[np.array([1.0, start])])
 
 
+def _free_regret_that_overflows(kind, scheme):
+    # e_0 holds play while action 1's regret falls by -1e308 a round, to
+    # -inf from round 2 on under rm; rm+ keeps it at +0.0
+    return gm.GameSpec((2,), [np.array([0.0, -1e308])]), RunConfig(
+        scheme=scheme, kind=kind, max_rounds=300, init="custom",
+        init_regrets=[np.array([1.0, 0.0])])
+
+
 def _assert_same_bits(a, b):
     _assert_same_run(a, b)
     assert a.history == b.history
@@ -997,8 +1021,10 @@ def _both_paths(target, config, monkeypatch):
     _drifting_regrets,
     _positive_part_that_vanishes,
     _free_regret_that_lands_on_zero,
+    _free_regret_that_overflows,
 ], ids=["padded_m4", "padded_m6", "uniform_init_m6", "potential_3x16", "drifting_regrets",
-        "positive_part_that_vanishes", "free_regret_that_lands_on_zero"])
+        "positive_part_that_vanishes", "free_regret_that_lands_on_zero",
+        "free_regret_that_overflows"])
 def test_repeated_profiles_are_jumped_with_the_bits_of_single_steps(
         case, kind, scheme, monkeypatch):
     target, config = case(kind, scheme)
@@ -1130,6 +1156,11 @@ _ADVERSARIAL_ADDS = [
     # |r| at 2^53 and beyond, where the spacing is 2 or more
     (2.0 ** 53, 3.0), (2.0 ** 53 + 2, 1.0), (-2.0 ** 60, 300.0), (2.0 ** 70, -2.0 ** 17 * 3),
     (9e15, 0.7), (-9.1e15, -1.5),
+    # sums that overflow to an inf, which every later add keeps, and an inf
+    # or nan from the start
+    (1.7e308, 1e307), (-1.7e308, -1e307), (1.79e308, 2.0 ** 971), (-1.79e308, -2.0 ** 970 * 3),
+    (-1e308, -1e308), (math.inf, -1.0), (-math.inf, 1e308), (math.inf, -math.inf),
+    (1.0, math.inf), (1.0, math.nan),
 ]
 
 
@@ -1173,7 +1204,7 @@ def test_repeat_add_covers_many_rounds_per_binade():
 
 def test_repeat_row_adds_a_row_k_times_with_the_bits_of_sequential_adds():
     total, row = np.array([-0.0, 1e16, -3.0, 0.5]), np.array([-0.0, 1.0, 0.1, -1 / 3])
-    for k in (0, 1, dyn._ADD_ROUNDS, dyn._ADD_ROUNDS + 1, 500):
+    for k in (0, 1, 2, 33, 500):
         want = total.copy()
         for _ in range(k):
             want = want + row
@@ -1864,6 +1895,31 @@ def test_cce_replay_over_chunks_gives_the_bits_of_one_chunk(size):
     # with no checkpoints, the gap at the last round
     rounds, gaps = dyn.replay_cce(game, chunks())
     assert rounds == 4200 and list(gaps) == [4200] and _bits(gaps[4200]) == want[0]
+
+
+def test_cce_replay_of_a_chunk_of_stretches_costs_its_rows_not_its_rounds(monkeypatch):
+    game = gm.random_potential_game(2, (2, 2), seed=5)
+    rows = [np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]),
+            np.array([[0.0, 1.0], [0.25, 0.75], [1.0, 0.0]])]
+    chunk, T = dyn.Rounds(rows, np.array([2, 10**12, 3])), 10**12 + 5
+    slices, runs = [], dyn._runs
+    monkeypatch.setattr(dyn, "_runs", lambda part, counts: slices.append(len(counts))
+                        or runs(part, counts))
+    checkpoints = [1, 3, 10**12, T]
+    rounds, gaps = dyn.replay_cce(game, [chunk], checkpoints)
+    # one slice of the chunk's three rows, however many rounds they stand for
+    assert rounds == T and slices == [3]
+    few = dyn.PlayHistory(Scheme.SIMULTANEOUS, dyn.Rounds(rows, np.array([2, 1, 3])).expanded())
+    assert [_bits(gaps[t]) for t in (1, 3)] == [_bits(g) for g in dyn.cce_gaps(game, few, [1, 3])]
+    # a largest checkpoint inside the long stretch cuts it and drops the row after
+    rounds, cut = dyn.replay_cce(game, [chunk], [3, 10**12])
+    assert rounds == T and slices[-1] == 2
+    assert [_bits(cut[t]) for t in (3, 10**12)] == [_bits(gaps[t]) for t in (3, 10**12)]
+    # chunks cut from it anywhere give the same bits
+    for at in (1, 2, 3, 10**11, T - 3, T - 1):
+        rounds, split = dyn.replay_cce(game, [chunk[:at], chunk[at:]], checkpoints)
+        assert rounds == T and [_bits(split[t]) for t in checkpoints] == [
+            _bits(gaps[t]) for t in checkpoints]
 
 
 @pytest.mark.parametrize("size", [1, 7, 300])
