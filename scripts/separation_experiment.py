@@ -80,9 +80,16 @@ def main(argv=None) -> int:
     rm_round = sep.rm_rounds
     rm_label = str(rm_round) if rm_round is not None else f">{res.rounds}"
     print(f"\nrm rounds until nash_gap <= {ns.epsilon:.4g}: {rm_label}")
-    print(f"rm+ rounds until nash_gap <= {ns.epsilon:.4g}: {res_plus.rounds} "
-          f"(final gap {sep.contrast_gap:.3g}, converged={res_plus.converged})")
-    print(f"\nseparation ratio: {rm_label} / {res_plus.rounds} >= {sep.ratio:.0f}x")
+    if sep.contrast_reached:
+        print(f"rm+ rounds until nash_gap <= {ns.epsilon:.4g}: {res_plus.rounds} "
+              f"(final gap {sep.contrast_gap:.3g}, converged={res_plus.converged})")
+        print(f"\nseparation ratio: {rm_label} / {res_plus.rounds} >= {sep.ratio:.0f}x")
+    else:
+        # a run that stops on the gaps of its last alternating pass can end
+        # on a profile whose Nash gap is above the cutoff
+        print(f"rm+ did not reach nash_gap <= {ns.epsilon:.4g} in {res_plus.rounds} rounds "
+              f"(final gap {sep.contrast_gap:.3g}, stop reason {res_plus.stop_reason})")
+        print("\nno separation ratio: the rm+ contrast did not reach the cutoff")
     print(f"\nelapsed {elapsed:.2f} s; walk {res.rounds} rounds in {sep.walk_seconds:.2f} s "
           f"({rate:.3g} rounds/s); peak rss {peak_rss_mb:.1f} MB")
     print(f"walk: {sep.walk_stepped} rounds stepped, {sep.walk_stretches} stretches jumped")
@@ -95,8 +102,8 @@ def main(argv=None) -> int:
             "rm_rounds": rm_round,
             "rm_budget": res.rounds,
             "rm_plus_rounds": res_plus.rounds,
-            "rm_plus_converged": res_plus.converged,
-            "separation_ratio": sep.ratio,
+            "rm_plus_converged": sep.contrast_reached,
+            "separation_ratio": sep.ratio if sep.contrast_reached else None,
             "violations": list(report.violations),
             "phases": report.to_json_dict(),
             "elapsed_s": elapsed,

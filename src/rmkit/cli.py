@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -170,7 +171,8 @@ def _open_outputs(cfg: dict):
     temporary files are removed, so no partial file is left and earlier
     outputs at those paths keep their bytes.  A path that exists but is not a
     regular file, such as /dev/null, is opened directly (a directory then
-    fails at once)."""
+    fails at once).  The trace and the strategies are opened for bytes, which
+    their writers take, and the report for text."""
     paths = {key: cfg[key] for key in _OUTPUTS if cfg.get(key)}
     seen = {}
     for key, path in paths.items():
@@ -184,13 +186,15 @@ def _open_outputs(cfg: dict):
     files, temps = {}, {}
     try:
         for key, path in paths.items():
+            # the writers take bytes; the report is text
+            how = "w" if key == "report" else "wb"
             if os.path.exists(path) and not os.path.isfile(path):
-                files[key] = open(path, "w")
+                files[key] = open(path, how)
                 continue
             target = os.path.realpath(path)
             try:
                 fh = tempfile.NamedTemporaryFile(
-                    "w", dir=os.path.dirname(target),
+                    how, dir=os.path.dirname(target),
                     prefix=f".{os.path.basename(target)}.", suffix=".part", delete=False)
             except OSError as exc:
                 raise CliError(f"cannot write --{key} '{path}': {exc.strerror}") from exc
@@ -480,9 +484,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         return ns.func(ns)
     except (CliError, ValueError, OSError) as exc:

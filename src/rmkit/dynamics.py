@@ -116,20 +116,27 @@ line before but for the round number, each one row and a count.  The
 writers (``TraceCsvWriter``, ``StrategiesJsonlWriter``), ``replay_cce``
 and ``hard_instances.PhaseTracker`` take chunks in round order, from the
 reader or from a sink, and take their rows as they come: the writers
-format a row once and write its rounds as ``_numbered`` text, the replay
+format a row once and write its rounds as ``_numbered`` bytes, the replay
 folds a row once and adds it k times through ``_repeat_add``, and the
 tracker checks a row's supports once and places an onset at a stretch's
-first round.  None of them expands a stretch, so their cost, too, follows
-the stretches, except for the text of the two per-round outputs.  They take
-a kept record, one row per round, in the same way, merging a run of rows
-with equal bits into one stretch first.  Only running sums, onsets,
-dropped action sets, violations and round counters cross a chunk edge, so
-no output depends on where the chunks end.  ``write_trace_csv``,
-``write_strategies_jsonl``, ``read_strategies_jsonl`` and ``cce_gaps`` are
-the writers, the reader and the replay fed, or giving, one whole record.
-The reader reads the file's bytes through one handle and compares the
-bytes of the lines ahead with their ``_numbered`` text, seeking back where
-they differ.
+first round.  None of them expands a stretch.  They take a kept record, one
+row per round, in the same way, merging a run of rows with equal bits into
+one stretch first.  Only running sums, onsets, dropped action sets,
+violations and round counters cross a chunk edge, so no output depends on
+where the chunks end.  ``write_trace_csv``, ``write_strategies_jsonl``,
+``read_strategies_jsonl`` and ``cce_gaps`` are the writers, the reader and
+the replay fed, or giving, one whole record.
+
+Only the bytes of the two per-round outputs follow the rounds, and they too
+are built per stretch.  For each stretch and each digit count of its round
+numbers, ``_numbered`` fills one buffer of at most ``_BATCH_BYTES`` with the
+stretch's row text and the low digits of its round numbers, and each piece
+of the buffer then rewrites only the higher digits.  The writers take
+binary files and write those pieces as they are, with no decode and no
+encode.  The reader reads the file's bytes through one handle and compares
+the lines ahead, a piece at a time, with the pieces ``_numbered`` gives for
+the rounds to come; at a piece that differs it takes the whole lines before
+the first differing byte and reads on line by line.
 """
 
 from __future__ import annotations
@@ -477,17 +484,17 @@ _CHUNK_ROWS = 4096
 # work, and a 3 x 64 game's take 0.56 ms
 _REUSE_ENTRIES = 4096
 
-# at most this many bytes of repeated CSV rounds or JSONL lines go to one
-# write, and the JSONL reader checks at most this many at once: about 640
-# lines of the m=6 walk, so that their text takes ``_numbered``'s array fill
+# the bytes of ``_numbered``'s buffer, which it builds once per stretch and
+# digit count: at most this many bytes of repeated CSV rounds or JSONL lines
+# go to one write, and the JSONL reader checks at most this many at once
+# (about 640 lines of the m=6 walk)
 _BATCH_BYTES = 1 << 16
 
-# 10^18, ..., 10, 1: the digit columns of a round number, by integer division
-_POWERS_OF_TEN = 10 ** np.arange(18, -1, -1)
-
-# below this many rounds, joining each round's text beats the array fill's
-# fixed cost of about 12 us a call
-_FILL_ROUNDS = 100
+# below this many rounds of one digit count, joining each round's bytes
+# beats building ``_numbered``'s buffer: with timeit on a hard_walk CSV row
+# and JSONL line (2-core VM), the buffer takes 13-16 us for 1 to 10 rounds
+# against the join's 2-5 us, and the two cross at 70-85 rounds
+_FILL_ROUNDS = 80
 
 # the JSONL reader checks repeated lines in bulk once this many in a row
 # passed line by line, reading at most ``_BATCH_BYTES`` at a time
@@ -1000,31 +1007,71 @@ def _runs(columns, counts: np.ndarray):
     return first, np.add.reduceat(counts, first)
 
 
-def _numbered(parts, first: int, count: int) -> str:
-    """The text of rounds ``first`` to ``first + count - 1``, each
-    ``str(t).join(parts)``.  From ``_FILL_ROUNDS`` rounds on, the rounds of
-    one digit count are one uint8 array: the template row repeated, with the
-    digit columns filled in at once."""
-    if count < _FILL_ROUNDS:
-        return "".join([str(t).join(parts) for t in range(first, first + count)])
-    parts = [p.encode() for p in parts]
-    text = []
-    while count > 0:
+def _numbered(parts, first: int, count: int):
+    """The bytes of rounds ``first`` to ``first + count - 1``, each
+    ``b"%d" % t`` joined into the bytes ``parts``, as ``(rounds, piece)``
+    pairs in round order.  A piece holds whole rounds, at most
+    ``_BATCH_BYTES`` of them unless one round is longer.
+
+    The rounds of one digit count share a template: ``parts`` joined by that
+    many zeros.  Below ``_FILL_ROUNDS`` of them, each round's bytes are
+    joined; from there on ``_filled`` builds them in one buffer.
+    """
+    end = first + count
+    while first < end:
         d = len(str(first))
-        k = min(count, 10 ** d - first)
-        row = np.frombuffer((b"0" * d).join(parts), np.uint8)
-        rows = np.empty((k, len(row)), np.uint8)
-        rows[:] = row
-        digits = np.arange(first, first + k)[:, None] // _POWERS_OF_TEN[-d:]
+        stop = min(end, 10 ** d)
+        template = (b"0" * d).join(parts)
+        size = max(1, min(stop - first, _BATCH_BYTES // len(template)))
+        if stop - first < _FILL_ROUNDS:
+            for lo in range(first, stop, size):
+                hi = min(lo + size, stop)
+                yield hi - lo, b"".join([(b"%d" % t).join(parts) for t in range(lo, hi)])
+        else:
+            yield from _filled(parts, template, d, first, stop, size)
+        first = stop
+
+
+def _filled(parts, template: bytes, d: int, first: int, stop: int, size: int):
+    """``_numbered``'s pieces of rounds ``first`` to ``stop - 1``, all of d
+    digits, at most ``size`` rounds each.
+
+    One uint8 buffer holds n rows of the ``template``, n a multiple of the
+    largest power of ten p up to ``size`` (or, when ``size`` rounds are all
+    of them, n = ``size`` and p the next power of ten, at most 10^d), with
+    the low log10(p) digits of each round filled in once: every piece starts
+    at a round congruent to ``first`` modulo p, so those digits are the same
+    in each.  A piece then rewrites only the high digits, one slice per p
+    rows they stay on, and is a memoryview of the buffer, released when the
+    next piece is taken, so that no piece keeps a buffer alive past its
+    stretch.
+    """
+    whole = size == stop - first
+    p = min(10 ** (len(str(size)) - (not whole)), 10 ** d)
+    low, n, c = len(str(p)) - 1, size if whole else size // p * p, first % p
+    at = []  # where each round number starts in a row
+    for part in parts[:-1]:
+        at.append(len(part) + (at[-1] + d if at else 0))
+    buffer = np.empty(n * len(template), np.uint8)
+    rows = buffer.reshape(n, -1)
+    rows[:] = np.frombuffer(template, np.uint8)
+    if low:
+        # int32 holds them, for c + n < p + size <= 11 * _BATCH_BYTES
+        digits = (np.arange(c, c + n, dtype=np.int32)[:, None]
+                  // 10 ** np.arange(low - 1, -1, -1, dtype=np.int32))
         digits %= 10
         digits += 48
-        at = len(parts[0])
-        for part in parts[1:]:
-            rows[:, at:at + d] = digits
-            at += d + len(part)
-        text.append(rows.tobytes().decode())
-        first, count = first + k, count - k
-    return "".join(text)
+        for a in at:
+            rows[:, a + d - low:a + d] = digits
+    for s in range(first, stop, n):
+        m = min(n, stop - s)
+        # rows b - c to b - c + p - 1 are rounds s - c + b on, of one high part
+        for b in range(0, m + c, p):
+            high = np.frombuffer(b"%d" % ((s - c + b) // p), np.uint8)
+            for a in at:
+                rows[max(b - c, 0):b - c + p, a:a + d - low] = high
+        with memoryview(buffer)[:m * len(template)] as piece:
+            yield m, piece
 
 
 def _trace_lines(row, updated, n: int) -> List[str]:
@@ -1040,13 +1087,15 @@ def _trace_lines(row, updated, n: int) -> List[str]:
 
 
 class _RoundsWriter:
-    """The text of a run's rounds, fed chunk by chunk in round order.
+    """The text of a run's rounds, fed chunk by chunk in round order, as
+    bytes: ``fh`` is a binary file, such as ``open(path, "wb")`` gives.
 
     A chunk's rows are rounds or stretches of rounds.  ``_parts`` gives the
     text of each run of rows with equal bits (``_runs``), split at its round
-    numbers, once per ``_CHUNK_ROWS`` rows; the run's rounds reuse that text
-    under their own numbers, as ``_numbered`` text in writes of up to
-    ``_BATCH_BYTES``.  ``fh`` is an open text file.
+    numbers, once per ``_CHUNK_ROWS`` rows, and each run's parts are encoded
+    once.  A run of one round is written joined; the rounds of a longer run
+    are the pieces, of up to ``_BATCH_BYTES``, that ``_numbered`` builds for
+    the whole run from one buffer per digit count, each written as it is.
     """
 
     def __init__(self, fh):
@@ -1061,14 +1110,12 @@ class _RoundsWriter:
             new, runs = _runs(chunk, _row_counts(counts, start, stop))
             texts = self._parts([c[new].tolist() for c in chunk])
             for parts, k in zip(texts, runs.tolist()):
+                parts = [part.encode() for part in parts]
                 if k == 1:
-                    self._fh.write(str(first).join(parts))
+                    self._fh.write((b"%d" % first).join(parts))
                 else:
-                    # the longest round number sets the bytes of a round
-                    size = (len(parts) - 1) * len(str(first + k - 1)) + sum(map(len, parts))
-                    batch = max(1, _BATCH_BYTES // size)
-                    for lo in range(first, first + k, batch):
-                        self._fh.write(_numbered(parts, lo, min(batch, first + k - lo)))
+                    for _, piece in _numbered(parts, first, k):
+                        self._fh.write(piece)
                 first += k
 
 
@@ -1084,7 +1131,7 @@ class TraceCsvWriter(_RoundsWriter):
 
     def __init__(self, fh):
         super().__init__(fh)
-        fh.write(TRACE_HEADER + "\n")
+        fh.write(TRACE_HEADER.encode() + b"\n")
 
     def write(self, traces: Traces) -> None:
         rounds = traces.rounds
@@ -1124,14 +1171,48 @@ class StrategiesJsonlWriter(_RoundsWriter):
 
 def write_trace_csv(traces: Traces, path) -> None:
     """The whole trace as ``TraceCsvWriter`` writes it, to ``path``."""
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         TraceCsvWriter(fh).write(traces)
 
 
 def write_strategies_jsonl(history: PlayHistory, path) -> None:
     """The whole history as ``StrategiesJsonlWriter`` writes it, to ``path``."""
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         StrategiesJsonlWriter(fh).write(history)
+
+
+def _read_prefix(fh, piece) -> int:
+    """Read up to ``len(piece)`` bytes of the binary ``fh``: how many of them
+    from the start equal those of the buffer ``piece``."""
+    # a bytearray compares with a buffer by memcmp, copying neither
+    got = bytearray(len(piece))
+    read = fh.readinto(got)
+    if read == len(got) and got == piece:
+        return read
+    got, piece = np.frombuffer(got, np.uint8, read), np.frombuffer(piece, np.uint8, read)
+    for i in range(0, read, 4096):  # no temporary longer than that
+        diff = got[i:i + 4096] != piece[i:i + 4096]
+        if diff.any():
+            return i + int(diff.argmax())
+    return read
+
+
+def _read_numbered(fh, parts, first: int) -> int:
+    """How many of the lines ahead in the binary ``fh`` are rounds ``first``
+    on as ``_numbered`` gives them, compared a piece at a time for as many
+    rounds as the file may hold; ``fh`` is left after those lines.  The
+    piece that differs gives the whole lines before its first differing
+    byte."""
+    lines = 0
+    for k, piece in _numbered(parts, first, 1 << 62):
+        at = fh.tell()
+        same = _read_prefix(fh, piece)
+        if same < len(piece):
+            size = len(piece) // k
+            fh.seek(at + same // size * size)
+            return lines + same // size
+        lines += k
+    return lines
 
 
 def iter_strategies_jsonl(path):
@@ -1146,10 +1227,12 @@ def iter_strategies_jsonl(path):
     chunk, with the count of lines that read it in the chunk's ``counts``.
     A chunk is yielded once the line that opens the stretch after its last
     one is read, so an error in that line or a later one comes after it.
-    After ``_BULK_AFTER`` repeated lines in a row, the reader reads the
-    bytes of as many more lines as fit in ``_BATCH_BYTES`` at once and
-    compares them with those lines' ``_numbered`` text, each ending as the
-    line before did; on a miss it seeks back and reads on line by line.
+    After ``_BULK_AFTER`` repeated lines in a row, the reader compares the
+    bytes ahead with the lines the writer would write for the rounds to
+    come, each ending as the line before did: ``_numbered``'s pieces of up
+    to ``_BATCH_BYTES``, built once per stretch and compared as bytes
+    (``_read_numbered``).  At the first piece that differs it takes the
+    whole lines before the first differing byte and reads on line by line.
     """
     first = None  # the first line's number and block sizes
     # the chunk so far, one row per stretch and its count of lines, and the
@@ -1179,17 +1262,12 @@ def iter_strategies_jsonl(path):
             if rest is not None and line == head + rest:
                 run += 1
                 if run >= _BULK_AFTER:
-                    # the next k lines as the writer writes them, each ending
-                    # as this one did; on a miss, they are read line by line
-                    k = max(1, _BATCH_BYTES // (len(line) + 2))
-                    tail = (b", " + rest + raw[len(raw.rstrip()):]).decode()
-                    repeats = _numbered(['{"round": ', tail], t + 1, k).encode()
-                    at = fh.tell()
-                    if fh.read(len(repeats)) == repeats:
-                        t, line_no = t + k, line_no + k
-                    else:
-                        fh.seek(at)
-                        run = 0
+                    # the lines ahead as the writer writes them, each ending
+                    # as this one did, compared in bulk up to the first that
+                    # differs, which is read line by line
+                    tail = b", " + rest + raw[len(raw.rstrip()):]
+                    k = _read_numbered(fh, [b'{"round": ', tail], t + 1)
+                    t, line_no, run = t + k, line_no + k, 0
             else:
                 run = 0
                 # the lines since the last stretch repeat the last parsed one

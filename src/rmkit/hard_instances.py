@@ -399,6 +399,9 @@ class Separation:
     rounds_above: int  # walk rounds whose largest gap is above epsilon
     contrast: dyn.RunResult  # alternating rm+ from the same start
     contrast_gap: float  # Nash gap of the contrast's final profile
+    # the contrast stopped on its gaps and its final profile is epsilon-Nash:
+    # the gaps of its last alternating pass are measured before its steps
+    contrast_reached: bool
     ratio: float  # rm rounds (the whole walk if it never got there) per rm+ round
 
 
@@ -434,6 +437,7 @@ def run_separation(m: int, max_rounds: int, epsilon: float, rm_plus_max_rounds: 
         scheme="alternating", kind="rm+", epsilon=epsilon, max_rounds=rm_plus_max_rounds,
         init_strategies=init))
     rm_cost = rm_rounds if rm_rounds is not None else walk.rounds
+    contrast_gap = dyn.nash_gap(game, contrast.final_profile)
     return Separation(walk, walk_seconds, stepped, stretches, tracker.report(), rm_rounds, above,
-                      contrast, dyn.nash_gap(game, contrast.final_profile),
+                      contrast, contrast_gap, contrast.converged and contrast_gap <= epsilon,
                       rm_cost / max(contrast.rounds, 1))

@@ -175,6 +175,16 @@ def test_run_config_refuses_a_file_that_is_not_json(capsys, tmp_path):
     assert f"{cfg}: not valid JSON (" in _one_line_error(capsys)
 
 
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys):
+    parser = cli._parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("the parser was rebuilt"))
+    assert cli.main(["selftest", "--list"]) == 0
+    assert cli.main(["gen-hard", "--m", "4"]) == 0
+    assert cli.main(["analyze", "--strategies", "missing.jsonl", "--analyses", "x"]) == 1
+    assert cli._parser() is parser
+    capsys.readouterr()
+
+
 def test_the_run_flags_match_the_config_keys_and_the_readme():
     parser = cli._build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import tracemalloc
@@ -296,7 +297,7 @@ def test_writers_reuse_a_round_only_when_its_bits_repeat(tmp_path):
     # one writer fed a round at a time compares each round with the last one
     # written, by its bits
     streamed = tmp_path / "streamed.csv"
-    with open(streamed, "w") as fh:
+    with open(streamed, "wb") as fh:
         writer = dyn.TraceCsvWriter(fh)
         for t in range(len(traces)):
             writer.write(traces[t : t + 1])
@@ -310,7 +311,7 @@ def test_writers_reuse_a_round_only_when_its_bits_repeat(tmp_path):
     assert path.read_text().splitlines() == [
         json.dumps({"round": t, "blocks": blocks}) for t, blocks in enumerate(profiles, 1)]
     streamed = tmp_path / "streamed.jsonl"
-    with open(streamed, "w") as fh:
+    with open(streamed, "wb") as fh:
         writer = dyn.StrategiesJsonlWriter(fh)
         for t in range(history.rounds):
             writer.write(dyn.PlayHistory(Scheme.SIMULTANEOUS, history.strategies[t : t + 1]))
@@ -1356,7 +1357,7 @@ def test_every_sink_chunk_of_the_m6_walk_expands_to_the_per_round_reference(
     # stretches are the sink's strategies with each such round joined to
     # the stretch before it
     path = tmp_path / "walk.jsonl"
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         writer = dyn.StrategiesJsonlWriter(fh)
         for history, _ in jumped:
             writer.write(history)
@@ -1479,19 +1480,19 @@ def test_writers_fed_in_pieces_write_the_bytes_of_one_whole_write(tmp_path, monk
     monkeypatch.setattr(dyn, "_BATCH_BYTES", 500)
     pieces = {"csv": tmp_path / "pieces.csv", "jsonl": tmp_path / "pieces.jsonl"}
     csv_writes = []
-    with open(pieces["csv"], "w") as csv, open(pieces["jsonl"], "w") as jsonl:
+    with open(pieces["csv"], "wb") as csv, open(pieces["jsonl"], "wb") as jsonl:
         trace, strategies = dyn.TraceCsvWriter(csv), dyn.StrategiesJsonlWriter(jsonl)
         write = csv.write
-        csv.write = lambda text: csv_writes.append(text) or write(text)
+        csv.write = lambda piece: csv_writes.append(bytes(piece)) or write(piece)
         for a, b in zip(cuts, cuts[1:]):
             trace.write(res.traces[a:b])
             strategies.write(dyn.PlayHistory(Scheme.SIMULTANEOUS, res.history.strategies[a:b]))
     for kind in whole:
         assert pieces[kind].read_bytes() == whole[kind].read_bytes()
     # three lines per round; a write of several rounds stays within the batch
-    rounds_per_write = [text.count("\n") // 3 for text in csv_writes]
+    rounds_per_write = [piece.count(b"\n") // 3 for piece in csv_writes]
     assert max(rounds_per_write) >= 3 and len(csv_writes) < 300 // 2
-    assert all(len(text) <= 500 for text, k in zip(csv_writes, rounds_per_write) if k > 1)
+    assert all(len(piece) <= 500 for piece, k in zip(csv_writes, rounds_per_write) if k > 1)
     # each write formats the first row of each 7-row slice and every row whose
     # bits differ from the row before it, and reuses the text of the others
     def formats(traces):
@@ -1502,23 +1503,106 @@ def test_writers_fed_in_pieces_write_the_bytes_of_one_whole_write(tmp_path, monk
     assert len(formatted) == sum(formats(res.traces[a:b]) for a, b in zip(cuts, cuts[1:]))
 
 
-@pytest.mark.parametrize("parts", [
-    ["x"], ['{"round": ', ', "blocks": [[1.0]]}\n'],
-    ["", ",0,0.5,1\n", ",1,0.25,0\n", ",-1,0.5,1\n"], ["a", "", "bc", "\n"],
-], ids=["one_piece", "two_pieces", "csv_empty_first", "four_pieces"])
-def test_numbered_text_is_each_round_joined_into_its_parts(parts, monkeypatch):
-    def want(first, count):
-        return "".join(str(t).join(parts) for t in range(first, first + count))
+def _numbered_bytes(parts, first, count):
+    """``_numbered``'s pieces joined, checking that their round counts add
+    up and that a piece is at most ``_BATCH_BYTES`` unless it is one round."""
+    pieces = [(k, bytes(piece)) for k, piece in dyn._numbered(parts, first, count)]
+    assert sum(k for k, _ in pieces) == count
+    assert all(len(piece) <= dyn._BATCH_BYTES or k == 1 for k, piece in pieces)
+    return b"".join(piece for _, piece in pieces)
 
-    # the array fill for every count, then for long stretches only
+
+def _joined(parts, first, count):
+    return b"".join(str(t).encode().join(parts) for t in range(first, first + count))
+
+
+@pytest.mark.parametrize("parts", [
+    [b"x"], [b'{"round": ', b', "blocks": [[1.0]]}\n'],
+    [b"", b",0,0.5,1\n", b",1,0.25,0\n", b",-1,0.5,1\n"], [b"a", b"", b"bc", b"\n"],
+    [b'{"round": ', b', "blocks": [[1.0]]}\r\n'],
+], ids=["one_piece", "two_pieces", "csv_empty_first", "four_pieces", "crlf"])
+def test_numbered_text_is_each_round_joined_into_its_parts(parts, monkeypatch):
+    # the buffer for every count, then for long stretches only
     for fill_rounds in (1, dyn._FILL_ROUNDS):
         monkeypatch.setattr(dyn, "_FILL_ROUNDS", fill_rounds)
         for edge in (10 ** d for d in range(1, 7)):  # 9 -> 10 up to 999,999 -> 1,000,000
             for first, count in ((edge - 1, 1), (edge, 1), (edge - 1, 2), (edge - 5, 12)):
-                assert dyn._numbered(parts, first, count) == want(first, count)
+                assert _numbered_bytes(parts, first, count) == _joined(parts, first, count)
         # counts that span two edges: 9 -> 10 -> 100, 999 -> 1,000 -> 10,000
         for first, count in ((8, 95), (1, 100), (998, 9_010)):
-            assert dyn._numbered(parts, first, count) == want(first, count)
+            assert _numbered_bytes(parts, first, count) == _joined(parts, first, count)
+
+
+@pytest.mark.parametrize("parts", [
+    [b'{"round": ', b', "blocks": [[0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]}\n'],
+    [b"", b",0,0.5,1,2,0.25,1\n", b",1,0.25,0,2,0.25,0\n", b",-1,0.5,1,2,0.25,1\n"],
+    [b'{"round": ', b', "blocks": [[0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]}\r\n'],
+], ids=["jsonl", "csv", "crlf"])
+def test_numbered_pieces_rewrite_the_high_digits_across_their_edges(parts):
+    # the buffer's low digits are filled once per stretch; a piece rewrites
+    # the rest, whose edges fall inside pieces and between them, from every
+    # first round modulo the buffer's power of ten
+    edges = (2_000, 13_000, 100_000)
+    for edge in edges:
+        for first in (edge - 1, edge - 37, edge - 999, edge - 1_000, edge - 1_234):
+            for count in (1_500, 3_000, 7_777):
+                assert _numbered_bytes(parts, first, count) == _joined(parts, first, count)
+    # one stretch across all of them, in one call
+    assert _numbered_bytes(parts, 1_999, 98_005) == _joined(parts, 1_999, 98_005)
+
+
+@pytest.mark.parametrize("count", [1, 2, 150])
+def test_a_numbered_round_longer_than_a_batch_is_a_piece_of_its_own(count):
+    parts = [b"<", b"x" * (dyn._BATCH_BYTES + 5), b">\n"]
+    pieces = [(k, bytes(piece)) for k, piece in dyn._numbered(parts, 9_990, count)]
+    assert [k for k, _ in pieces] == [1] * count
+    assert b"".join(piece for _, piece in pieces) == _joined(parts, 9_990, count)
+
+
+def test_a_numbered_piece_is_released_when_the_next_is_taken():
+    # a piece is a view of the stretch's buffer: kept past the next one, it
+    # refuses to be read rather than give another piece's bytes
+    parts = [b'{"round": ', b', "blocks": [[1.0]]}\n']
+    pieces = dyn._numbered(parts, 1_000, 5_000)
+    k, kept = next(pieces)
+    assert bytes(kept) == _joined(parts, 1_000, k)
+    next(pieces)
+    with pytest.raises(ValueError, match="released"):
+        bytes(kept)
+
+
+class _Recorder(io.BytesIO):
+    """A binary file in memory that keeps a copy of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, piece):
+        self.writes.append(bytes(piece))
+        return super().write(piece)
+
+
+def test_writes_of_a_long_walk_hold_at_most_a_batch_unless_one_round_is_longer(tmp_path):
+    res = dyn.run(*_padded_m6(62_000))
+    for writer, write, record, lines in (
+            (dyn.TraceCsvWriter, dyn.write_trace_csv, res.traces, 3),
+            (dyn.StrategiesJsonlWriter, dyn.write_strategies_jsonl, res.history, 1)):
+        fh = _Recorder()
+        writer(fh).write(record)
+        write(record, tmp_path / "whole")
+        assert fh.getvalue() == (tmp_path / "whole").read_bytes()
+        assert max(map(len, fh.writes)) > dyn._BATCH_BYTES // 2
+        assert all(len(piece) <= dyn._BATCH_BYTES or piece.count(b"\n") == lines
+                   for piece in fh.writes)
+    # three equal rounds of a trace whose round is longer than a batch are
+    # three writes after the header
+    players = 4_000
+    fh = _Recorder()
+    dyn.TraceCsvWriter(fh).write(dyn.Traces(np.zeros((3, 3 * players + 2)),
+                                            np.ones((3, players), bool)))
+    assert len(fh.writes) == 4
+    assert all(len(piece) > dyn._BATCH_BYTES for piece in fh.writes[1:])
 
 
 def test_the_trace_writer_refuses_rounds_that_are_not_consecutive(tmp_path):
@@ -1555,7 +1639,7 @@ def test_repeated_rounds_across_digit_edges_write_the_bytes_of_each_line(tmp_pat
         for i in range(2)))
     path = tmp_path / "strategies.jsonl"
     cuts = [0, 9_997, 10_002, 50_000, 99_998, 100_001, rounds]
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         writer = dyn.StrategiesJsonlWriter(fh)
         for a, b in zip(cuts, cuts[1:]):
             writer.write(dyn.PlayHistory(Scheme.SIMULTANEOUS, history.strategies[a:b]))
@@ -1640,11 +1724,14 @@ def test_the_reader_reads_stretches_of_each_length_around_the_bulk_check(tmp_pat
 
 def test_a_crlf_recording_reads_with_the_bits_and_the_bulk_checks_of_the_lf_one(
         tmp_path, monkeypatch):
-    checks, numbered_text = [], dyn._numbered
+    checks, numbered_bytes = [], dyn._numbered
 
     def numbered(parts, first, count):
-        checks.append((parts[1][-2:], first, count))
-        return numbered_text(parts, first, count)
+        # each piece the reader compares: its line ending, first round and rounds
+        for k, piece in numbered_bytes(parts, first, count):
+            checks.append((parts[1][-2:], first, k))
+            first += k
+            yield k, piece
 
     monkeypatch.setattr(dyn, "_numbered", numbered)
     text, _ = _edited_recording(None, 1)
@@ -1657,24 +1744,55 @@ def test_a_crlf_recording_reads_with_the_bits_and_the_bulk_checks_of_the_lf_one(
         assert crlf.tobytes() == lf.tobytes()
     # the CRLF lines are checked in the same bulk reads, each ending in CRLF;
     # a miss would start the next check 64 lines later
-    lf = [(first, count) for end, first, count in checks if end == "}\n"]
-    crlf = [(first, count) for end, first, count in checks if end == "\r\n"]
+    lf = [(first, count) for end, first, count in checks if end == b"}\n"]
+    crlf = [(first, count) for end, first, count in checks if end == b"\r\n"]
     assert crlf == lf and len(crlf) + len(lf) == len(checks)
     assert sum(count for _, count in crlf) > 9_500
 
 
+def test_the_reader_s_windows_cross_the_high_digit_edges_inside_and_between_them(tmp_path,
+                                                                               monkeypatch):
+    # stretches of rounds 1-1,500, 1,501-11,000 and 11,001-100,500: the
+    # bulk windows of the second and third start off the buffer's power of
+    # ten, so that 1,999 -> 2,000 and 12,999 -> 13,000 fall inside a window,
+    # and 99,999 -> 100,000, a digit edge, between two
+    profiles = [[[1.0, 0.0], [0.25, 0.75]], [[0.5, 0.5], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]]
+    which = [0] * 1_500 + [1] * 9_500 + [2] * 89_500
+    path = tmp_path / "walk.jsonl"
+    path.write_text("".join(json.dumps({"round": t, "blocks": profiles[i]}) + "\n"
+                            for t, i in enumerate(which, 1)))
+    windows, numbered_bytes = [], dyn._numbered
+
+    def numbered(parts, first, count):
+        for k, piece in numbered_bytes(parts, first, count):
+            windows.append(range(first, first + k))
+            first += k
+            yield k, piece
+
+    monkeypatch.setattr(dyn, "_numbered", numbered)
+    got = list(dyn.iter_strategies_jsonl(path))
+    assert len(got) == 1 and got[0].counts.tolist() == [1_500, 9_500, 89_500]
+    for i, block in enumerate(got[0].blocks):
+        assert block.tolist() == [p[i] for p in profiles]
+    assert any(1_999 in w and 2_000 in w for w in windows)
+    assert any(12_999 in w and 13_000 in w for w in windows)
+    assert any(w.stop == 100_000 for w in windows) and any(w.start == 100_000 for w in windows)
+
+
 def test_the_reader_checks_a_walk_s_repeated_lines_with_the_array_fill(tmp_path, monkeypatch):
     # a window holds enough of the m=6 walk's lines, about 100 bytes each,
-    # for ``_numbered`` to build their text as one array
+    # for ``_numbered`` to build them in its buffer
     target, config = _padded_m6(20_000)
     res = dyn.run(target, config)
     path = tmp_path / "walk.jsonl"
     dyn.write_strategies_jsonl(res.history, path)
-    counts, numbered_text = [], dyn._numbered
+    counts, numbered_bytes = [], dyn._numbered
 
     def numbered(parts, first, count):
-        counts.append(count)
-        return numbered_text(parts, first, count)
+        # the rounds of each piece the reader compares
+        for k, piece in numbered_bytes(parts, first, count):
+            counts.append(k)
+            yield k, piece
 
     monkeypatch.setattr(dyn, "_numbered", numbered)
     got = dyn.read_strategies_jsonl(path)

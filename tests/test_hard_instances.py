@@ -422,6 +422,34 @@ def test_the_separation_script_reports_its_scheme_time_and_memory(tmp_path, caps
         script.parse_args(["--scheme", "lazy"])
 
 
+def test_the_separation_script_gives_no_ratio_when_the_contrast_ends_off_the_cutoff(
+        tmp_path, capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        "separation_experiment.py")
+    spec = importlib.util.spec_from_file_location("separation_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    # at m=10 alternating rm+ stops on the gaps of its last pass, measured
+    # before its steps leave the pure profile (6, 6), whose Nash gap is 1
+    sep = hard.run_separation(10, 200_000, 1.0 / 14.0, 10_000)
+    assert sep.contrast.converged and sep.contrast_gap == 1.0
+    assert not sep.contrast_reached
+    out = tmp_path / "sep.json"
+    assert script.main(["--m", "10", "--json", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert (f"rm+ did not reach nash_gap <= 0.07143 in {sep.contrast.rounds} rounds "
+            f"(final gap 1, stop reason converged)") in printed
+    assert "no separation ratio" in printed
+    assert not re.search(r"^separation ratio:", printed, re.M)
+    payload = json.loads(out.read_text())
+    assert payload["rm_plus_converged"] is False and payload["separation_ratio"] is None
+    # at m=6 the contrast ends on a 1/14-Nash profile, and the ratio stands
+    assert script.main(["--m", "6", "--json", str(out)]) == 0
+    assert "separation ratio: >200000 / " in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["rm_plus_converged"] is True and payload["separation_ratio"] > 100
+
+
 # ---------------------------------------------------------------------------
 # long walks: the jump at scale, and the first visits with and without
 # alternation
