@@ -132,11 +132,10 @@ def _load_target(cfg: dict):
 
 
 def _final_gaps(target, profile):
-    _, grad, value, _ = dyn._gradient_and_value(target)
-    gaps = [
-        ob.br_gap(grad(profile, i), profile[i]) for i in range(len(profile))
-    ]
-    val = value(profile)
+    with gm.Lane() as lane:
+        _, _, folds, _ = dyn._gradient_and_value(target, lane)
+        us, val = folds(profile, range(len(profile)))
+    gaps = [ob.br_gap(u, x) for u, x in zip(us, profile)]
     return gaps, (None if math.isnan(val) else val)
 
 

@@ -28,14 +28,32 @@ the result.
 Block gradients and the value come from the hoisted pair of the
 ``games.BlockGradients`` kernel for a game, and for an objective whose
 ``block_gradient`` is that kernel; its ``value`` comes from the pair too
-when it is the kernel's own.  The pair folds the tensor that blocks and the value share against the last
-block's strategy once per bits of it, so a round of a 3-block multilinear
-objective whose first two axes hold a multiple of 4 rows reads its
-potential twice, not four times; the other blocks fold axis-moved copies
-made once per run and dropped with it.  Any other gradient or value
-callable, a wrapped or rescaled one included, is called per call.
-``replay_cce`` replays a recording once for any number of checkpoints, and
-folds a recorded profile only where its bits differ from the round before.
+when it is the kernel's own.  The pair folds the tensor that blocks and
+the value share against the last block's strategy once per bits of it, so a
+round of a 3-block multilinear objective whose first two axes hold a
+multiple of 4 rows reads its potential twice, not four times; the other
+blocks fold axis-moved copies made once per run and dropped with it.  Any
+other gradient or value callable, a wrapped or rescaled one included, is
+called per call.  ``replay_cce`` replays a recording once for any number of
+checkpoints, and folds a recorded profile only where its bits differ from
+the round before.
+
+A round's folds of one profile are one call, the pair's ``folds``: at the
+end of a round it gives the round's value and what the next round observes
+at the same profile, every block's gradient under the simultaneous scheme
+and block 0's under the alternating ones.  ``replay_cce`` folds each
+recorded profile, and ``rmkit run`` the final one, the same way.  Each of
+them owns a ``games.Lane``, a second thread that starts at its first task
+and is joined when the run or the replay ends, however it ends.  ``folds``
+hands the lane about half of the full-tensor folds that are due once those
+read at least ``games._LANE_ENTRIES`` tensor entries in all, and keeps
+every fold that makes or reads the shared partial on one lane.  A fold is
+the same single-threaded call on the same inputs on either thread, so a
+record has the bits of a serial run.  On a 3 x 64 game a simultaneous
+round's four folds take about 0.35 ms on one thread and 0.20 ms on two (a
+2-core VM); the hard instances and every game under the gate never start
+the thread.  A gradient or value callable that is not the kernel's runs on
+the caller's thread only, and so does everything else in the run.
 
 One rule decides what a repeated round may skip.  It applies when the
 gradient and the value both come from the kernel's pair, functions of the
@@ -83,9 +101,9 @@ jump are tested against, bit for bit.  The limit keeps a large tensor on it:
 up to the limit a round's folds cost about what the loop's own work costs,
 but past it they are most of a round, and skipping them would make a run's
 time follow the round at which its play settles.  500 rounds of simultaneous
-rm+ on seeded 3 x 64 potential games took 0.05-0.56 s by seed with the
-reuse, against 0.46-0.54 s with every round folded (seeds 1-10, as a game
-and as an objective, on a 2-core VM).
+rm+ on seeded 3 x 64 potential games took 0.01-0.24 s by seed with the
+reuse, against 0.21-0.25 s with every round folded (seeds 1-10, as a game
+and as an objective, folding on two lanes, on a 2-core VM).
 
 The record a run returns is float64 columns, not per-round objects: per
 block the entering strategies and the observed gradients (``Rounds``), and
@@ -154,7 +172,7 @@ import numpy as np
 
 from . import learners as ln
 from . import objectives as obj_mod
-from .games import BlockGradients, GameSpec, _check_profile, utility_vector
+from .games import BlockGradients, GameSpec, Lane, _check_profile, utility_vector
 from .games import mixed_potential  # noqa: F401  (perfbench/tracing.py wraps this attribute)
 from .objectives import ObjectiveHandle, br_gap
 
@@ -414,23 +432,29 @@ class RunResult:
         return self.stop_reason == "converged"
 
 
-def _gradient_and_value(target):
-    """``(block sizes, gradient, value, folded)``: ``folded`` says both come
-    from the kernel's hoisted pair, so both are functions of the profile alone."""
+def _gradient_and_value(target, lane=None):
+    """``(block sizes, gradient, folds, folded)``: ``folds(profile, blocks)``
+    gives ``gradient(profile, i)`` for each block in ``blocks`` and the value
+    at ``profile``; ``folded`` says both come from the kernel's hoisted pair,
+    so both are functions of the profile alone, and only then may ``folds``
+    hand folds to ``lane``."""
     # a gradient kernel moves its axes once, here, and the copies end with the run
     if isinstance(target, GameSpec):
-        grad, value = BlockGradients(target.utilities, target.potential).hoisted()
-        return tuple(target.action_counts), grad, value, True
+        grad, folds = BlockGradients(target.utilities, target.potential).hoisted(lane)
+        return tuple(target.action_counts), grad, folds, True
     if isinstance(target, ObjectiveHandle):
-        grad, value = target.block_gradient, target.value
-        folded = False
+        sizes, grad, value = tuple(target.domain.block_sizes), target.block_gradient, target.value
         if isinstance(grad, BlockGradients):
             # the kernel's gradient is hoisted; its value only when it is the
             # kernel's own, for any other value is called as given
-            folded = value == grad.value
-            grad, hoisted_value = grad.hoisted()
-            value = hoisted_value if folded else value
-        return tuple(target.domain.block_sizes), grad, value, folded
+            if value == grad.value:
+                return (sizes, *grad.hoisted(lane), True)
+            grad = grad.hoisted()[0]
+
+        def folds(profile, blocks):
+            return [grad(profile, i) for i in blocks], value(profile)
+
+        return sizes, grad, folds, False
     raise TypeError(f"cannot run on {type(target).__name__}")
 
 
@@ -481,7 +505,7 @@ _CHUNK_ROWS = 4096
 # the most profiles (tensor entries) for which a repeated round reuses the
 # kernel's observations and value, and repeated rounds are jumped: up to
 # 16^3, a round's folds take 10-30 us on a 2-core VM, about the loop's own
-# work, and a 3 x 64 game's take 0.56 ms
+# work, and a 3 x 64 game's take 0.35 ms, 0.20 ms on two lanes
 _REUSE_ENTRIES = 4096
 
 # the bytes of ``_numbered``'s buffer, which it builds once per stretch and
@@ -625,9 +649,14 @@ def run(
     ``_CHUNK_ROWS`` stretches of the record, as rows and their counts, in
     round order once the next stretch opens, and with the stretches left
     over when the run ends; the result then keeps an empty record (see the
-    module docstring).
+    module docstring).  A lane the run starts for its folds ends with it.
     """
-    sizes, grad, value, folded = _gradient_and_value(target)
+    with Lane() as lane:
+        return _run(target, config, progress, sink, lane)
+
+
+def _run(target, config: RunConfig, progress, sink, lane: Lane) -> RunResult:
+    sizes, grad, folds, folded = _gradient_and_value(target, lane)
     states = _initial_states(target, sizes, config)
     n = len(sizes)
     eps = config.epsilon
@@ -658,9 +687,15 @@ def run(
         l2.append(math.sqrt(theta.dot(theta)))
     played = list(profile)
 
+    # the blocks that observe the profile a round enters with, and what they
+    # observe there when the round before folded it with its value
+    first = range(n) if simultaneous else range(1)
+    ahead = [None] * n
+
     def observe(i):
         # a block gradient is outside input: check it every round
-        u = np.asarray(grad(profile, i), dtype=np.float64)
+        u, ahead[i] = ahead[i], None
+        u = np.asarray(grad(profile, i) if u is None else u, dtype=np.float64)
         if u.shape != shapes[i]:
             raise ValueError(f"block {i} gradient has shape {u.shape}, want {shapes[i]}")
         if not np.isfinite(u).all():
@@ -771,11 +806,17 @@ def run(
             l1[i] = total
             l2[i] = math.sqrt(theta.dot(theta))
 
+        stop = eps is not None and all(gap <= eps for gap in gaps)
         if t == 0 or not (reuse and kept):
-            v = value(profile)
+            # one call folds the value and, unless the run ends or the next
+            # round reuses this one's, what the next round observes first:
+            # the profile it enters with is this one
+            blocks = () if stop or t + 1 == config.max_rounds or reuse and kept else first
+            us, v = folds(profile, blocks)
+            ahead[:len(us)] = us
         row = trace_row(*gaps, float(sum(gaps)), *l2, *l1, v)
         append()
-        if eps is not None and all(gap <= eps for gap in gaps):
+        if stop:
             stop_reason = "converged"
             break
         if jump and kept:
@@ -922,7 +963,6 @@ def replay_cce(game: GameSpec, chunks, checkpoints=None):
     sums, sequential adds, do not depend on where a chunk or a stretch ends.
     """
     n = game.num_players
-    grad, _ = BlockGradients(game.utilities).hoisted()
     wanted = None if checkpoints is None else sorted(set(checkpoints))
     last = None if checkpoints is None else max(checkpoints, default=0)
     gaps = {}
@@ -936,36 +976,39 @@ def replay_cce(game: GameSpec, chunks, checkpoints=None):
         return max(float(sums[a:b].max() - sums[edges[-1] + i]) / T
                    for i, (a, b) in enumerate(blocks))
 
-    done = 0
-    for chunk in chunks:
-        if not done:
-            # every round has the block sizes of the first, so one check covers them
-            _check_profile(game.action_counts, [b[0] for b in chunk.blocks])
-        # the rounds up to the largest checkpoint, the last stretch cut to them
-        rounds = len(chunk)
-        if last is not None and last - done < rounds:
-            chunk = chunk[:max(last - done, 0)]
-        at = done
-        for start, stop in _chunks(len(chunk.blocks[0]) if chunk.blocks else 0):
-            part = [b[start:stop] for b in chunk.blocks]
-            # a profile with the bits of the one before folds to the same row,
-            # so each stretch folds once (``_runs`` compares bits, unlike
-            # ``==``, which equates -0.0 with 0.0 and never a nan with itself)
-            first, stretches = _runs(part, _row_counts(chunk.counts, start, stop))
-            folded = np.empty((len(first), len(total)))
-            for row, t in enumerate(first.tolist()):
-                profile = [b[t] for b in part]
-                for i, (a, b) in enumerate(blocks):
-                    u = folded[row, a:b] = grad(profile, i)
-                    folded[row, edges[-1] + i] = profile[i] @ u
-            end = at + int(stretches.sum())
-            here = []
-            while wanted and wanted[0] <= end:
-                here.append(wanted.pop(0))
-            sums, total = _stretch_sums(folded, stretches, total, [T - at for T in here])
-            gaps.update((T, gap(row, T)) for T, row in zip(here, sums))
-            at = end
-        done += rounds
+    with Lane() as lane:
+        _, folds = BlockGradients(game.utilities).hoisted(lane)
+        done = 0
+        for chunk in chunks:
+            if not done:
+                # every round has the block sizes of the first, so one check covers them
+                _check_profile(game.action_counts, [b[0] for b in chunk.blocks])
+            # the rounds up to the largest checkpoint, the last stretch cut to them
+            rounds = len(chunk)
+            if last is not None and last - done < rounds:
+                chunk = chunk[:max(last - done, 0)]
+            at = done
+            for start, stop in _chunks(len(chunk.blocks[0]) if chunk.blocks else 0):
+                part = [b[start:stop] for b in chunk.blocks]
+                # a profile with the bits of the one before folds to the same row,
+                # so each stretch folds once (``_runs`` compares bits, unlike
+                # ``==``, which equates -0.0 with 0.0 and never a nan with itself)
+                first, stretches = _runs(part, _row_counts(chunk.counts, start, stop))
+                folded = np.empty((len(first), len(total)))
+                for row, t in enumerate(first.tolist()):
+                    profile = [b[t] for b in part]
+                    us, _ = folds(profile, range(n))
+                    for i, ((a, b), u) in enumerate(zip(blocks, us)):
+                        folded[row, a:b] = u
+                        folded[row, edges[-1] + i] = profile[i] @ u
+                end = at + int(stretches.sum())
+                here = []
+                while wanted and wanted[0] <= end:
+                    here.append(wanted.pop(0))
+                sums, total = _stretch_sums(folded, stretches, total, [T - at for T in here])
+                gaps.update((T, gap(row, T)) for T, row in zip(here, sums))
+                at = end
+            done += rounds
     if checkpoints is None and done:
         gaps[done] = gap(total, done)
     return done, gaps

@@ -9,7 +9,9 @@ trailing axes from the last one down: an expected utility vector folds the
 player's tensor with its own axis moved to the front, a multilinear value
 folds every axis.  ``BlockGradients`` moves the axes for block gradients:
 per call for one-off callers, once per run for a round loop, which also
-folds a shared tensor's last axis once for its blocks and the value.
+folds a shared tensor's last axis once for its blocks and the value, and on
+a large tensor runs about half of a profile's folds on a ``Lane``, a second
+thread, with the bits of one.
 Contracting in a fixed order keeps runs reproducible and makes equal inputs
 give bitwise-equal outputs on permutation-symmetric tensors, which the
 symmetric-game diagnostics rely on.
@@ -18,6 +20,8 @@ symmetric-game diagnostics rely on.
 from __future__ import annotations
 
 import json
+import queue
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -100,6 +104,69 @@ def own_axis_first(tensor: np.ndarray, player: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(tensor, player, 0) if player else tensor)
 
 
+# the fewest tensor entries, summed over the folds it would hand over, for
+# which ``BlockGradients.hoisted``'s ``folds`` uses its lane: below that, the
+# round trip and the waits for the interpreter lock cost more than the
+# second core saves.
+# Per call with a new last strategy (median of 300 calls, 1 OpenBLAS thread,
+# 2-core VM), serial against two lanes: three blocks and a value on 3 x m^3
+# tensors, two folds to the lane, took 68 vs 92 us at m = 40 (2 x 64,000
+# entries), 98 vs 81 us at 43 (2 x 79,507) and 348 vs 204 us at 64; one fold
+# to the lane, 75 vs 84 us at 50 (125,000), 100 vs 88 us at 54 (157,464) and
+# 175 vs 131 us at 64.  A task's round trip through the lane's queue takes
+# 12 us, against 23 us through ``ThreadPoolExecutor.submit``
+_LANE_ENTRIES = 150_000
+
+
+class Lane:
+    """A second thread for folds, owned by the code that makes it.
+
+    The thread starts at the first task and takes tasks one at a time from a
+    ``queue.SimpleQueue``; ``close``, or leaving a ``with`` block, ends and
+    joins it, and a later task starts another.
+    """
+
+    def __init__(self):
+        self._thread = self._tasks = self._done = None
+
+    def start(self, task) -> None:
+        """Run ``task()`` on the lane; ``wait`` waits for it."""
+        if self._thread is None:
+            self._tasks, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+            self._thread = threading.Thread(target=_work, args=(self._tasks, self._done),
+                                            name="rmkit-lane", daemon=True)
+            self._thread.start()
+        self._tasks.put(task)
+
+    def wait(self) -> None:
+        """Wait for the task started last, and raise what it raised."""
+        exc = self._done.get()
+        if exc is not None:
+            raise exc
+
+    def close(self) -> None:
+        if self._thread is not None:
+            self._tasks.put(None)
+            self._thread.join()
+            self._thread = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def _work(tasks, done) -> None:
+    for task in iter(tasks.get, None):
+        try:
+            task()
+        except BaseException as exc:  # ``wait`` raises it on the caller's thread
+            done.put(exc)
+        else:
+            done.put(None)
+
+
 class BlockGradients:
     """The block gradients of one tensor per block, and a multilinear value,
     through one kernel.
@@ -109,8 +176,10 @@ class BlockGradients:
     against the whole profile, and is nan without one.  A call moves the axis
     itself and keeps nothing, so a handle holding the kernel holds no copy.
 
-    A round loop takes ``hoisted()``, a ``(grad, value)`` pair of closures
-    that keep what they make only as long as they live.  The blocks before
+    A round loop takes ``hoisted(lane)``, a ``(grad, folds)`` pair of
+    closures that keep what they make only as long as they live;
+    ``folds(profile, blocks)`` gives ``grad(profile, i)`` for each block in
+    ``blocks`` and the value at ``profile``, in one call.  The blocks before
     the last whose tensor is block 0's, and the value when ``potential`` is
     that tensor too, all start by folding its last axis against the last
     block's strategy; the pair makes that partial once per bits of the
@@ -123,6 +192,16 @@ class BlockGradients:
     count is a multiple of 4, where its bits were a call's in all 308 random
     shapes tried (OpenBLAS 0.3.31, Haswell, 1 and 2 threads), against 31
     mismatches in 229 other shapes, (7, 9, 17) among them.
+
+    Given a ``Lane``, ``folds`` runs half of the full-tensor folds due, rounded
+    down, on it while the caller's thread runs the rest, once those read at
+    least ``_LANE_ENTRIES`` tensor entries in all.  The folds due are the
+    partial when its key changed, each block that folds a moved copy, and
+    the value when it folds ``potential`` apart from the partial.  Every
+    user of the partial runs on one lane, so one thread makes it and reads
+    it.  Each fold is the same call on the same inputs on either thread, so
+    it has the same bits; the lane gains because gemv releases the
+    interpreter lock while it reads the tensor.
     """
 
     def __init__(self, tensors, potential: Optional[np.ndarray] = None):
@@ -137,7 +216,7 @@ class BlockGradients:
             return float("nan")
         return mixed_tensor_value(self.potential, profile)
 
-    def hoisted(self):
+    def hoisted(self, lane: Optional[Lane] = None):
         n, shared = len(self.tensors), self.tensors[0]
         # gemv gives a row the same bits wherever it sits only when it takes
         # every row four at a time, so a middle block shares only then
@@ -170,7 +249,47 @@ class BlockGradients:
                 return float(fold(partial(profile), profile[:-1]))
             return self.value(profile)
 
-        return grad, value
+        shares = [*sharing, value_shares]  # per block, then the value's, at n
+        # the fewest full-tensor folds worth handing to the lane
+        least = float("inf") if lane is None else -(-_LANE_ENTRIES // shared.size)
+
+        def folds(profile, blocks):
+            jobs = [*blocks, n]  # n stands for the value
+            out = [None] * len(jobs)
+
+            def fill(part):
+                for k in part:
+                    i = jobs[k]
+                    out[k] = value(profile) if i == n else grad(profile, i)
+
+            there = []
+            if len(jobs) >= 2 * least:
+                # (due, jobs): every user of the partial in one part, which
+                # folds the tensor when the partial's key changed; every
+                # other job a part of its own, one fold, but a value without
+                # a potential folds nothing.  The lane takes whole parts from
+                # the end, half the folds due, when that is enough of them
+                users = [k for k, i in enumerate(jobs) if shares[i]]
+                parts = [(profile[-1].tobytes() != last[0], users)] if users else []
+                parts += [(i < n or self.potential is not None, [k])
+                          for k, i in enumerate(jobs) if not shares[i]]
+                room = sum(due for due, _ in parts) // 2
+                if room >= least:
+                    for due, part in reversed(parts):
+                        if due and room:
+                            there += part
+                            room -= 1
+            if not there:
+                fill(range(len(jobs)))
+                return out[:-1], out[-1]
+            lane.start(lambda: fill(there))
+            try:
+                fill([k for k in range(len(jobs)) if k not in there])
+            finally:
+                lane.wait()
+            return out[:-1], out[-1]
+
+        return grad, folds
 
 
 def _fold_block(moved: np.ndarray, profile, i: int) -> Vector:

@@ -4,6 +4,7 @@ synthetic runs, and the rmkit names that perfbench's tracer wraps."""
 import importlib
 import importlib.util
 import os
+import threading
 
 import pytest
 
@@ -53,3 +54,46 @@ def test_every_function_the_benchmark_tracer_wraps_still_exists():
     missing = [f"{module}.{attr}" for module, attr, _ in tracing.MODULE_WRAPS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert not missing, f"perfbench/tracing.py MODULE_WRAPS names {missing}"
+
+
+def test_no_lane_task_calls_a_function_the_benchmark_tracer_wraps(tmp_path, monkeypatch, capsys):
+    # the tracer keeps one stack of open spans, so every wrapped name must
+    # run on the thread that opened the span around it
+    from rmkit import cli
+    from rmkit import dynamics as dyn
+    from rmkit import games as gm
+    from rmkit import objectives as ob
+
+    tracing = _load("perfbench_tracing", "perfbench", "tracing.py")
+    off_main = []
+
+    def on_main_only(fn, name):
+        def recorded(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(name)
+                raise AssertionError(f"{name} ran off the main thread")
+            return fn(*args, **kwargs)
+        return recorded
+
+    for module, attr, name in tracing.MODULE_WRAPS:
+        owner = importlib.import_module(module)
+        monkeypatch.setattr(owner, attr, on_main_only(getattr(owner, attr), name))
+    tasks, start = [], gm.Lane.start
+    monkeypatch.setattr(gm.Lane, "start", lambda lane, task: tasks.append(1) or start(lane, task))
+    monkeypatch.setattr(gm, "_LANE_ENTRIES", 0)
+    game = gm.normalize_game(gm.random_potential_game(3, (8, 5, 6), seed=7))
+    for target in (game, ob.make_multilinear(game)):
+        for scheme in ("simultaneous", "alternating", "lazy"):
+            config = dyn.RunConfig(scheme=scheme, kind="rm+", max_rounds=50,
+                                   epsilon=0.001 if scheme == "lazy" else None)
+            result = dyn.run(target, config)
+        cli._final_gaps(target, result.final_profile)
+    path = tmp_path / "game.json"
+    gm.save_game(game, str(path))
+    trace, strategies = tmp_path / "trace.csv", tmp_path / "play.jsonl"
+    assert cli.main(["run", "--game", str(path), "--algo", "rm+", "--max-rounds", "50",
+                     "--trace", str(trace), "--strategies", str(strategies)]) == 0
+    assert cli.main(["analyze", "--strategies", str(strategies), "--analyses", "cce",
+                     "--game", str(path)]) == 0
+    capsys.readouterr()
+    assert tasks and not off_main

@@ -6,6 +6,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -526,6 +528,43 @@ def test_run_batch_sequential_and_parallel(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfgs[0]), str(cfgs[1]), "--jobs", "2"]) == 0
     for rep in reports:
         assert json.loads(rep.read_text())["rounds"] == 20
+
+
+_LANE_THEN_BATCH = """
+import sys
+from rmkit import cli, dynamics as dyn, games as gm
+
+tasks, start = [], gm.Lane.start
+gm.Lane.start = lambda lane, task: tasks.append(1) or start(lane, task)
+dyn.run(gm.load_game(sys.argv[1]), dyn.RunConfig(kind="rm+", max_rounds=5))
+if not tasks:
+    sys.exit("the parent's run handed its lane no task")
+sys.exit(cli.main(["run", "--config", *sys.argv[2:], "--jobs", "2"]))
+"""
+
+
+def test_a_parallel_batch_completes_after_the_parent_folded_on_a_lane(tmp_path):
+    # a 400 x 400 identical-interest game: its value and block 0 share the
+    # partial, and block 1 folds a copy, so a round hands the lane one fold
+    # of 160,000 entries, above the gate
+    rng = np.random.default_rng(4)
+    game = tmp_path / "game.json"
+    gm.save_game(gm.GameSpec((400, 400), [rng.random((400, 400))] * 2,
+                             tags={gm.TAG_IDENTICAL}), str(game))
+    assert 400 * 400 >= gm._LANE_ENTRIES
+    reports = [tmp_path / f"r{k}.json" for k in range(2)]
+    cfgs = [tmp_path / f"c{k}.json" for k in range(2)]
+    for cfg, report in zip(cfgs, reports):
+        cfg.write_text(json.dumps({"game": str(game), "algo": "rm+", "max_rounds": 20,
+                                   "report": str(report)}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _LANE_THEN_BATCH, str(game), *map(str, cfgs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    for report in reports:
+        assert json.loads(report.read_text())["rounds"] == 20
 
 
 def test_run_batch_refuses_shared_output_paths(tmp_path, capsys):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -663,7 +664,7 @@ def test_a_rescaled_multilinear_objective_takes_the_per_call_path(monkeypatch):
     obj = ob.make_multilinear(gm.random_potential_game(3, (4, 5, 6), seed=4))
     scaled = ob.normalize_objective(obj)
 
-    def hoisted(self):
+    def hoisted(self, lane=None):
         raise AssertionError("run hoisted the kernel behind a rescaled handle")
 
     monkeypatch.setattr(gm.BlockGradients, "hoisted", hoisted)
@@ -927,6 +928,106 @@ def test_a_multilinear_objective_reuses_its_own_value_on_repeated_rounds(monkeyp
     # the value folds at round 1 and after every round that moved play
     assert default_values == 1 + int(_moves(default)[1:].any(axis=1).sum()) < 3_000 // 50
     assert per_round_values == 3_000
+
+
+# ---------------------------------------------------------------------------
+# folds on a lane: a run's bits, and no thread outlives the run
+# ---------------------------------------------------------------------------
+
+
+def _lane_tasks(monkeypatch):
+    """A list that gets one entry per task a lane is handed."""
+    tasks, start = [], gm.Lane.start
+
+    def counted(self, task):
+        tasks.append(1)
+        start(self, task)
+
+    monkeypatch.setattr(gm.Lane, "start", counted)
+    return tasks
+
+
+def _record_sha256(res):
+    digest = hashlib.sha256(f"{res.rounds} {res.stop_reason}".encode())
+    for column in _chunk_columns(res.history, res.traces):
+        digest.update(column.tobytes())
+    for state in res.states:
+        digest.update(state.regrets.tobytes() + state.strategy.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+@pytest.mark.parametrize("target", ["game", "objective"])
+@pytest.mark.parametrize("kind", ["rm", "rm+", "drm+"])
+@pytest.mark.parametrize("scheme", ["simultaneous", "alternating", "lazy"])
+def test_a_run_folding_on_a_lane_has_the_bits_of_the_serial_run(scheme, kind, target, reuse,
+                                                                   monkeypatch):
+    if not reuse:
+        monkeypatch.setattr(dyn, "_REUSE_ENTRIES", 0)
+    # (8, 5, 6): the objective's blocks 0 and 1 and its value share the
+    # partial (40 rows), and block 2 folds a moved copy
+    game = gm.normalize_game(gm.random_potential_game(3, (8, 5, 6), seed=7))
+    on = game if target == "game" else ob.make_multilinear(game)
+    config = RunConfig(scheme=scheme, kind=kind, max_rounds=300,
+                       discount=0.9 if kind == "drm+" else None,
+                       epsilon=0.001 if scheme == "lazy" else None)
+    tasks = _lane_tasks(monkeypatch)
+    serial = _record_sha256(dyn.run(on, config))
+    assert not tasks  # below the gate
+    monkeypatch.setattr(gm, "_LANE_ENTRIES", 0)
+    assert _record_sha256(dyn.run(on, config)) == serial
+    # under the alternating schemes the objective folds only block 0 and the
+    # value at the end of a round, both users of the partial, so one lane
+    assert bool(tasks) == (target == "game" or scheme == "simultaneous")
+
+
+@pytest.mark.parametrize("end", ["max_rounds", "converged", "sink", "progress"])
+def test_no_lane_thread_outlives_a_run(end, monkeypatch):
+    monkeypatch.setattr(gm, "_LANE_ENTRIES", 0)
+    monkeypatch.setattr(dyn, "PROGRESS_EVERY", 5)
+    monkeypatch.setattr(dyn, "_CHUNK_ROWS", 5)
+    tasks = _lane_tasks(monkeypatch)
+    game = gm.normalize_game(gm.random_potential_game(3, (8, 5, 6), seed=7))
+    config = RunConfig(kind="rm+", max_rounds=40, epsilon=0.005 if end == "converged" else None)
+    before = threading.active_count()
+    seen = []  # the threads alive at each call
+
+    def called(*args):
+        seen.append(threading.active_count())
+        if end in ("sink", "progress"):
+            raise RuntimeError(f"{end} failed")
+
+    if end in ("sink", "progress"):
+        with pytest.raises(RuntimeError, match=f"{end} failed"):
+            dyn.run(game, config, **{end: called})
+    else:
+        res = dyn.run(game, config, progress=called)
+        assert res.stop_reason == end and res.rounds > 5
+    # the lane ran beside the run's thread, and ended with the run
+    assert tasks and set(seen) == {before + 1}
+    assert threading.active_count() == before
+
+
+def test_a_replay_of_a_lane_sized_recording_has_the_bits_of_per_block_calls(tmp_path,
+                                                                             monkeypatch):
+    # of the three folds of a replayed profile one goes to the lane, and it
+    # reads 56^3 = 175,616 entries, above the gate
+    game = gm.normalize_game(gm.random_potential_game(3, (56, 56, 56), seed=2))
+    assert game.utilities[0].size >= gm._LANE_ENTRIES
+    path = tmp_path / "play.jsonl"
+    dyn.write_strategies_jsonl(dyn.run(game, RunConfig(kind="rm+", max_rounds=120)).history, path)
+    checkpoints = [1, 7, 60, 120]
+    tasks = _lane_tasks(monkeypatch)
+    rounds, gaps = dyn.replay_cce(game, dyn.iter_strategies_jsonl(path), checkpoints)
+    assert rounds == 120 and tasks
+
+    def per_block(self, lane=None):
+        return self.__call__, lambda profile, blocks: ([self(profile, i) for i in blocks],
+                                                       self.value(profile))
+
+    monkeypatch.setattr(gm.BlockGradients, "hoisted", per_block)
+    _, want = dyn.replay_cce(game, dyn.iter_strategies_jsonl(path), checkpoints)
+    assert [_bits(gaps[T]) for T in checkpoints] == [_bits(want[T]) for T in checkpoints]
 
 
 # ---------------------------------------------------------------------------
@@ -2050,9 +2151,14 @@ def test_cce_replay_folds_each_slice_s_first_round_and_each_changed_profile(
     want = _bits(dyn.cce_gap(game, history))
     hoisted, calls = gm.BlockGradients.hoisted, []
 
-    def counted(self):
-        grad, value = hoisted(self)
-        return (lambda profile, i: calls.append(i) or grad(profile, i)), value
+    def counted(self, lane=None):
+        grad, folds = hoisted(self, lane)
+
+        def counted_folds(profile, blocks):
+            calls.extend(blocks)
+            return folds(profile, blocks)
+
+        return (lambda profile, i: calls.append(i) or grad(profile, i)), counted_folds
 
     monkeypatch.setattr(gm.BlockGradients, "hoisted", counted)
     chunks = [history.strategies[a:a + size] for a in range(0, 300, size)]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_the_hoisted_pair_gives_the_bits_of_per_call_folds(shape):
     rng = np.random.default_rng(sum(shape))
     tensor = rng.uniform(-1.0, 1.0, size=shape)
     kernel = gm.BlockGradients([tensor] * len(shape), tensor)
-    grad, value = kernel.hoisted()
+    grad, folds = kernel.hoisted()
     first, second = ([rng.dirichlet(np.ones(m)) for m in shape] for _ in range(2))
     # the last block's strategy kept while the others move, as within a
     # round, then changed back
@@ -162,7 +163,7 @@ def test_the_hoisted_pair_gives_the_bits_of_per_call_folds(shape):
     for profile in (first, second, kept_last, first):
         for i in range(len(shape)):
             assert grad(profile, i).tobytes() == kernel(profile, i).tobytes()
-        assert _bits(value(profile)) == _bits(gm.mixed_tensor_value(tensor, profile))
+        assert _bits(folds(profile, ())[1]) == _bits(gm.mixed_tensor_value(tensor, profile))
         assert _bits(kernel.value(profile)) == _bits(gm.mixed_tensor_value(tensor, profile))
 
 
@@ -172,13 +173,13 @@ def test_a_gradient_of_the_hoisted_pair_is_the_callers_to_change(shape):
     rng = np.random.default_rng(3)
     tensor = rng.uniform(size=shape)
     kernel = gm.BlockGradients([tensor] * len(shape), tensor)
-    grad, value = kernel.hoisted()
+    grad, folds = kernel.hoisted()
     profile = [rng.dirichlet(np.ones(m)) for m in shape]
     for i in range(len(shape)):
         grad(profile, i)[:] = np.nan
     for i in range(len(shape)):
         assert grad(profile, i).tobytes() == kernel(profile, i).tobytes()
-    assert _bits(value(profile)) == _bits(gm.mixed_tensor_value(tensor, profile))
+    assert _bits(folds(profile, ())[1]) == _bits(gm.mixed_tensor_value(tensor, profile))
 
 
 def test_a_one_player_gradient_is_a_new_array_not_the_game_tensor():
@@ -188,8 +189,8 @@ def test_a_one_player_gradient_is_a_new_array_not_the_game_tensor():
     game = gm.GameSpec((3,), [u.copy()])
     x = [np.array([0.5, 0.25, 0.25])]
     kernel = gm.BlockGradients(game.utilities)
-    grad, _ = kernel.hoisted()
-    for gradient in (gm.utility_vector(game, 0, x), kernel(x, 0), grad(x, 0)):
+    grad, folds = kernel.hoisted()
+    for gradient in (gm.utility_vector(game, 0, x), kernel(x, 0), grad(x, 0), *folds(x, [0])[0]):
         assert gradient.tobytes() == u.tobytes()
         gradient[:] = 0.0
         assert game.utilities[0].tobytes() == u.tobytes()
@@ -199,7 +200,88 @@ def test_the_kernel_value_is_nan_without_a_potential():
     a = np.ones((2, 3))
     kernel = gm.BlockGradients([a, a])
     profile = [np.full(2, 0.5), np.full(3, 1 / 3)]
-    assert math.isnan(kernel.value(profile)) and math.isnan(kernel.hoisted()[1](profile))
+    assert math.isnan(kernel.value(profile)) and math.isnan(kernel.hoisted()[1](profile, ())[1])
+
+
+# ---------------------------------------------------------------------------
+# folds on two lanes: the bits of per-call folds, one thread per partial
+# ---------------------------------------------------------------------------
+
+
+# 2-, 3- and 4-block shapes; a shared (7, 9, 17) has 63 rows, not a multiple
+# of 4, so its middle block folds a moved copy, and (8, 9, 17) has 72
+@pytest.mark.parametrize("shape", [(4, 6), (3, 4, 5), (7, 9, 17), (8, 9, 17), (2, 2, 2, 3),
+                                   (9, 11, 13, 7)])
+@pytest.mark.parametrize("tensors", ["shared", "distinct"])
+def test_folds_on_a_lane_give_the_bits_of_per_call_folds(shape, tensors, monkeypatch):
+    monkeypatch.setattr(gm, "_LANE_ENTRIES", 0)
+    n = len(shape)
+    rng = np.random.default_rng(sum(shape))
+    potential = rng.uniform(-1.0, 1.0, size=shape)
+    utilities = ([potential] * n if tensors == "shared"
+                 else [rng.uniform(-1.0, 1.0, size=shape) for _ in shape])
+    kernel = gm.BlockGradients(utilities, potential)
+    # which thread each fold runs on, and whether it makes or reads the
+    # shared partial: a fold of the whole shared tensor against one vector,
+    # or any fold of a tensor with one axis fewer
+    calls, fold = [], gm.fold
+
+    def logged(tensor, vectors):
+        user = tensor.ndim == n - 1 or tensor is potential and len(vectors) == 1
+        calls.append((threading.get_ident(), user))
+        return fold(tensor, vectors)
+
+    monkeypatch.setattr(gm, "fold", logged)
+    first, second = ([rng.dirichlet(np.ones(m)) for m in shape] for _ in range(2))
+    kept_last = [rng.dirichlet(np.ones(m)) for m in shape[:-1]] + [second[-1]]
+    threads = set()
+    with gm.Lane() as lane:
+        _, folds = kernel.hoisted(lane)
+        for profile in (first, second, kept_last, first):
+            for blocks in (range(n), range(1), range(n - 1, -1, -1), ()):
+                calls.clear()
+                us, value = folds(profile, blocks)
+                threads |= {ident for ident, _ in calls}
+                if tensors == "shared":
+                    assert len({ident for ident, user in calls if user}) <= 1
+                assert [u.tobytes() for u in us] == [kernel(profile, i).tobytes() for i in blocks]
+                assert _bits(value) == _bits(kernel.value(profile))
+    assert len(threads) == 2
+
+
+def test_a_kernel_below_the_lane_gate_folds_on_the_caller_s_thread(monkeypatch):
+    # of a 3 x 40^3 game's four folds two would go to the lane, 128,000
+    # entries in all, under the gate
+    game = gm.random_potential_game(3, (40, 40, 40), seed=1)
+    kernel = gm.BlockGradients(game.utilities, game.potential)
+    profile = [np.full(40, 1 / 40)] * 3
+    with gm.Lane() as lane:
+        monkeypatch.setattr(lane, "start", lambda task: pytest.fail("a task went to the lane"))
+        us, value = kernel.hoisted(lane)[1](profile, range(3))
+    assert [u.tobytes() for u in us] == [kernel(profile, i).tobytes() for i in range(3)]
+    assert _bits(value) == _bits(kernel.value(profile))
+
+
+def test_a_lane_raises_its_task_s_error_on_the_caller_s_thread_and_ends_when_closed():
+    before = threading.active_count()
+    lane = gm.Lane()
+    assert threading.active_count() == before  # started only by a task
+    with lane:
+        lane.start(lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            lane.wait()
+        # the thread goes on to the next task
+        ran = []
+        lane.start(lambda: ran.append(threading.get_ident()))
+        lane.wait()
+        assert ran and ran[0] != threading.get_ident()
+        assert threading.active_count() == before + 1
+    assert threading.active_count() == before
+    # a closed lane starts a new thread for its next task
+    with lane:
+        lane.start(lambda: None)
+        lane.wait()
+    assert threading.active_count() == before
 
 
 def test_mixed_potential_requires_a_potential():
