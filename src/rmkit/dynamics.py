@@ -108,25 +108,27 @@ and as an objective, folding on two lanes, on a 2-core VM).
 The record a run returns is float64 columns, not per-round objects: per
 block the entering strategies and the observed gradients (``Rounds``), and
 one block of trace columns plus one of updated flags (``Traces``), one row
-per round.  The run appends each round's bytes to ``array.array`` buffers,
-a jumped stretch's row k times, so nothing is sized by ``max_rounds``, and
-hands the columns over as read-only views of the buffers' memory, which
-copy nothing.  Per-round indexing and iteration build lists of block rows
-and ``TraceRecord``s on access.
+per stretch of rounds, a stepped round or a stepped round and the jumped
+stretch that repeats it, and one int64 ``counts`` of the rounds of each
+row, shared by all of them.  The run appends each stepped round's bytes to
+``array.array`` buffers and adds a jumped stretch's k rounds to its row's
+count, so nothing is sized by ``max_rounds``, and hands the columns over as
+read-only views of the buffers' memory, which copy nothing.  Where the
+rounds jump, the record costs per stretch, not per round: the padded m=6
+walk to 10^7 rounds is 63 rows of 298 B.  Indexing, ``len`` and ``==`` go
+by round without expanding a stretch, and build lists of block rows and
+``TraceRecord``s on access; ``expanded`` gives one row per round.
 
-A kept record grows with the rounds, so ``run`` can stream it instead, as
-stretches.  Given a ``sink``, the run keeps one row per stretch of rounds,
-a stepped round or a stepped round and the jumped stretch that repeats it,
-and an int64 count of its rounds.  It calls ``sink(history, traces)`` with
-each ``_CHUNK_ROWS`` such rows, once the next stretch opens, and once more
-with the rows left when the run ends, so each chunk that ends before round
-t reaches the sink before ``progress(t)``.  The chunk is a ``PlayHistory``
-and a ``Traces`` whose rows are the stretches and whose ``counts`` are the
-rounds each stands for, with ``traces.rounds`` numbering the rounds it
-covers; the run never writes those arrays again, so the sink may keep
-them.  The result's record is then empty; its round count, stop reason and
-final states are those of the same run without a sink.  Where the rounds
-jump, a chunk costs per stretch, not per round.
+Given a ``sink``, the run hands the record over as it goes, in the same
+layout.  It calls ``sink(history, traces)`` with each ``_CHUNK_ROWS`` rows,
+once the next stretch opens, and once more with the rows left when the run
+ends, so each chunk that ends before round t reaches the sink before
+``progress(t)``.  The chunk is a ``PlayHistory`` and a ``Traces`` with
+``traces.rounds`` numbering the rounds it covers; the run never writes
+those arrays again, so the sink may keep them, and a kept record is the
+chunks' rows and counts concatenated.  The result's record is then empty;
+its round count, stop reason and final states are those of the same run
+without a sink.
 
 A recording is read back the same way: ``iter_strategies_jsonl`` yields it
 as ``Rounds`` chunks of ``_CHUNK_ROWS`` stretches of lines that repeat the
@@ -137,9 +139,9 @@ reader or from a sink, and take their rows as they come: the writers
 format a row once and write its rounds as ``_numbered`` bytes, the replay
 folds a row once and adds it k times through ``_repeat_add``, and the
 tracker checks a row's supports once and places an onset at a stretch's
-first round.  None of them expands a stretch.  They take a kept record, one
-row per round, in the same way, merging a run of rows with equal bits into
-one stretch first.  Only running sums, onsets, dropped action sets,
+first round.  None of them expands a stretch, and each merges a run of rows
+with equal bits into one stretch first, so a record of a row per round
+goes the same way.  Only running sums, onsets, dropped action sets,
 violations and round counters cross a chunk edge, so no output depends on
 where the chunks end.  ``write_trace_csv``, ``write_strategies_jsonl``,
 ``read_strategies_jsonl`` and ``cce_gaps`` are the writers, the reader and
@@ -244,32 +246,16 @@ def _columns(buffers: list, widths) -> List[np.ndarray]:
             for b, width in zip(buffers, widths)]
 
 
-def _repeat_last(buffer: array, width: int, k: int) -> None:
-    """Append ``k`` more copies of the last ``width`` items of ``buffer``,
-    at most ``_BATCH_BYTES`` of them at a time."""
-    piece = buffer[-width:] * max(1, min(k, _BATCH_BYTES // (width * buffer.itemsize)))
-    rows = len(piece) // width
-    for _ in range(k // rows):
-        buffer.extend(piece)
-    buffer.extend(piece[:k % rows * width])
-
-
-def _row_counts(counts, start: int, stop: int) -> np.ndarray:
-    """The rounds that rows ``start`` to ``stop - 1`` stand for: those of
-    ``counts``, or 1 each when it is ``None``."""
-    return np.ones(stop - start, np.int64) if counts is None else counts[start:stop]
-
-
 class _Stretched(Sequence):
-    """Rows that each stand for one round or, where ``counts`` is given (an
-    int64 array, one entry per row), for a stretch of ``counts[j]`` rounds
-    with the bits of row j.  ``len`` and indexing go by round."""
+    """Rows that each stand for a stretch of ``counts[j]`` rounds with the
+    bits of row j, ``counts`` an int64 array with one entry per row; a
+    record built one row per round gets ones.  ``len`` and indexing go by
+    round."""
 
     def _stretch(self, rows: int, counts) -> None:
-        self.counts = counts
-        self._height = rows
-        self._ends = None if counts is None else np.cumsum(counts)
-        self._rounds = int(self._ends[-1]) if counts is not None and rows else rows
+        self.counts = _read_only(np.ones(rows, np.int64)) if counts is None else counts
+        self._ends = None
+        self._rounds = int(self.counts.sum())
 
     def __len__(self) -> int:
         return self._rounds
@@ -277,13 +263,15 @@ class _Stretched(Sequence):
     @property
     def ends(self) -> np.ndarray:
         """Per row, the rounds from the first row's to the end of its own
-        stretch: ``cumsum(counts)``."""
-        return np.arange(1, self._height + 1) if self._ends is None else self._ends
+        stretch: ``cumsum(counts)``, computed on first use."""
+        if self._ends is None:
+            self._ends = _read_only(np.cumsum(self.counts))
+        return self._ends
 
     @property
     def starts(self) -> np.ndarray:
         """Per row, the rounds before its stretch: ``ends - counts``."""
-        return self.ends - _row_counts(self.counts, 0, self._height)
+        return self.ends - self.counts
 
     def _rows(self, t):
         """The row of round index ``t`` (an IndexError past the end), or for
@@ -291,20 +279,27 @@ class _Stretched(Sequence):
         its rounds fall in, the first and last count cut to them, and for
         any other slice one row per round of it, found without expanding the
         others, and no counts."""
-        if self._ends is None:
-            return (t, None) if isinstance(t, slice) else range(self._rounds)[t]
         if not isinstance(t, slice):
-            return int(np.searchsorted(self._ends, range(self._rounds)[t], side="right"))
+            return int(np.searchsorted(self.ends, range(self._rounds)[t], side="right"))
         a, b, step = t.indices(self._rounds)
         if step != 1:
-            return np.searchsorted(self._ends, range(a, b, step), side="right"), None
+            return np.searchsorted(self.ends, range(a, b, step), side="right"), None
         if b <= a:
             return slice(0, 0), _read_only(self.counts[:0].copy())
-        first, last = np.searchsorted(self._ends, [a, b - 1], side="right").tolist()
+        first, last = np.searchsorted(self.ends, [a, b - 1], side="right").tolist()
         counts = self.counts[first:last + 1].copy()
-        counts[0] -= a - (self._ends[first] - self.counts[first])
-        counts[-1] -= self._ends[last] - b
+        counts[0] -= a - (self.ends[first] - self.counts[first])
+        counts[-1] -= self.ends[last] - b
         return slice(first, last + 1), _read_only(counts)
+
+    def _paired(self, other: "_Stretched"):
+        """``(rows, other's rows, counts)`` of two sides over the same
+        rounds: per piece of their stretches cut at each other's ends, the
+        row of each side that it falls in, and its rounds.  It costs per
+        row, not per round."""
+        ends = np.union1d(self.ends, other.ends)
+        return (np.searchsorted(self.ends, ends), np.searchsorted(other.ends, ends),
+                np.diff(ends, prepend=0))
 
     def _expand(self, rows: np.ndarray) -> np.ndarray:
         return _read_only(np.repeat(rows, self.counts, axis=0))
@@ -314,11 +309,14 @@ class Rounds(_Stretched):
     """Per-round profiles over per-block columns.
 
     ``blocks[i]`` is a (rows, m_i) float64 array, read-only in a record,
-    one row per round, or, with ``counts``, one row per stretch of rounds,
-    as a sink gets a chunk and ``iter_strategies_jsonl`` yields one.
-    Indexing a round gives the list of its block rows (views), a step-1
-    slice another ``Rounds`` of the stretches of its rounds, any other slice
-    one of a row per round, and ``expanded`` all of it so.
+    one row per stretch of rounds with the stretch's rounds in ``counts``,
+    as a run keeps them, a sink gets a chunk and ``iter_strategies_jsonl``
+    yields one; without ``counts``, a row is one round.  Indexing a round
+    gives the list of its block rows (views), a step-1 slice another
+    ``Rounds`` of the stretches of its rounds, any other slice one of a row
+    per round, and ``expanded`` all of it so.  ``==`` cuts both sides'
+    stretches at each other's ends and compares one row pair per piece
+    (``_paired``), never round by round.
     """
 
     def __init__(self, blocks=(), counts=None):
@@ -333,10 +331,16 @@ class Rounds(_Stretched):
         return [b[rows] for b in self.blocks]
 
     def expanded(self) -> "Rounds":
-        """These rounds with one row each: ``self`` when it has no counts."""
-        return self if self.counts is None else Rounds(map(self._expand, self.blocks))
+        """These rounds with one row each: ``self`` when its rows are."""
+        return self if len(self.counts) == len(self) else Rounds(map(self._expand, self.blocks))
 
     def __eq__(self, other):
+        if isinstance(other, Rounds):
+            if len(self) != len(other) or len(self.blocks) != len(other.blocks):
+                return False
+            rows, others, _ = self._paired(other)
+            return all(np.array_equal(a[rows], b[others])
+                       for a, b in zip(self.blocks, other.blocks))
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(
@@ -354,12 +358,11 @@ class Traces(_Stretched):
 
     The float block holds, per row, the n gaps, the kkt gap, the n regret
     l2 norms, the n l1 norms and the value; the bool block the n updated
-    flags.  A row is one round, or, with ``counts``, a stretch of rounds, as
-    ``Rounds`` has them.  Indexing a round builds a ``TraceRecord``; the
-    attributes of the same names are the columns, read whole.  ``rounds``
-    numbers the rounds, 1, 2, ... by default; ``TraceCsvWriter`` takes only
-    a step-1 ``range``, so that it can number the rounds of a write from the
-    first one.
+    flags.  A row is a stretch of rounds, as ``Rounds`` has them.  Indexing
+    a round builds a ``TraceRecord``; the attributes of the same names are
+    the columns, read whole.  ``rounds`` numbers the rounds, 1, 2, ... by
+    default; ``TraceCsvWriter`` takes only a step-1 ``range``, so that it
+    can number the rounds of a write from the first one.
     """
 
     def __init__(self, columns, updated, rounds=None, counts=None):
@@ -381,19 +384,21 @@ class Traces(_Stretched):
         return TraceRecord(self.rounds[t], gaps, kkt, l2, l1, value, self.updated[row].tolist())
 
     def expanded(self) -> "Traces":
-        """This trace with one row per round: ``self`` when it has no counts."""
-        if self.counts is None:
+        """This trace with one row per round: ``self`` when its rows are."""
+        if len(self.counts) == len(self):
             return self
         return Traces(self._expand(self.columns), self._expand(self.updated), self.rounds)
 
     def __eq__(self, other):
         if isinstance(other, Traces):
-            a, b = self.expanded(), other.expanded()
+            if len(self) != len(other) or self.rounds != other.rounds:
+                return False
+            rows, others, _ = self._paired(other)
             # whole columns, so that the nan values of a game without a
             # potential compare equal when the runs are
-            return (a.rounds == b.rounds
-                    and np.array_equal(a.updated, b.updated)
-                    and np.array_equal(a.columns, b.columns, equal_nan=True))
+            return (np.array_equal(self.updated[rows], other.updated[others])
+                    and np.array_equal(self.columns[rows], other.columns[others],
+                                       equal_nan=True))
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
@@ -402,7 +407,7 @@ class Traces(_Stretched):
 @dataclass
 class PlayHistory:
     """Strategies entering each round and the utilities each block observed,
-    as ``Rounds`` columns (with one ``counts`` in a sink's chunk);
+    as ``Rounds`` columns, which share one ``counts`` in a run's record;
     ``utilities`` is ``None`` for a recording that kept none."""
 
     scheme: Scheme
@@ -703,11 +708,10 @@ def _run(target, config: RunConfig, progress, sink, lane: Lane) -> RunResult:
         return u
 
     # The record: per block the entering strategies and the observed
-    # gradients, the trace rows and the updated flags, as raw bytes.  Kept,
-    # a round is one row, and a jumped stretch repeats its row k times; with
-    # a sink, a stretch is one row and its count of rounds in ``counts``, and
-    # the buffers are handed over and replaced by empty ones whenever they
-    # hold ``_CHUNK_ROWS`` rows and the next stretch opens.
+    # gradients, the trace rows and the updated flags, as raw bytes, one row
+    # per stretch, and its count of rounds in ``counts``.  With a sink, the
+    # buffers are handed over and replaced by empty ones whenever they hold
+    # ``_CHUNK_ROWS`` rows and the next stretch opens.
     def empty():
         return [array("d") for _ in range(2 * n + 1)] + [array("b")], array("q")
 
@@ -723,7 +727,7 @@ def _run(target, config: RunConfig, progress, sink, lane: Lane) -> RunResult:
         traces); the buffers start empty again."""
         nonlocal buffers, counts, handed
         columns = _columns(buffers, widths)
-        stretches = None if sink is None else _read_only(np.frombuffer(counts, np.int64))
+        stretches = _read_only(np.frombuffer(counts, np.int64))
         buffers, counts = empty()
         rounds, handed = range(handed + 1, t + 1), t
         return (PlayHistory(config.scheme, Rounds(columns[:n], stretches),
@@ -744,25 +748,15 @@ def _run(target, config: RunConfig, progress, sink, lane: Lane) -> RunResult:
         """Append the round stepped last, which entered ``entering``,
         observed ``observed``, set ``updated`` and traced ``row``, as a new
         row; a sink first gets a full chunk."""
-        if sink is not None:
-            if len(counts) == _CHUNK_ROWS:
-                sink(*record())
-            counts.append(1)
+        if sink is not None and len(counts) == _CHUNK_ROWS:
+            sink(*record())
+        counts.append(1)
         for i in range(n):
             buffers[i].frombytes(entering[i])
             buffers[n + i].frombytes(observed[i].tobytes())
         buffers[-2].frombytes(row)
         buffers[-1].frombytes(bytes(updated))
         advance(1)
-
-    def repeat(k):
-        """Append ``k`` rounds with the bits of the last one."""
-        if sink is not None:
-            counts[-1] += k
-        else:
-            for buffer, width in zip(buffers, widths):
-                _repeat_last(buffer, width, k)
-        advance(k)
 
     # each block's last observation (gradient, x @ u, gap) and the last value,
     # reused while the inputs they fold keep their bits (module docstring)
@@ -833,7 +827,8 @@ def _run(target, config: RunConfig, progress, sink, lane: Lane) -> RunResult:
                     if not fixed:
                         k, regrets = _rm_look_ahead(regrets, steps, free, k)
                     if k:
-                        repeat(k)
+                        counts[-1] += k
+                        advance(k)
 
     if sink is not None and t > handed:
         sink(*record())
@@ -856,15 +851,29 @@ def nash_gap(game: GameSpec, profile) -> float:
     )
 
 
+def _utilities(history: PlayHistory) -> Rounds:
+    if history.utilities is None:
+        raise ValueError("the history keeps no utilities")
+    return history.utilities
+
+
 def external_regret(history: PlayHistory, block: int, rounds: Optional[int] = None) -> float:
-    """Best fixed action's advantage over the realized play, cumulated."""
+    """Best fixed action's advantage over the realized play, cumulated.
+
+    Per piece of the strategies' and the utilities' stretches (``_paired``),
+    the utilities and ``x @ u`` are one row that ``_stretch_sums`` adds once
+    per round of it, so the sums have the bits of round-by-round adds from
+    +0.0 and cost per stretch."""
     T = history.rounds if rounds is None else rounds
+    utilities = _utilities(history)
     if not 0 < T <= history.rounds:
         raise ValueError(f"rounds must lie in 1..{history.rounds}")
-    X = history.strategies.expanded().blocks[block][:T]
-    U = history.utilities.expanded().blocks[block][:T]
-    realized = np.array([x @ u for x, u in zip(X, U)])
-    return float(_running_sums(U, 0.0)[-1].max() - _running_sums(realized, 0.0)[-1])
+    X, U = history.strategies[:T], utilities[:T]
+    xs, us, counts = X._paired(U)
+    x, u = X.blocks[block][xs], U.blocks[block][us]
+    realized = [float(a @ b) for a, b in zip(x, u)]
+    _, total = _stretch_sums(np.column_stack([u, realized]), counts, np.zeros(u.shape[1] + 1), ())
+    return float(total[:-1].max() - total[-1])
 
 
 def _running_sums(rows: np.ndarray, carry) -> np.ndarray:
@@ -993,7 +1002,7 @@ def replay_cce(game: GameSpec, chunks, checkpoints=None):
                 # a profile with the bits of the one before folds to the same row,
                 # so each stretch folds once (``_runs`` compares bits, unlike
                 # ``==``, which equates -0.0 with 0.0 and never a nan with itself)
-                first, stretches = _runs(part, _row_counts(chunk.counts, start, stop))
+                first, stretches = _runs(part, chunk.counts[start:stop])
                 folded = np.empty((len(first), len(total)))
                 for row, t in enumerate(first.tolist()):
                     profile = [b[t] for b in part]
@@ -1146,11 +1155,10 @@ class _RoundsWriter:
 
     def _write(self, columns, counts, first: int) -> None:
         """Write the rounds of the (rows, width) ``columns``, row j standing
-        for ``counts[j]`` rounds (one each when ``None``), numbered from
-        ``first``."""
+        for ``counts[j]`` rounds, numbered from ``first``."""
         for start, stop in _chunks(len(columns[0]) if len(columns) else 0):
             chunk = [c[start:stop] for c in columns]
-            new, runs = _runs(chunk, _row_counts(counts, start, stop))
+            new, runs = _runs(chunk, counts[start:stop])
             texts = self._parts([c[new].tolist() for c in chunk])
             for parts, k in zip(texts, runs.tolist()):
                 parts = [part.encode() for part in parts]

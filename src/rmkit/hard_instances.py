@@ -13,21 +13,21 @@ same.  ``PhaseTracker`` reconstructs the walk's phases from a recorded
 history and checks the structural facts the stalling argument rests on,
 and ``run_separation`` sets the slow rm walk against fast alternating rm+.
 
-The tracker takes the strategies in chunks, as ``dyn.run``'s sink and
-``dyn.iter_strategies_jsonl`` hand them over: one row per stretch of
-rounds with the bits of its first, and the chunk's ``counts`` of rounds per
-row.  It carries only the onsets, the dropped action sets and the
-violations from one chunk to the next, so that it holds no more for a
-longer walk: it keeps the first ``_KEPT_VIOLATIONS`` violation messages
-and a count of the rest.  ``analyze_phases`` feeds it a whole kept
-history as one chunk of a row per round.  Within a chunk each payoff's
+The tracker takes the strategies in chunks, as ``dyn.run`` keeps them or
+hands them to a sink and as ``dyn.iter_strategies_jsonl`` yields them: one
+row per stretch of rounds with the bits of its first, and the chunk's
+``counts`` of rounds per row.  It carries only the onsets, the dropped
+action sets and the violations from one chunk to the next, so that it
+holds no more for a longer walk: it keeps the first ``_KEPT_VIOLATIONS``
+violation messages and a count of the rest.  ``analyze_phases`` feeds it
+a whole kept history as one chunk.  Within a chunk each payoff's
 first round is the first round of the first row whose profile has mass,
 from one column product over the rows, and the walk checks run once per
 stretch of rows with unchanged supports (the supports change 17 times in
 the first 62,000 rounds of the padded m=6 walk), repeating their messages
 for each round of it.  So the tracker's cost follows the stretches, not
-the rounds: ``run_separation`` tracks the m=8 walk to 2 * 10^11 rounds,
-past payoff 15, in about 0.01 s.
+the rounds: ``run_separation`` keeps the m=8 walk to 2 * 10^11 rounds,
+past payoff 15, as 105 rows and tracks it in about 0.01 s.
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ class PhaseTracker:
         self._pure_profiles = {spiral.positions[k] for k in range(1, n_pay + 1)}
 
     def update(self, strategies: dyn.Rounds) -> None:
-        """Take the next chunk of rounds: one row per round, or per stretch
-        of rounds with the chunk's ``counts``."""
+        """Take the next chunk of rounds: one row per stretch of rounds, with
+        the chunk's ``counts``."""
         base, threshold = self.rounds, self.mass_threshold
         self.rounds += len(strategies)
         if not len(strategies):
@@ -338,7 +338,9 @@ def analyze_phases(
     mass_threshold: float = 1e-12,
     skip_rounds: int = 0,
 ) -> PhaseReport:
-    """The ``PhaseTracker`` report of a whole recorded run, fed as one chunk."""
+    """The ``PhaseTracker`` report of a whole recorded run, fed as one chunk:
+    a run's kept history, one row per stretch and its count, or a recording
+    read back, one row per round."""
     tracker = PhaseTracker(spiral, mass_threshold, skip_rounds)
     tracker.update(history.strategies)
     return tracker.report()
@@ -371,17 +373,19 @@ def replay_regrets(history: dyn.PlayHistory, init_regrets=None, at_rounds=None):
     Plain-RM accounting: summing g = u - <x, u> * 1 over the recorded
     (strategy, utility) pairs in order reproduces the online values bit for
     bit.  Returns [round][player] arrays, or a {round: [arrays]} dict for
-    just the requested 1-based rounds when ``at_rounds`` is given.
+    just the requested 1-based rounds when ``at_rounds`` is given, from the
+    record expanded to a row per round.
     """
     T = history.rounds
-    blocks = history.strategies.blocks
+    utilities = dyn._utilities(history).expanded().blocks
+    blocks = history.strategies.expanded().blocks
     if init_regrets is None:
         init_regrets = [np.zeros(b.shape[1]) for b in blocks]
     # the running sums of g_1, g_2, ... from r add in round order, as the
     # online r + g does; x @ u stays per row, where a batched product could
     # round differently
     sums = [dyn._running_sums(U - np.array([float(x @ u) for x, u in zip(X, U)])[:, None], r)
-            for X, U, r in zip(blocks, history.utilities.blocks, init_regrets)]
+            for X, U, r in zip(blocks, utilities, init_regrets)]
     if at_rounds is None:
         return [list(row) for row in zip(*sums)]
     wanted = set(at_rounds)
@@ -390,7 +394,7 @@ def replay_regrets(history: dyn.PlayHistory, init_regrets=None, at_rounds=None):
 
 @dataclass
 class Separation:
-    walk: dyn.RunResult  # plain rm from the pure start; its record is not kept
+    walk: dyn.RunResult  # plain rm from the pure start, its record one row per stretch
     walk_seconds: float  # wall time of the walk, its phase tracking included
     walk_stepped: int  # walk rounds stepped one at a time
     walk_stretches: int  # stretches of walk rounds jumped at once
@@ -410,34 +414,25 @@ def run_separation(m: int, max_rounds: int, epsilon: float, rm_plus_max_rounds: 
     """The rm walk on the padded game under ``scheme`` (simultaneous or
     alternating), its phase report, and the alternating rm+ contrast.
 
-    The walk streams its record to a ``PhaseTracker``, to the gap counts
-    and to the counts of its stepped rounds and jumped stretches, one row
-    and its count of rounds per stretch, and keeps none of it."""
+    The walk keeps its record, one row and its count of rounds per
+    stretch, so its phases, gap counts and counts of stepped rounds and
+    jumped stretches all cost per stretch."""
     game, init = build_padded(m), pure_init_strategies(m)
-    tracker = PhaseTracker(build_spiral(m))
-    rm_rounds, above, stepped, stretches = None, 0, 0, 0
-
-    def sink(history, traces):
-        nonlocal rm_rounds, above, stepped, stretches
-        tracker.update(history.strategies)
-        # a row is a stepped round and the jumped rounds that repeat it
-        top, counts = traces.br_gaps.max(axis=1), traces.counts
-        stepped += len(counts)
-        stretches += int((counts > 1).sum())
-        above += int(counts[top > epsilon].sum())
-        reached = np.flatnonzero(top <= epsilon)
-        if rm_rounds is None and len(reached):
-            rm_rounds = traces.rounds[int(traces.starts[reached[0]])]
-
     start = time.perf_counter()
     walk = dyn.run(game, dyn.RunConfig(
-        scheme=scheme, kind="rm", max_rounds=max_rounds, init_strategies=init), sink=sink)
+        scheme=scheme, kind="rm", max_rounds=max_rounds, init_strategies=init))
+    report = analyze_phases(walk.history, build_spiral(m))
     walk_seconds = time.perf_counter() - start
+    # a row is a stepped round and the jumped rounds that repeat it
+    top, counts = walk.traces.br_gaps.max(axis=1), walk.traces.counts
+    reached = np.flatnonzero(top <= epsilon)
+    rm_rounds = int(walk.traces.starts[reached[0]]) + 1 if len(reached) else None
     contrast = dyn.run(game, dyn.RunConfig(
         scheme="alternating", kind="rm+", epsilon=epsilon, max_rounds=rm_plus_max_rounds,
         init_strategies=init))
     rm_cost = rm_rounds if rm_rounds is not None else walk.rounds
     contrast_gap = dyn.nash_gap(game, contrast.final_profile)
-    return Separation(walk, walk_seconds, stepped, stretches, tracker.report(), rm_rounds, above,
-                      contrast, contrast_gap, contrast.converged and contrast_gap <= epsilon,
+    return Separation(walk, walk_seconds, len(counts), int((counts > 1).sum()), report,
+                      rm_rounds, int(counts[top > epsilon].sum()), contrast, contrast_gap,
+                      contrast.converged and contrast_gap <= epsilon,
                       rm_cost / max(contrast.rounds, 1))

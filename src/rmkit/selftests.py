@@ -171,7 +171,9 @@ def suite_monotone_norm() -> SuiteResult:
     worst_gain, worst_cap = np.inf, -np.inf
     for game, kind, gamma, scheme in plan:
         res = dyn.run(game, _bound_run_config(kind, gamma, scheme))
-        traces, history = res.traces, res.history
+        # one row per round: a run keeps a fixed point's rounds as one row
+        traces = res.traces.expanded()
+        strategies, utilities = res.history.strategies.expanded(), res.history.utilities.expanded()
         # rm+ regrets are nonnegative, so the trace's l2 norm is ||r||_2, and
         # play is proportional to r when its l1 norm is positive.  A round's
         # norms before its step are the row before; the runs start from zero.
@@ -179,7 +181,7 @@ def suite_monotone_norm() -> SuiteResult:
         l2 = np.vstack([start, traces.regret_l2])
         l1_before = np.vstack([start, traces.regret_l1[:-1]])
         gain = l2[1:] ** 2 - l2[:-1] ** 2
-        for i, (X, U) in enumerate(zip(history.strategies.blocks, history.utilities.blocks)):
+        for i, (X, U) in enumerate(zip(strategies.blocks, utilities.blocks)):
             stepped = traces.updated[:, i]
             g = (U - np.einsum("ij,ij->i", X, U)[:, None])[stepped]
             gpos = np.maximum(g, 0.0)
@@ -457,23 +459,15 @@ def suite_uniform_init() -> SuiteResult:
     spiral = hard.build_spiral(m)
     game = hard.build_uniform_init(m)  # construction asserts its own row sums
     c.note("construction invariants (zero sum, round-1 regret pattern) hold at build time")
-    # the walk streams to the tracker; only round 2's strategies are kept
-    tracker = hard.PhaseTracker(spiral, skip_rounds=1)
-    second = None
-
-    def sink(history, traces):
-        nonlocal second
-        if second is None:
-            second = [x.copy() for x in history.strategies[1]]
-        tracker.update(history.strategies)
-
-    dyn.run(game, dyn.RunConfig(scheme="simultaneous", kind="rm", max_rounds=120_000),
-            sink=sink)
+    # the walk keeps one row per stretch of rounds
+    history = dyn.run(game, dyn.RunConfig(scheme="simultaneous", kind="rm",
+                                          max_rounds=120_000)).history
+    second = history.strategies[1]
     purity = min(float(x[0]) for x in second)
     stray = max(float(np.abs(x[1:]).max()) for x in second)
     c.check(purity >= 1.0 - TOL and stray <= EXACT_TOL,
             f"round 2: both players on action 1 (min mass {purity:.17g}, stray {stray:.1e})")
-    _check_walk(c, tracker.report(), "after the uniform round")
+    _check_walk(c, hard.analyze_phases(history, spiral, skip_rounds=1), "after the uniform round")
     return c.result()
 
 
@@ -562,7 +556,7 @@ def suite_cce() -> SuiteResult:
     for T, gap in zip(checkpoints, dyn.cce_gaps(game, res.history, checkpoints)):
         norm_gap = gap / scale
         envelope = math.sqrt((m + 1) / T)
-        nash_here = float(res.traces.br_gaps[T - 1].max())
+        nash_here = max(res.traces[T - 1].br_gaps)
         c.note(f"T={T}: normalized cce_gap {norm_gap:.5f} <= sqrt(7/T) {envelope:.5f}, "
                f"nash gap {nash_here:.3f}")
         worst_decay = max(worst_decay, norm_gap - envelope)

@@ -381,12 +381,13 @@ def test_the_reader_yields_chunks_of_stretches_that_expand_to_the_whole_recordin
     rows = [np.concatenate([chunk.blocks[i] for chunk in chunks]) for i in range(2)]
     assert not dyn._repeats(rows)[1:].any()
     whole = dyn.read_strategies_jsonl(path)
-    for i, block in enumerate(res.history.strategies.blocks):
+    for i, block in enumerate(res.history.strategies.expanded().blocks):
         expanded = np.concatenate([chunk.expanded().blocks[i] for chunk in chunks])
         assert np.repeat(rows[i], counts, axis=0).tobytes() == expanded.tobytes()
         assert expanded.tobytes() == whole.blocks[i].tobytes() == block.tobytes()
         assert not whole.blocks[i].flags.writeable
-    assert whole.counts is None
+    # one row per round, each counted once
+    assert whole.counts.tolist() == [1] * 300
     # a chunk is handed over once the line that opens the stretch after its
     # last one is read, before that line is parsed
     lines = path.read_text().splitlines()
@@ -408,14 +409,18 @@ def test_the_record_is_read_only_columns_behind_per_round_views():
     game = gm.random_potential_game(3, (2, 3, 4), seed=41)
     res = dyn.run(game, RunConfig(kind="rm+", max_rounds=150))
     strategies, utilities, traces = res.history.strategies, res.history.utilities, res.traces
+    # one row per stretch: the run reaches a fixed point, whose rounds are one row
+    counts = traces.counts
+    assert counts.sum() == 150 and counts[-1] > 1 and not counts.flags.writeable
     for rounds in (strategies, utilities):
-        assert len(rounds) == 150
-        assert [b.shape for b in rounds.blocks] == [(150, 2), (150, 3), (150, 4)]
+        assert len(rounds) == 150 and rounds.counts is counts
+        rows = len(counts)
+        assert [b.shape for b in rounds.blocks] == [(rows, 2), (rows, 3), (rows, 4)]
         assert all(b.dtype == np.float64 and not b.flags.writeable for b in rounds.blocks)
         assert [len(row) for row in rounds] == [3] * 150
         last = rounds[-1]  # a list of block rows
         assert isinstance(last, list)
-        assert all(np.array_equal(x, b[149]) for x, b in zip(last, rounds.blocks))
+        assert all(np.array_equal(x, b[-1]) for x, b in zip(last, rounds.blocks))
         part = rounds[10:20:3]
         assert len(part) == 4 and part == [rounds[t] for t in (10, 13, 16, 19)]
     with pytest.raises(ValueError):
@@ -425,7 +430,8 @@ def test_the_record_is_read_only_columns_behind_per_round_views():
     assert traces[7:10] == [traces[t] for t in (7, 8, 9)]
     records = list(traces)
     for name in ("br_gaps", "kkt_gap", "regret_l2", "regret_l1", "value", "updated"):
-        assert getattr(traces, name).tolist() == [getattr(rec, name) for rec in records]
+        column = np.repeat(getattr(traces, name), counts, axis=0)
+        assert column.tolist() == [getattr(rec, name) for rec in records]
     again = dyn.run(game, RunConfig(kind="rm+", max_rounds=150))
     assert again.traces == traces and again.history == res.history
     assert again.traces[:149] != traces
@@ -451,7 +457,7 @@ def test_a_chunk_of_stretches_indexes_and_slices_by_round_without_expanding():
     assert rounds[3:3].counts.tolist() == [] and len(rounds[3:3]) == 0
     assert rounds.counts.tolist() == [2, 10**12, 3]  # the cut counts are copies
     stepped = rounds[10**12 - 1:10**12 + 4:2]
-    assert stepped.counts is None
+    assert stepped.counts.tolist() == [1, 1, 1]
     assert stepped.blocks[0].tolist() == [[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]]
     small = dyn.Rounds([rows], np.array([2, 1, 3]))
     assert small == small.expanded() and small.expanded().ends.tolist() == [1, 2, 3, 4, 5, 6]
@@ -468,6 +474,34 @@ def test_a_chunk_of_stretches_indexes_and_slices_by_round_without_expanding():
     assert cut.rounds == range(6, 9) and cut.counts.tolist() == [1, 2]
     assert cut.columns[:, 0].tolist() == [0.0, 8.0]
     assert cut.expanded().columns[:, 0].tolist() == [0.0, 8.0, 8.0]
+
+
+def test_equality_compares_stretch_by_stretch_without_expanding():
+    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+    chunk = dyn.Rounds([rows], np.array([10**12, 3]))
+    # the same rounds, the long stretch split in two rows
+    split = dyn.Rounds([rows[[0, 0, 1]]], np.array([4 * 10**11, 6 * 10**11, 3]))
+    assert chunk == split and split == chunk
+    # one segment differs
+    other = dyn.Rounds([np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])],
+                       np.array([4 * 10**11, 6 * 10**11, 3]))
+    assert chunk != other and other != chunk
+    # the same rows over stretches that end elsewhere, and fewer rounds
+    assert chunk != dyn.Rounds([rows], np.array([10**12 - 1, 4]))
+    assert chunk != dyn.Rounds([rows], np.array([10**12, 2]))
+    # traces compare their flags exactly and their nan values as equal
+    columns = np.array([[0.5, 0.5, 1.0, 1.0, np.nan], [0.0, 0.0, 2.0, 2.0, np.nan]])
+    updated = np.array([[True], [False]])
+    traces = dyn.Traces(columns, updated, counts=np.array([10**12, 3]))
+    assert traces == dyn.Traces(columns[[0, 0, 1]], updated[[0, 0, 1]],
+                                counts=np.array([4 * 10**11, 6 * 10**11, 3]))
+    assert traces != dyn.Traces(columns[[0, 0, 1]], np.array([[True], [False], [False]]),
+                                counts=np.array([4 * 10**11, 6 * 10**11, 3]))
+    moved = columns[[0, 0, 1]].copy()
+    moved[1, 0] = 0.25
+    assert traces != dyn.Traces(moved, updated[[0, 0, 1]],
+                                counts=np.array([4 * 10**11, 6 * 10**11, 3]))
+    assert traces != dyn.Traces(columns, updated, range(2, 10**12 + 5), np.array([10**12, 3]))
 
 
 def test_play_history_holds_rounds_columns():
@@ -1089,11 +1123,13 @@ def _free_regret_that_overflows(kind, scheme):
 def _assert_same_bits(a, b):
     _assert_same_run(a, b)
     assert a.history == b.history
-    # == equates -0.0 with 0.0; the bytes do not
+    # == equates -0.0 with 0.0; the bytes do not.  A jumped stretch is one
+    # row, so the records compare a row per round.
     for got, want in ((a.history.strategies, b.history.strategies),
                       (a.history.utilities, b.history.utilities)):
-        assert [x.tobytes() for x in got.blocks] == [y.tobytes() for y in want.blocks]
-    assert a.traces.columns.tobytes() == b.traces.columns.tobytes()
+        assert ([x.tobytes() for x in got.expanded().blocks]
+                == [y.tobytes() for y in want.expanded().blocks])
+    assert a.traces.expanded().columns.tobytes() == b.traces.expanded().columns.tobytes()
     for x, y in zip(a.states, b.states):
         assert x.regrets.tobytes() == y.regrets.tobytes()
         assert x.strategy.tobytes() == y.strategy.tobytes()
@@ -1134,7 +1170,7 @@ def test_repeated_profiles_are_jumped_with_the_bits_of_single_steps(
     _assert_same_bits(jumped, stepped)
     assert jumped_ticks == stepped_ticks == list(range(100, config.max_rounds + 1, 100))
     # every case spends most of its rounds on a repeated profile
-    blocks = jumped.history.strategies.blocks
+    blocks = jumped.history.strategies.expanded().blocks
     repeats = sum(all(b[t].tobytes() == b[t - 1].tobytes() for b in blocks)
                   for t in range(1, jumped.rounds))
     assert repeats > jumped.rounds // 3
@@ -1156,8 +1192,9 @@ def test_a_stretch_covers_the_round_whose_free_regret_lands_on_zero(monkeypatch)
     # round 1 steps to -2; the first chunk covers -1 and +0.0 and ends before
     # the round that turns the regret positive, which is stepped
     assert look_aheads[0] == (2, np.array([1.0, 0.0]).tobytes())
-    assert res.traces.updated[:5].tolist() == [[True]] * 5
-    strategies = res.history.strategies.blocks[0]
+    assert res.traces.counts[:2].tolist() == [3, 1]
+    assert res.traces.expanded().updated[:5].tolist() == [[True]] * 5
+    strategies = res.history.strategies.expanded().blocks[0]
     assert strategies[:5].tolist() == [[1.0, 0.0]] * 4 + [[0.5, 0.5]]
 
 
@@ -1181,9 +1218,12 @@ def test_moves_takes_signed_zero_regrets_to_hold_play():
 def test_the_potential_game_reaches_a_fixed_point_under_rm_plus():
     target, config = _fixed_point_game("rm+", "simultaneous")
     res = dyn.run(target, config)
-    last = res.traces.columns[-1].tobytes()
-    assert res.traces.columns[-100].tobytes() == last
-    assert all(b[-100].tobytes() == b[-1].tobytes() for b in res.history.strategies.blocks)
+    # the fixed point's rounds are one row
+    assert res.traces.counts[-1] >= 100
+    traces, strategies = res.traces.expanded(), res.history.strategies.expanded()
+    last = traces.columns[-1].tobytes()
+    assert traces.columns[-100].tobytes() == last
+    assert all(b[-100].tobytes() == b[-1].tobytes() for b in strategies.blocks)
 
 
 def test_a_stretch_cut_off_by_the_round_limit_keeps_the_bits(monkeypatch):
@@ -1208,10 +1248,15 @@ def test_a_stretch_cut_off_by_the_round_limit_keeps_the_bits(monkeypatch):
     # the walk goes on repeating the profile past the limit, and the cut
     # run is a prefix of the longer one
     longer = dyn.run(target, dataclasses.replace(config, max_rounds=4_400))
-    for cut, b in zip(jumped.history.strategies.blocks, longer.history.strategies.blocks):
+    for cut, b in zip(jumped.history.strategies.expanded().blocks,
+                      longer.history.strategies.expanded().blocks):
         assert b[4_319:4_323].tobytes() == b[4_320].tobytes() * 4
         assert b[:4_321].tobytes() == cut.tobytes()
-    assert longer.traces.columns[:4_321].tobytes() == jumped.traces.columns.tobytes()
+    assert (longer.traces.expanded().columns[:4_321].tobytes()
+            == jumped.traces.expanded().columns.tobytes())
+    # its last row is the longer run's row, its stretch cut at the limit
+    assert jumped.traces[:] == longer.traces[:4_321]
+    assert jumped.traces.counts[-1] < longer.traces.counts[len(jumped.traces.counts) - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -1341,9 +1386,9 @@ def test_the_look_ahead_exit_and_regrets_are_those_of_a_per_round_scan():
 # ---------------------------------------------------------------------------
 
 
-def _padded_m6(rounds):
+def _padded_m6(rounds, scheme="simultaneous"):
     return hard.build_padded(6), RunConfig(
-        kind="rm", max_rounds=rounds, init_strategies=hard.pure_init_strategies(6))
+        scheme=scheme, kind="rm", max_rounds=rounds, init_strategies=hard.pure_init_strategies(6))
 
 
 def _chunk_columns(history, traces):
@@ -1393,8 +1438,10 @@ def test_a_sink_gets_the_record_in_chunks_with_the_bits_of_the_whole(case, per_r
         assert whole.converged
     # the walk jumps nearly all its rounds, so its one chunk holds few rows
     assert (sum(sizes) < whole.rounds // 100) == (not per_round and config.kind is ln.Kind.RM)
-    # expanded, the chunks have the bits of the whole record
-    want = _chunk_columns(whole.history, whole.traces)
+    # expanded, the chunks have the bits of the whole record expanded
+    history = dyn.PlayHistory(config.scheme, whole.history.strategies.expanded(),
+                              whole.history.utilities.expanded())
+    want = _chunk_columns(history, whole.traces.expanded())
     for got, ref in zip(_expanded_columns(chunks), want):
         assert got.tobytes() == ref.tobytes()
     # the record went to the sink; the result keeps none of it
@@ -1518,7 +1565,36 @@ def test_a_long_jumped_walk_streams_the_bits_of_the_per_round_reference(m, schem
 
 
 def _record_bytes(result):
-    return sum(column.nbytes for column in _chunk_columns(result.history, result.traces))
+    return sum(column.nbytes for column in _chunk_columns(result.history, result.traces)
+               ) + result.traces.counts.nbytes
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _padded_m6(3 * 4096 + 100),
+    lambda: _padded_m6(3 * 4096 + 100, "alternating"),
+    lambda: (_constant_sum_game(), RunConfig(kind="rm", max_rounds=5_000)),
+    lambda: (_constant_sum_game(), RunConfig(scheme="lazy", kind="rm+", epsilon=0.0015,
+                                             max_rounds=20_000)),
+], ids=["padded_m6_simultaneous", "padded_m6_alternating", "constant_sum_rm", "lazy"])
+def test_a_kept_run_has_the_rows_and_counts_of_its_sink_chunks(case, monkeypatch):
+    # chunks of 7 stretches, so that every case makes several
+    monkeypatch.setattr(dyn, "_CHUNK_ROWS", 7)
+    target, config = case()
+    kept = dyn.run(target, config)
+    chunks = []
+    dyn.run(target, config, sink=lambda *chunk: chunks.append(chunk))
+    assert len(chunks) > 2
+    streamed = [np.concatenate(parts) for parts in zip(*(
+        _chunk_columns(history, traces) for history, traces in chunks))]
+    for got, want in zip(_chunk_columns(kept.history, kept.traces), streamed):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and not got.flags.writeable
+    counts = kept.traces.counts
+    assert counts.dtype == np.int64 and not counts.flags.writeable
+    assert counts.tolist() == np.concatenate([traces.counts for _, traces in chunks]).tolist()
+    assert kept.history.strategies.counts is kept.history.utilities.counts is counts
+    assert len(kept.traces) == kept.rounds == int(counts.sum())
+    assert kept.traces.rounds == range(1, kept.rounds + 1)
 
 
 @pytest.mark.parametrize("per_round", [True, False], ids=["stepped", "jumped"])
@@ -1536,12 +1612,13 @@ def test_a_kept_record_peaks_near_its_own_bytes(per_round, monkeypatch):
     finally:
         tracemalloc.stop()
     assert result.rounds == 5_000
-    # one row a round, jumped rounds included, as views of the buffers
-    columns = _chunk_columns(result.history, result.traces)
-    assert all(column.base is not None and len(column) == 5_000 for column in columns)
-    assert result.traces.counts is None and result.history.strategies.counts is None
+    # one row a stretch, a stepped round one, and its count, as views of the buffers
+    counts = result.traces.counts
+    columns = [*_chunk_columns(result.history, result.traces), counts]
+    assert all(column.base is not None and len(column) == len(counts) for column in columns)
+    assert int(counts.sum()) == 5_000 and (len(counts) == 5_000) == per_round
     if not per_round:
-        strategies = result.history.strategies.blocks
+        strategies = result.history.strategies.expanded().blocks
         assert sum(all(b[t].tobytes() == b[t - 1].tobytes() for b in strategies)
                    for t in range(1, 5_000)) > 1_000
     # beyond the record: the buffers' slack
@@ -1560,6 +1637,21 @@ def test_a_long_streamed_walk_holds_no_more_than_a_chunk():
         tracemalloc.stop()
     assert result.rounds == 10**6
     assert peak < 2 * 2**20
+
+
+def test_a_long_kept_walk_holds_a_row_per_stretch():
+    target, config = _padded_m6(10**6)
+    dyn.run(target, dataclasses.replace(config, max_rounds=5_000))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = dyn.run(target, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(result.traces) == result.rounds == 10**6
+    assert len(result.traces.counts) < 100
+    assert peak < 2**20
 
 
 def test_writers_fed_in_pieces_write_the_bytes_of_one_whole_write(tmp_path, monkeypatch):
@@ -1897,7 +1989,7 @@ def test_the_reader_checks_a_walk_s_repeated_lines_with_the_array_fill(tmp_path,
 
     monkeypatch.setattr(dyn, "_numbered", numbered)
     got = dyn.read_strategies_jsonl(path)
-    for x, y in zip(got.blocks, res.history.strategies.blocks):
+    for x, y in zip(got.blocks, res.history.strategies.expanded().blocks):
         assert x.tobytes() == y.tobytes()
     assert max(counts) >= dyn._FILL_ROUNDS
 
@@ -2035,6 +2127,51 @@ def test_external_regret_gives_the_bits_of_a_running_sum():
             assert dyn.external_regret(history, i, rounds=T) == float(total.max() - realized)
 
 
+@pytest.mark.parametrize("case", [
+    lambda: _padded_m6(62_000),
+    lambda: (_constant_sum_game(), RunConfig(kind="rm", max_rounds=5_000)),
+], ids=["padded_m6", "constant_sum_rm"])
+def test_external_regret_sums_stretches_with_the_bits_of_a_running_sum(case):
+    target, config = case()
+    history = dyn.run(target, config).history
+    T = history.rounds
+    assert len(history.strategies.counts) < T  # some rounds are jumped
+    X, U = history.strategies.expanded().blocks, history.utilities.expanded().blocks
+    checkpoints = sorted({1, 2, 3, 10, 99, 1_000, T // 3, T // 2, T - 1, T})
+    assert len(checkpoints) == 10
+    for i in range(2):
+        # the running sums of every round, one row each
+        total = dyn._running_sums(U[i], 0.0)
+        realized = dyn._running_sums(np.array([float(x @ u) for x, u in zip(X[i], U[i])]), 0.0)
+        for t in checkpoints:
+            want = float(total[t - 1].max() - realized[t - 1])
+            assert _bits(dyn.external_regret(history, i, rounds=t)) == _bits(want)
+
+
+def test_external_regret_sums_a_long_stretch_without_expanding_it():
+    # dyadic rows, so that every sum is exact
+    strategies = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+    utilities = np.array([[1.0, 0.0], [0.25, 0.5], [0.0, 2.0]])
+    counts = np.array([2, 10**12, 3])
+    history = dyn.PlayHistory(Scheme.SIMULTANEOUS, dyn.Rounds([strategies], counts),
+                              dyn.Rounds([utilities], counts))
+    # best fixed action 2: 10^12 / 2 + 6; realized 2 + 10^12 * 3 / 8 + 6
+    assert dyn.external_regret(history, 0) == 10**12 / 8 - 2
+    assert dyn.external_regret(history, 0, rounds=2 + 10**11) == 10**11 / 8 - 2
+    # strategies and utilities need not share their stretches
+    split = dyn.Rounds([strategies[[0, 1, 1, 2]]], np.array([2, 7, 10**12 - 7, 3]))
+    split = dyn.PlayHistory(Scheme.SIMULTANEOUS, split, dyn.Rounds([utilities], counts))
+    assert dyn.external_regret(split, 0) == 10**12 / 8 - 2
+
+
+def test_regrets_of_a_history_that_keeps_no_utilities_are_refused():
+    history = dyn.PlayHistory(Scheme.SIMULTANEOUS, _rounds([[np.array([1.0, 0.0])]] * 3), None)
+    with pytest.raises(ValueError, match="^the history keeps no utilities$"):
+        dyn.external_regret(history, 0)
+    with pytest.raises(ValueError, match="^the history keeps no utilities$"):
+        hard.replay_regrets(history)
+
+
 def test_cce_gap_zero_at_a_pure_equilibrium_history():
     res = dyn.run(
         _corner_game(),
@@ -2161,7 +2298,9 @@ def test_cce_replay_folds_each_slice_s_first_round_and_each_changed_profile(
         return (lambda profile, i: calls.append(i) or grad(profile, i)), counted_folds
 
     monkeypatch.setattr(gm.BlockGradients, "hoisted", counted)
-    chunks = [history.strategies[a:a + size] for a in range(0, 300, size)]
+    # chunks of one row per round, as the reader gives them
+    strategies = history.strategies.expanded()
+    chunks = [strategies[a:a + size] for a in range(0, 300, size)]
     rounds, gaps = dyn.replay_cce(game, iter(chunks))
     assert rounds == 300 and _bits(gaps[300]) == want
 

@@ -367,14 +367,20 @@ def test_a_long_broken_recording_keeps_the_first_violations_and_counts_the_rest(
     assert json.loads(json.dumps(report.to_json_dict()))["violations"] == report.violations
 
 
-def test_run_separation_streams_the_walk_and_keeps_no_record():
+def test_run_separation_keeps_the_walk_as_rows_and_counts():
     epsilon = 1.0 / 14.0
     sep = hard.run_separation(4, 3_000, epsilon, 1_000)
-    assert sep.walk.history.rounds == 0 and len(sep.walk.traces) == 0
-    whole = dyn.run(hard.build_padded(4), RunConfig(
-        kind="rm", max_rounds=3_000, init_strategies=hard.pure_init_strategies(4)))
-    assert sep.report == hard.analyze_phases(whole.history, hard.build_spiral(4))
-    top = whole.traces.br_gaps.max(axis=1)
+    # a row per stretch: a stepped round and the jumped rounds that repeat it
+    counts = sep.walk.traces.counts
+    assert sep.walk.history.rounds == len(sep.walk.traces) == int(counts.sum()) == 3_000
+    assert sep.walk_stepped == len(counts) < 100
+    assert sep.walk_stretches == int((counts > 1).sum()) > 0
+    # the report and the gap counts of the walk read a row per round
+    history = sep.walk.history
+    whole = PlayHistory(history.scheme, history.strategies.expanded(),
+                        history.utilities.expanded())
+    assert sep.report == hard.analyze_phases(whole, hard.build_spiral(4))
+    top = sep.walk.traces.expanded().br_gaps.max(axis=1)
     assert sep.rounds_above == int((top > epsilon).sum()) > 0
     reached = np.flatnonzero(top <= epsilon)
     assert sep.rm_rounds == (int(reached[0]) + 1 if len(reached) else None)
@@ -567,7 +573,10 @@ def test_the_m8_walk_reaches_payoff_15_at_the_frozen_rounds_in_flat_memory(schem
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert sep.walk.rounds == 200_000_000_000 and sep.walk.history.rounds == 0
+    # the walk keeps its record, a row per stretch
+    assert sep.walk.rounds == sep.walk.history.rounds == 200_000_000_000
+    assert len(sep.walk.traces.counts) == sep.walk_stepped
+    assert sep.report == hard.analyze_phases(sep.walk.history, hard.build_spiral(8))
     assert sep.report.first_seen == first_seen and sep.report.violations == []
     assert hard.check_stall_growth(sep.report) == (True, [])
     assert sep.walk_stepped < 200 and 0 < sep.walk_stretches < sep.walk_stepped
